@@ -34,6 +34,7 @@ import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
+    HDFrontierError,
     InvalidParams,
     NotPositiveDefinite,
     RatioOutOfRange,
@@ -206,8 +207,10 @@ def sample_moments(returns) -> SampleMoments:
         )
     mean = returns.values.mean(axis=1)
     centered = returns.values - mean[:, None]
-    cov = centered @ centered.T / returns.n
-    cov = 0.5 * (cov + cov.T)
+    cov = centered @ centered.T
+    cov /= returns.n
+    cov = cov + cov.T
+    cov *= 0.5
     return SampleMoments(mean=mean, cov=cov, n=returns.n, p=returns.p)
 
 
@@ -530,3 +533,22 @@ def estimate_many(
         else:  # pragma: no cover - EstimatorKind() above already rejects
             raise InvalidParams(f"unsupported estimator kind {kind!r}")
     return out
+
+
+def _estimate_each(moments: SampleMoments, kinds) -> tuple[dict, dict]:
+    """(reports, errors): :func:`estimate_many`, where one failing kind spares the rest.
+
+    The kinds are first estimated together; only if that fails is each one
+    retried alone, and a kind that still fails maps to its error.
+    """
+    try:
+        return estimate_many(moments, kinds), {}
+    except HDFrontierError:
+        pass
+    reports, errors = {}, {}
+    for kind in kinds:
+        try:
+            reports[kind] = estimate_many(moments, [kind])[kind]
+        except HDFrontierError as exc:
+            errors[kind] = exc
+    return reports, errors

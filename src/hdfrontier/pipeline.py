@@ -25,13 +25,12 @@ import logging
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
     EmptyPanel,
-    HDFrontierError,
     InvalidParams,
     InvalidRange,
     ParseError,
@@ -39,10 +38,10 @@ from .errors import (
     WindowTooShort,
 )
 from .estimators import (
+    _ANY_RATIO_KINDS,
     EstimateReport,
     EstimatorKind,
-    ReturnsMatrix,
-    estimate_many,
+    _estimate_each,
     sample_moments,
 )
 from .frontier import FrontierParams, MertonConstants
@@ -62,9 +61,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-#: estimation frequencies (minutes) the rolling configuration accepts
-SUPPORTED_FREQUENCIES = (5.0, 10.0, 30.0, 60.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +129,8 @@ class RollingConfig:
     ``step`` is the number of observations the window advances per move;
     ``None`` means one trading day (the panel's modal rows-per-day).
     ``assets`` optionally names the columns to use; otherwise the first
-    ``p`` columns are taken.
+    ``p`` columns are taken.  Windows with ``n <= p`` are allowed only when
+    every kind is defined for any ``p/n`` (the ridge-type estimator).
     """
 
     p: int = 200
@@ -149,14 +146,21 @@ class RollingConfig:
     def __post_init__(self) -> None:
         if self.p < 2:
             raise InvalidParams(f"need p >= 2, got p={self.p}")
-        if self.n <= self.p:
-            raise InvalidParams(f"need n > p, got n={self.n}, p={self.p}")
+        if self.n < 2:
+            raise InvalidParams(f"need n >= 2 observations, got n={self.n}")
+        object.__setattr__(self, "kinds", tuple(EstimatorKind(k) for k in self.kinds))
+        needs_n_above_p = [k.value for k in self.kinds if k not in _ANY_RATIO_KINDS]
+        if self.n <= self.p and needs_n_above_p:
+            raise InvalidParams(
+                f"need n > p for kinds {needs_n_above_p}, got n={self.n}, p={self.p}"
+            )
         if self.step is not None and self.step < 1:
             raise InvalidParams(f"step must be >= 1 observations, got {self.step}")
-        if float(self.frequency_minutes) not in SUPPORTED_FREQUENCIES:
+        # any positive length is accepted here; rolling_estimate rejects a
+        # panel it cannot reach by integer aggregation
+        if not (math.isfinite(self.frequency_minutes) and self.frequency_minutes > 0):
             raise InvalidParams(
-                f"frequency_minutes must be one of {SUPPORTED_FREQUENCIES}, "
-                f"got {self.frequency_minutes}"
+                f"frequency_minutes must be positive, got {self.frequency_minutes}"
             )
         if not (math.isfinite(self.target_horizon_minutes) and self.target_horizon_minutes > 0):
             raise InvalidParams("target_horizon_minutes must be positive")
@@ -169,7 +173,6 @@ class RollingConfig:
             )
         if not (0.0 < self.level < 1.0):
             raise InvalidRange(f"level must be in (0, 1), got {self.level}")
-        object.__setattr__(self, "kinds", tuple(EstimatorKind(k) for k in self.kinds))
         if self.assets is not None:
             object.__setattr__(self, "assets", tuple(str(a) for a in self.assets))
 
@@ -299,6 +302,25 @@ def ingest_csv(source) -> ReturnPanel:
     )
 
 
+def _winsorized(values: np.ndarray, quantiles) -> np.ndarray:
+    """Clip each column of a ``(T, p)`` array to its order-statistic bounds.
+
+    The bounds are rows ``floor((T-1) low)`` and ``ceil((T-1) high)`` of the
+    column-sorted array: ``np.quantile``'s ``lower``/``higher`` index rule in
+    the same float expression, so the bounds are exactly its bounds, at a
+    fraction of the cost of its partitions.  Bounds at the column extremes
+    make the clip the identity, so ``values`` is returned unsorted.
+    """
+    last = values.shape[0] - 1
+    low, high = quantiles
+    lo = int(np.floor(last * np.asarray(low)))
+    hi = int(np.ceil(last * np.asarray(high)))
+    if lo == 0 and hi == last:
+        return values
+    ordered = np.sort(values, axis=0)
+    return np.clip(values, ordered[lo], ordered[hi])
+
+
 def winsorize(panel: ReturnPanel, quantiles=(0.01, 0.99)) -> ReturnPanel:
     """Clamp each asset's returns to its empirical quantile bounds.
 
@@ -310,11 +332,9 @@ def winsorize(panel: ReturnPanel, quantiles=(0.01, 0.99)) -> ReturnPanel:
     low, high = quantiles
     if not (0.0 <= low < high <= 1.0):
         raise InvalidRange(f"need 0 <= low < high <= 1, got {(low, high)}")
-    lower = np.quantile(panel.values, low, axis=0, method="lower")
-    upper = np.quantile(panel.values, high, axis=0, method="higher")
     return ReturnPanel(
         timestamps=panel.timestamps,
-        values=np.clip(panel.values, lower, upper),
+        values=_winsorized(panel.values, quantiles),
         asset_labels=panel.asset_labels,
         frequency_minutes=panel.frequency_minutes,
         dropped_rows=panel.dropped_rows,
@@ -443,9 +463,9 @@ def rolling_estimate(
     reports only, computed at the native frequency and scaled linearly with
     the point estimates.
 
-    Windows whose sample covariance cannot be factorized are skipped with a
-    logged warning rather than aborting the run.  Results are ordered by
-    window position.
+    A kind that fails on a window (say, its sample covariance cannot be
+    factorized) loses that window's record, with a logged warning; the other
+    kinds keep theirs.  Results are ordered by window position.
 
     Raises
     ------
@@ -453,10 +473,12 @@ def rolling_estimate(
         Panel has fewer than ``config.n`` rows (after aggregation) or fewer
         than ``config.p`` usable assets.
     InvalidParams
-        Frequency mismatch that is not an integer aggregation, or unknown
-        asset labels.
+        Frequency mismatch that is not an integer aggregation, unknown asset
+        labels, or ``n <= p`` with a kind that needs ``n > p``.
     """
-    kinds = tuple(EstimatorKind(k) for k in (config.kinds if kinds is None else kinds))
+    if kinds is not None:
+        config = replace(config, kinds=kinds)  # validates the override
+    kinds = config.kinds
     ratio = config.frequency_minutes / panel.frequency_minutes
     k = round(ratio)
     if k < 1 or abs(ratio - k) > 1e-9:
@@ -484,27 +506,21 @@ def rolling_estimate(
         )
     step = config.step if config.step is not None else _modal_day_length(panel)
     factor = config.target_horizon_minutes / config.frequency_minutes
+    # windows are row slices of this fancy-indexed copy, passed transposed to
+    # sample_moments: another memory layout changes the moments' last bits
     selected = panel.values[:, columns]
-    labels = tuple(panel.asset_labels[i] for i in columns)
     results: list[WindowEstimate] = []
     for start in range(0, panel.n_rows - config.n + 1, step):
         stop = start + config.n
-        window = ReturnPanel(
-            timestamps=panel.timestamps[start:stop],
-            values=selected[start:stop],
-            asset_labels=labels,
-            frequency_minutes=panel.frequency_minutes,
-        )
-        window = winsorize(window, config.winsor_quantiles)
         date = panel.timestamps[stop - 1].date()
-        try:
-            moments = sample_moments(ReturnsMatrix(window.values.T, asset_labels=labels))
-            reports = estimate_many(moments, kinds)
-        except HDFrontierError as exc:
-            logger.warning("window ending %s skipped: %s", date, exc)
-            continue
+        window = _winsorized(selected[start:stop], config.winsor_quantiles)
+        reports, errors = _estimate_each(sample_moments(window.T), kinds)
+        for kind, exc in errors.items():
+            logger.warning("window ending %s: %s skipped: %s", date, kind.value, exc)
         for kind in kinds:
-            native = reports[kind]
+            native = reports.get(kind)
+            if native is None:
+                continue
             cis = None
             if kind is EstimatorKind.CONSISTENT:
                 cis = _scaled_intervals(

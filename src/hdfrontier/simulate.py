@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    HDFrontierError,
     InvalidParams,
     InvalidRange,
     InvalidSpectrum,
@@ -41,6 +40,7 @@ from .estimators import (
     EstimateReport,
     EstimatorKind,
     ReturnsMatrix,
+    _estimate_each,
     estimate_many,
     sample_moments,
 )
@@ -203,16 +203,21 @@ def build_population(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
 def _sqrt_factor(sigma: np.ndarray) -> tuple[np.ndarray, bool]:
     """(factor, is_diagonal): elementwise sqrt for diagonal sigma, else Cholesky."""
     sigma = np.asarray(sigma, dtype=float)
-    off = sigma - np.diag(np.diag(sigma))
-    if not off.any():
+    # the off-diagonal part is zero exactly when it adds no nonzero entries
+    if np.count_nonzero(sigma) == np.count_nonzero(np.diagonal(sigma)):
         return np.sqrt(np.diag(sigma)), True
     return np.linalg.cholesky(sigma), False
 
 
 def _finish(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> ReturnsMatrix:
+    """Returns ``factor x + mu``; ``x`` is a fresh draw and is overwritten."""
     factor, diagonal = _sqrt_factor(sigma)
-    y = factor[:, None] * x if diagonal else factor @ x
-    return ReturnsMatrix(y + mu[:, None])
+    if diagonal:
+        x *= factor[:, None]
+    else:
+        x = factor @ x
+    x += mu[:, None]
+    return ReturnsMatrix(x)
 
 
 def generate_normal(
@@ -325,12 +330,16 @@ def generate_ccc_garch(
     if rng is None:
         rng = _rng_for(spec.seed, _DOMAIN_REPLICATION, 0)
     state = garch_state(spec, sigma)
-    chol = np.linalg.cholesky(state.corr)
+    factor, diagonal = _sqrt_factor(state.corr)
     h = state.h.copy()
     out = np.empty((spec.p, spec.n))
     total = spec.burn_in + spec.n
+    # row t holds step t's draws: the same stream as one draw of p per step
+    shocks = rng.standard_normal((total, spec.p))
+    if diagonal:
+        shocks *= factor
     for t in range(total):
-        eps = chol @ rng.standard_normal(spec.p)
+        eps = shocks[t] if diagonal else factor @ shocks[t]
         centered = np.sqrt(h) * eps
         if t >= spec.burn_in:
             out[:, t - spec.burn_in] = centered + mu
@@ -389,15 +398,7 @@ def _replicate(spec: ScenarioSpec, kinds: tuple[EstimatorKind, ...], index: int)
     data = generate_returns(spec, mu, sigma, rng)
     moments = sample_moments(data)
     rows: dict[EstimatorKind, tuple | None] = {}
-    try:
-        reports = estimate_many(moments, kinds)
-    except HDFrontierError:
-        reports = {}
-        for kind in kinds:
-            try:
-                reports[kind] = estimate_many(moments, [kind])[kind]
-            except HDFrontierError:
-                reports[kind] = None
+    reports, _ = _estimate_each(moments, kinds)
     for kind in kinds:
         report = reports.get(kind)
         if report is None:

@@ -29,7 +29,7 @@ from hdfrontier import (
     winsorize,
     write_rolling_csv,
 )
-from hdfrontier.pipeline import ROLLING_CSV_COLUMNS, _modal_day_length
+from hdfrontier.pipeline import ROLLING_CSV_COLUMNS, _modal_day_length, _winsorized
 
 
 def make_panel(days=8, rows_per_day=30, p=4, seed=0, frequency=5.0, scale=0.01):
@@ -216,9 +216,37 @@ class TestWinsorize:
         twice = winsorize(once, (0.05, 0.95))
         assert np.array_equal(once.values, twice.values)
 
-    def test_full_range_is_identity(self):
+    def test_full_range_is_identity(self, monkeypatch):
         panel = make_panel(days=2, rows_per_day=15, p=2, seed=3)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("winsorize((0, 1)) sorted its input")
+
+        monkeypatch.setattr(np, "sort", no_sort)
         assert np.array_equal(winsorize(panel, (0.0, 1.0)).values, panel.values)
+
+    def test_bounds_are_numpy_quantile_bounds_exactly(self):
+        # (m - 1) q at, just below and just above an integer is where the
+        # floor/ceil index rule can go wrong (0.07 * 100 == 7.000000000000001)
+        rng = np.random.default_rng(16)
+        fixed = (0.01, 0.05, 0.07, 0.1, 0.25, 0.5, 0.75, 0.9, 0.93, 0.95, 0.99)
+        for m in range(2, 401):
+            values = rng.standard_normal((m, 3))
+            qs = set(fixed)
+            for k in {1, m // 3, m // 2, m - 2}:
+                if 0 < k < m - 1:
+                    q = k / (m - 1)
+                    qs.update((q, float(np.nextafter(q, 0.0)), float(np.nextafter(q, 1.0))))
+            qs = sorted(qs)
+            lowers = np.quantile(values, qs, axis=0, method="lower")
+            uppers = np.quantile(values, qs, axis=0, method="higher")
+            for q, lower, upper in zip(qs, lowers, uppers):
+                assert np.array_equal(
+                    _winsorized(values, (q, 1.0)), np.clip(values, lower, values.max(axis=0))
+                ), (m, q, "low")
+                assert np.array_equal(
+                    _winsorized(values, (0.0, q)), np.clip(values, values.min(axis=0), upper)
+                ), (m, q, "high")
 
     def test_columns_treated_independently(self):
         values = np.zeros((10, 2))
@@ -418,19 +446,24 @@ class TestRollingEstimate:
 
     def test_internal_aggregation_matches_preaggregated(self):
         panel = make_panel(days=10, rows_per_day=30, p=4, seed=11)
-        config10 = RollingConfig(
-            p=4, n=60, frequency_minutes=10.0, target_horizon_minutes=60.0
-        )
-        direct = rolling_estimate(panel, config10, kinds=["consistent"])
-        pre = rolling_estimate(aggregate_frequency(panel, 2), config10, kinds=["consistent"])
-        assert len(direct) == len(pre) > 0
-        for a, b in zip(direct, pre):
-            assert a.date == b.date
-            assert a.report.params == b.report.params
+        for minutes, k in ((10.0, 2), (15.0, 3)):
+            config = RollingConfig(
+                p=4, n=60 // k, frequency_minutes=minutes, target_horizon_minutes=60.0
+            )
+            direct = rolling_estimate(panel, config, kinds=["consistent"])
+            pre = rolling_estimate(aggregate_frequency(panel, k), config, kinds=["consistent"])
+            assert len(direct) == len(pre) > 0
+            for a, b in zip(direct, pre):
+                assert a.date == b.date
+                assert a.report.params == b.report.params
 
     def test_non_integer_aggregation_rejected(self):
         panel = make_panel(days=4, rows_per_day=30, p=4, frequency=30.0)
         config = RollingConfig(p=4, n=30, frequency_minutes=5.0)
+        with pytest.raises(InvalidParams, match="aggregate"):
+            rolling_estimate(panel, config)
+        panel = make_panel(days=4, rows_per_day=30, p=4, frequency=5.0)
+        config = RollingConfig(p=4, n=30, frequency_minutes=7.5)
         with pytest.raises(InvalidParams, match="aggregate"):
             rolling_estimate(panel, config)
 
@@ -472,6 +505,87 @@ class TestRollingEstimate:
         assert windows == []
         assert any("skipped" in record.message for record in caplog.records)
 
+    def test_failing_kind_keeps_the_other_kinds(self, caplog):
+        # n = p + 1: the sample estimate exists, the unbiased one needs n >= p + 2
+        panel = make_panel(days=1, rows_per_day=200, p=50, seed=18)
+        config = RollingConfig(p=50, n=51, step=1, kinds=("sample", "unbiased"))
+        with caplog.at_level(logging.WARNING, logger="hdfrontier.pipeline"):
+            windows = rolling_estimate(panel, config)
+        assert len(windows) == 150
+        assert {w.kind for w in windows} == {EstimatorKind.SAMPLE}
+        skipped = [r.message for r in caplog.records if "skipped" in r.message]
+        assert len(skipped) == 150
+        assert all("unbiased" in message for message in skipped)
+
+    def test_rte_runs_with_n_at_most_p(self):
+        panel = make_panel(days=4, rows_per_day=30, p=50, seed=19)
+        config = RollingConfig(
+            p=50, n=40, step=30, frequency_minutes=5.0, target_horizon_minutes=60.0,
+            kinds=("rte",),
+        )
+        windows = rolling_estimate(panel, config)
+        assert len(windows) == 3  # starts 0, 30, 60
+        # the pipeline's column selection, whose memory layout the last bits
+        # of the moments depend on
+        selected = panel.values[:, list(range(50))]
+        segment = winsorize(
+            ReturnPanel(panel.timestamps[:40], selected[:40], panel.asset_labels, 5.0),
+            config.winsor_quantiles,
+        )
+        native = estimate_many(sample_moments(segment.values.T), ["rte"])[EstimatorKind.RTE]
+        assert native.ratio > 1.0
+        assert windows[0].report.params == scale_to_horizon(native, 5.0, 60.0).params
+
+    def test_n_at_most_p_rejected_for_kinds_that_need_n_above_p(self):
+        panel = make_panel(days=4, rows_per_day=30, p=50, seed=19)
+        config = RollingConfig(p=50, n=40, frequency_minutes=5.0, kinds=("rte",))
+        with pytest.raises(InvalidParams, match=r"\['sample', 'consistent'\]"):
+            rolling_estimate(panel, config, kinds=["sample", "rte", "consistent"])
+        with pytest.raises(InvalidParams, match="unbiased"):
+            RollingConfig(p=50, n=50, kinds=("rte", "unbiased"))
+
+    @pytest.mark.parametrize("step", [1, 7])
+    @pytest.mark.parametrize("quantiles", [(0.01, 0.99), (0.0, 1.0), (0.2, 0.8)])
+    def test_records_match_the_panel_reference_loop(self, quantiles, step):
+        # the per-window path before windows became array slices: a
+        # ReturnPanel per window, np.quantile bounds, np.clip, then the
+        # estimators; records must agree to the last bit
+        panel = make_panel(days=4, rows_per_day=30, p=6, seed=17)
+        kinds = (EstimatorKind.SAMPLE, EstimatorKind.CONSISTENT, EstimatorKind.UNBIASED)
+        config = RollingConfig(
+            p=5, n=40, step=step, frequency_minutes=5.0, target_horizon_minutes=60.0,
+            winsor_quantiles=quantiles, kinds=kinds,
+        )
+        selected = panel.values[:, list(range(5))]
+        labels = panel.asset_labels[:5]
+        expected = []
+        for start in range(0, panel.n_rows - config.n + 1, step):
+            stop = start + config.n
+            window = ReturnPanel(panel.timestamps[start:stop], selected[start:stop], labels, 5.0)
+            lower = np.quantile(window.values, quantiles[0], axis=0, method="lower")
+            upper = np.quantile(window.values, quantiles[1], axis=0, method="higher")
+            clipped = np.clip(window.values, lower, upper)
+            moments = sample_moments(ReturnsMatrix(clipped.T, asset_labels=labels))
+            reports = estimate_many(moments, kinds)
+            for kind in kinds:
+                cis = None
+                if kind is EstimatorKind.CONSISTENT:
+                    raw = confidence_intervals(reports[kind], level=config.level)
+                    cis = (*(x * 12.0 for x in raw.ci_r + raw.ci_v), *raw.ci_s)
+                scaled = scale_to_horizon(reports[kind], 5.0, 60.0).params
+                expected.append((window.timestamps[-1].date(), kind, scaled, cis))
+        got = [
+            (w.date, w.kind, w.report.params,
+             None if w.cis is None else (*w.cis.ci_r, *w.cis.ci_v, *w.cis.ci_s))
+            for w in rolling_estimate(panel, config)
+        ]
+        assert len(got) == len(expected) > 0
+        for g, e in zip(got, expected):
+            assert g[:2] == e[:2]
+            params = (g[2].r_gmv, g[2].v_gmv, g[2].slope)
+            assert params == (e[2].r_gmv, e[2].v_gmv, e[2].slope)
+            assert g[3] == e[3]
+
     def test_winsorization_tames_outliers(self):
         panel = make_panel(days=8, rows_per_day=30, p=4, seed=14)
         spiked = panel.values.copy()
@@ -501,7 +615,10 @@ class TestRollingConfig:
         with pytest.raises(InvalidParams):
             RollingConfig(step=0)
         with pytest.raises(InvalidParams):
-            RollingConfig(frequency_minutes=7.0)
+            RollingConfig(p=2, n=1, kinds=("rte",))
+        for minutes in (0.0, -5.0, math.nan, math.inf):
+            with pytest.raises(InvalidParams):
+                RollingConfig(frequency_minutes=minutes)
         with pytest.raises(InvalidRange):
             RollingConfig(winsor_quantiles=(0.9, 0.1))
         with pytest.raises(InvalidRange):
