@@ -99,9 +99,6 @@ from .pipeline import (
 from .rmt import (
     DiagnosticRecord,
     ExactGaussianLaws,
-    LimitLawKind,
-    LimitLawSpec,
-    ScalingRegime,
     StieltjesPoint,
     chi2_ratio_clt_moments,
     demeaned_quadform_diagnostics,
@@ -195,9 +192,6 @@ __all__ = [
     "standardized_errors",
     # rmt
     "StieltjesPoint",
-    "ScalingRegime",
-    "LimitLawKind",
-    "LimitLawSpec",
     "ExactGaussianLaws",
     "DiagnosticRecord",
     "mp_support",

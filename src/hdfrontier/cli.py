@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import datetime as dt
 import json
@@ -38,7 +39,7 @@ from .errors import (
     ParseError,
 )
 from .estimators import EstimatorKind, ReturnsMatrix, estimate, sample_moments
-from .frontier import frontier_curve, frontier_params, merton_constants
+from .frontier import frontier_curve, from_merton, merton_constants
 from .inference import confidence_intervals
 from .pipeline import RollingConfig, ingest_csv, rolling_estimate, write_rolling_csv
 from .rmt import (
@@ -206,14 +207,12 @@ def _fmt(value: float) -> str:
 
 def _read_frontier_csv(path: str) -> tuple[list, list]:
     """CSV layout: header ``mu,<labels...>``; row i = mu_i, sigma_i1..sigma_ip."""
-    import csv as _csv
-
     try:
         handle = open(path, newline="")
     except OSError as exc:
         raise _usage(f"cannot read {path}: {exc}") from None
     with handle:
-        reader = _csv.reader(handle)
+        reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or len(header) < 2 or header[0].strip().lower() != "mu":
             raise _usage(f"{path} line 1: header must be 'mu,<asset labels...>'")
@@ -277,8 +276,8 @@ def cmd_frontier(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
     if sigma.ndim == 1:
         sigma = np.diag(sigma)
     try:
-        params = frontier_params(mu, sigma)
         constants = merton_constants(mu, sigma)
+        params = from_merton(constants)
     except (CholeskyFailure, InputValidationError) as exc:
         # sigma comes from flags or a config file here, so a covariance that
         # cannot be factorized is a usage problem, not a data problem
@@ -303,9 +302,7 @@ def cmd_frontier(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
         curve = frontier_curve(params, v_max, int(config.get("points") or 65))
         path = os.path.join(run_dir, "curve.csv")
         with open(path, "w", newline="") as handle:
-            import csv as _csv
-
-            writer = _csv.writer(handle)
+            writer = csv.writer(handle)
             writer.writerow(("V", "R"))
             for v, r in curve:
                 writer.writerow((repr(float(v)), repr(float(r))))
@@ -686,7 +683,7 @@ def cmd_pipeline(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
         raise _data(f"rolling estimation failed: {exc}") from None
     path = os.path.join(run_dir, "rolling.csv")
     write_rolling_csv(path, windows, rolling.frequency_minutes)
-    n_windows = len({w.date for w in windows})
+    n_windows = len({w.end for w in windows})
     print(f"{len(windows)} estimates over {n_windows} windows -> rolling.csv")
     return EXIT_OK, ["rolling.csv"]
 

@@ -17,8 +17,9 @@ Three families live here:
    ridge-type estimator defined even when ``p >= n`` (``rte``).
 
 3. **Dispatch.**  :func:`estimate` / :func:`estimate_many` compute any subset
-   of the above from one set of sample moments, sharing a single Cholesky
-   factorization across all kinds that need ``inv(S)`` quadratic forms.
+   of the above from one set of sample moments.  The moments cache their
+   ``inv(S)`` quadratic forms, so all kinds that need them share a single
+   Cholesky factorization.
 
 All estimators report frontier parameters, the underlying Merton constants,
 and the concentration ratio ``p/n`` in a uniform :class:`EstimateReport`.
@@ -27,12 +28,14 @@ and the concentration ratio ``p/n`` in a uniform :class:`EstimateReport`.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
+    CholeskyFailure,
     DimensionMismatch,
     HDFrontierError,
     InvalidParams,
@@ -42,7 +45,7 @@ from .errors import (
     TooFewObservations,
     ZeroTrace,
 )
-from .frontier import FrontierParams, MertonConstants, from_merton
+from .frontier import FrontierParams, MertonConstants, _quadratic_forms, from_merton
 
 __all__ = [
     "ReturnsMatrix",
@@ -51,7 +54,6 @@ __all__ = [
     "EstimateReport",
     "sample_moments",
     "sample_frontier",
-    "consistent_merton",
     "consistent_frontier",
     "unbiased_frontier",
     "precision_sse",
@@ -117,7 +119,9 @@ class SampleMoments:
     """Sample mean and covariance of a returns panel.
 
     The covariance uses divisor ``n`` (maximum-likelihood normalisation):
-    ``cov = (Y - mean) (Y - mean)' / n``.
+    ``cov = (Y - mean) (Y - mean)' / n``.  The quadratic forms in its inverse
+    are computed on first use and cached, so every estimator kind read from
+    one instance shares one Cholesky factorization.
     """
 
     mean: np.ndarray
@@ -129,6 +133,25 @@ class SampleMoments:
     def ratio(self) -> float:
         """Concentration ratio p/n."""
         return self.p / self.n
+
+    @functools.cached_property
+    def forms(self) -> tuple[float, float, float]:
+        """(a, b, c) in ``inv(cov)``, factorized at most once.
+
+        Raises SingularCovariance if ``n <= p`` or ``cov`` is not positive definite.
+        """
+        if self.n <= self.p:
+            raise SingularCovariance(
+                f"sample covariance with p={self.p}, n={self.n} is singular: "
+                f"estimators based on inv(S) require n > p"
+            )
+        try:
+            return _quadratic_forms(self.mean, self.cov)
+        except CholeskyFailure as exc:  # keeps the LAPACK error as the cause
+            raise SingularCovariance(
+                f"sample covariance is not positive definite (p={self.p}, "
+                f"n={self.n}; estimators based on inv(S) require n > p): {exc.__cause__}"
+            ) from exc.__cause__
 
 
 class EstimatorKind(str, enum.Enum):
@@ -214,34 +237,10 @@ def sample_moments(returns) -> SampleMoments:
     return SampleMoments(mean=mean, cov=cov, n=returns.n, p=returns.p)
 
 
-def _forms(moments: SampleMoments) -> tuple[float, float, float]:
-    """(a, b, c) quadratic forms in inv(cov) via one Cholesky factorization."""
-    if moments.n <= moments.p:
-        raise SingularCovariance(
-            f"sample covariance with p={moments.p}, n={moments.n} is singular: "
-            f"estimators based on inv(S) require n > p"
-        )
-    try:
-        factor = scipy.linalg.cho_factor(moments.cov, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularCovariance(
-            f"sample covariance is not positive definite (p={moments.p}, "
-            f"n={moments.n}; estimators based on inv(S) require n > p): {exc}"
-        ) from exc
-    ones = np.ones(moments.p)
-    sol = scipy.linalg.cho_solve(
-        factor, np.column_stack([ones, moments.mean]), check_finite=False
-    )
-    c = float(ones @ sol[:, 0])
-    b = float(ones @ sol[:, 1])
-    a = float(moments.mean @ sol[:, 1])
-    return a, b, c
-
-
-def _report(kind, params, merton, moments, notes=()) -> EstimateReport:
+def _report(kind, merton, moments, params=None, notes=()) -> EstimateReport:
     return EstimateReport(
         kind=kind,
-        params=params,
+        params=from_merton(merton) if params is None else params,
         merton=merton,
         p=moments.p,
         n=moments.n,
@@ -257,42 +256,27 @@ def sample_frontier(moments: SampleMoments) -> EstimateReport:
     is understated by the factor ``1 - c`` and the slope inflated by roughly
     ``c/(1 - c) + c/(1 - c)**2`` plus a multiplicative distortion.
     """
-    a, b, c = _forms(moments)
-    merton = MertonConstants(a, b, c)
-    return _report(EstimatorKind.SAMPLE, from_merton(merton), merton, moments)
-
-
-def consistent_merton(moments: SampleMoments) -> MertonConstants:
-    """Sample Merton constants rescaled by ``1 - p/n``.
-
-    Under either Gaussian or heavy-tailed i.i.d. sampling with ``p/n -> c``
-    in (0, 1), each rescaled constant converges almost surely to its
-    population counterpart.
-    """
-    ratio = moments.ratio
-    if not 0.0 < ratio < 1.0:
-        raise RatioOutOfRange(f"consistent estimation requires p/n in (0, 1), got {ratio}")
-    a, b, c = _forms(moments)
-    shrink = 1.0 - ratio
-    return MertonConstants(shrink * a, shrink * b, shrink * c)
+    return _report(EstimatorKind.SAMPLE, MertonConstants(*moments.forms), moments)
 
 
 def consistent_frontier(moments: SampleMoments) -> EstimateReport:
     """Ratio-consistent frontier: Merton constants scaled by ``1 - p/n``.
 
-    Relative to the raw sample frontier this leaves ``r_gmv`` unchanged,
-    multiplies the GMV variance by ``1/(1 - p/n)`` and the slope by
-    ``1 - p/n``.  The slope retains an additive bias of roughly ``p/n``
-    in finite samples (it converges to ``s + c``, not ``s``, when the
+    Under either Gaussian or heavy-tailed i.i.d. sampling with ``p/n -> c``
+    in (0, 1), each rescaled constant converges almost surely to its
+    population counterpart.  Relative to the raw sample frontier this leaves
+    ``r_gmv`` unchanged, multiplies the GMV variance by ``1/(1 - p/n)`` and
+    the slope by ``1 - p/n``.  The slope retains an additive bias of roughly
+    ``p/n`` in finite samples (it converges to ``s + c``, not ``s``, when the
     centering at ``s`` alone is used); downstream inference can recenter.
     """
-    merton = consistent_merton(moments)
-    return _report(EstimatorKind.CONSISTENT, from_merton(merton), merton, moments)
+    a, b, c = moments.forms
+    shrink = 1.0 - moments.ratio
+    merton = MertonConstants(shrink * a, shrink * b, shrink * c)
+    return _report(EstimatorKind.CONSISTENT, merton, moments)
 
 
-def unbiased_frontier(
-    moments: SampleMoments, _base_forms: tuple[float, float, float] | None = None
-) -> EstimateReport:
+def unbiased_frontier(moments: SampleMoments) -> EstimateReport:
     """Exactly mean-unbiased frontier parameters for Gaussian returns.
 
     With divisor-``n`` sample moments and ``p < n - 1``:
@@ -307,13 +291,13 @@ def unbiased_frontier(
     (Equivalently, in the divisor-``n-1`` convention these read
     ``(n-1)/(n-p) * v`` and ``(n-p-1)/(n-1) * s - (p-1)/n``.)
     """
-    if moments.n < moments.p + 2:
-        raise TooFewObservations(
-            f"unbiased correction needs n >= p + 2, got n={moments.n}, p={moments.p}"
-        )
-    a, b, c = _base_forms if _base_forms is not None else _forms(moments)
-    base = from_merton(MertonConstants(a, b, c))
+    a, b, c = moments.forms
     n, p = moments.n, moments.p
+    if n < p + 2:
+        raise TooFewObservations(
+            f"unbiased correction needs n >= p + 2, got n={n}, p={p}"
+        )
+    base = from_merton(MertonConstants(a, b, c))
     v_u = base.v_gmv * n / (n - p)
     s_u = base.slope * (n - p - 1) / n - (p - 1) / n
     params = FrontierParams(base.r_gmv, v_u, s_u, validate=False)
@@ -321,7 +305,7 @@ def unbiased_frontier(
         s_u + base.r_gmv**2 / v_u, base.r_gmv / v_u, 1.0 / v_u, validate=False
     )
     notes = ("negative-slope",) if s_u < 0 else ()
-    return _report(EstimatorKind.UNBIASED, params, merton, moments, notes)
+    return _report(EstimatorKind.UNBIASED, merton, moments, params, notes)
 
 
 def _require_trace(moments: SampleMoments) -> float:
@@ -381,13 +365,6 @@ def precision_rte(moments: SampleMoments) -> np.ndarray:
     return p * 0.5 * (inv + inv.T)
 
 
-_PRECISION_BUILDERS = {
-    EstimatorKind.SSE: precision_sse,
-    EstimatorKind.EBE: precision_ebe,
-    EstimatorKind.RTE: precision_rte,
-}
-
-
 def plugin_frontier(precision, mean, kind: EstimatorKind, n: int) -> EstimateReport:
     """Frontier parameters from an explicit precision-matrix estimate.
 
@@ -433,54 +410,58 @@ def plugin_frontier(precision, mean, kind: EstimatorKind, n: int) -> EstimateRep
     )
 
 
-def _precision_forms(moments: SampleMoments, kind: EstimatorKind,
-                     base_forms: tuple[float, float, float] | None) -> MertonConstants:
-    """Merton constants under each precision plug-in, dodging explicit inverses.
+# The precision plug-ins below never form their matrices: sse and ebe are
+# affine in inv(S) and I, so their forms are affine in the cached forms and in
+# (||mean||^2, sum(mean), p); rte needs one solve against its ridged matrix.
 
-    The scaled-inverse and empirical-Bayes precisions are affine in
-    ``inv(S)`` and ``I``, so their quadratic forms are affine in the base
-    forms and in (||mean||^2, sum(mean), p).  The ridge-type estimator
-    needs one solve against its own (always PD) ridged matrix.
-    """
+
+def _sse_forms(moments: SampleMoments) -> tuple[float, float, float]:
+    a, b, c = moments.forms
     n, p = moments.n, moments.p
-    mean = moments.mean
-    ones = np.ones(p)
-    if kind is EstimatorKind.RTE:
-        trace = _require_trace(moments)
-        ridged = (n - 1) * moments.cov + trace * np.eye(p)
-        factor = scipy.linalg.cho_factor(ridged, lower=True, check_finite=False)
-        sol = scipy.linalg.cho_solve(
-            factor, np.column_stack([ones, mean]), check_finite=False
-        )
-        return MertonConstants(
-            p * float(mean @ sol[:, 1]),
-            p * float(ones @ sol[:, 1]),
-            p * float(ones @ sol[:, 0]),
-        )
-    if base_forms is None:
-        base_forms = _forms(moments)
-    a, b, c = base_forms
     if n < p + 3:
         raise TooFewObservations(
             f"scaled-inverse precision needs n >= p + 3, got n={n}, p={p}"
         )
     scale = (n - p - 2) / (n - 1)
-    if kind is EstimatorKind.SSE:
-        return MertonConstants(scale * a, scale * b, scale * c)
-    if kind is EstimatorKind.EBE:
-        trace = _require_trace(moments)
-        ridge = (p * p + p - 2) / ((n - 1) * trace)
-        return MertonConstants(
-            scale * a + ridge * float(mean @ mean),
-            scale * b + ridge * float(mean.sum()),
-            scale * c + ridge * p,
-        )
-    raise InvalidParams(f"{kind!r} is not a precision plug-in kind")
+    return scale * a, scale * b, scale * c
+
+
+def _sse_frontier(moments: SampleMoments) -> EstimateReport:
+    return _report(EstimatorKind.SSE, MertonConstants(*_sse_forms(moments)), moments)
+
+
+def _ebe_frontier(moments: SampleMoments) -> EstimateReport:
+    a, b, c = _sse_forms(moments)
+    n, p, mean = moments.n, moments.p, moments.mean
+    ridge = (p * p + p - 2) / ((n - 1) * _require_trace(moments))
+    merton = MertonConstants(
+        a + ridge * float(mean @ mean),
+        b + ridge * float(mean.sum()),
+        c + ridge * p,
+    )
+    return _report(EstimatorKind.EBE, merton, moments)
+
+
+def _rte_frontier(moments: SampleMoments) -> EstimateReport:
+    n, p = moments.n, moments.p
+    ridged = (n - 1) * moments.cov + _require_trace(moments) * np.eye(p)
+    a, b, c = _quadratic_forms(moments.mean, ridged)
+    return _report(EstimatorKind.RTE, MertonConstants(p * a, p * b, p * c), moments)
+
+
+_ESTIMATORS = {
+    EstimatorKind.SAMPLE: sample_frontier,
+    EstimatorKind.CONSISTENT: consistent_frontier,
+    EstimatorKind.UNBIASED: unbiased_frontier,
+    EstimatorKind.SSE: _sse_frontier,
+    EstimatorKind.EBE: _ebe_frontier,
+    EstimatorKind.RTE: _rte_frontier,
+}
 
 
 def estimate(moments: SampleMoments, kind: EstimatorKind) -> EstimateReport:
     """Compute one estimator from sample moments.  See :func:`estimate_many`."""
-    return estimate_many(moments, [kind])[kind]
+    return _ESTIMATORS[EstimatorKind(kind)](moments)
 
 
 def estimate_many(
@@ -488,8 +469,8 @@ def estimate_many(
 ) -> dict[EstimatorKind, EstimateReport]:
     """Compute several frontier estimators from one set of sample moments.
 
-    All kinds that need quadratic forms in ``inv(S)`` share a single
-    Cholesky factorization of the sample covariance.
+    All kinds that need quadratic forms in ``inv(S)`` read the forms cached
+    on ``moments``, so they share a single Cholesky factorization.
 
     Parameters
     ----------
@@ -501,54 +482,15 @@ def estimate_many(
     dict mapping each requested kind to its :class:`EstimateReport`.
     """
     kinds = [EstimatorKind(k) for k in kinds]
-    out: dict[EstimatorKind, EstimateReport] = {}
-    base_forms: tuple[float, float, float] | None = None
-    needs_base = {
-        EstimatorKind.SAMPLE,
-        EstimatorKind.CONSISTENT,
-        EstimatorKind.UNBIASED,
-        EstimatorKind.SSE,
-        EstimatorKind.EBE,
-    }
-    if any(k in needs_base for k in kinds):
-        base_forms = _forms(moments)
-    for kind in kinds:
-        if kind is EstimatorKind.SAMPLE:
-            merton = MertonConstants(*base_forms)
-            out[kind] = _report(kind, from_merton(merton), merton, moments)
-        elif kind is EstimatorKind.CONSISTENT:
-            ratio = moments.ratio
-            if not 0.0 < ratio < 1.0:
-                raise RatioOutOfRange(
-                    f"consistent estimation requires p/n in (0, 1), got {ratio}"
-                )
-            shrink = 1.0 - ratio
-            merton = MertonConstants(*(shrink * f for f in base_forms))
-            out[kind] = _report(kind, from_merton(merton), merton, moments)
-        elif kind is EstimatorKind.UNBIASED:
-            out[kind] = unbiased_frontier(moments, base_forms)
-        elif kind in _PRECISION_BUILDERS:
-            merton = _precision_forms(moments, kind, base_forms)
-            out[kind] = _report(kind, from_merton(merton), merton, moments)
-        else:  # pragma: no cover - EstimatorKind() above already rejects
-            raise InvalidParams(f"unsupported estimator kind {kind!r}")
-    return out
+    return {kind: _ESTIMATORS[kind](moments) for kind in kinds}
 
 
 def _estimate_each(moments: SampleMoments, kinds) -> tuple[dict, dict]:
-    """(reports, errors): :func:`estimate_many`, where one failing kind spares the rest.
-
-    The kinds are first estimated together; only if that fails is each one
-    retried alone, and a kind that still fails maps to its error.
-    """
-    try:
-        return estimate_many(moments, kinds), {}
-    except HDFrontierError:
-        pass
+    """(reports, errors): each kind estimated alone, so one failing kind spares the rest."""
     reports, errors = {}, {}
     for kind in kinds:
         try:
-            reports[kind] = estimate_many(moments, [kind])[kind]
+            reports[kind] = estimate(moments, kind)
         except HDFrontierError as exc:
             errors[kind] = exc
     return reports, errors

@@ -147,16 +147,17 @@ def _as_covariance(sigma, p: int) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
-def _cholesky(sigma: np.ndarray) -> tuple:
+def _quadratic_forms(mu: np.ndarray, sigma: np.ndarray) -> tuple[float, float, float]:
+    """(a, b, c) in ``inv(sigma)`` through a single Cholesky factorization.
+
+    The package's one factor-and-solve for these forms, shared by the
+    population constants and every estimator so that they cannot drift
+    apart.  Raises CholeskyFailure if ``sigma`` is not positive definite.
+    """
     try:
-        return scipy.linalg.cho_factor(sigma, lower=True, check_finite=False)
+        factor = scipy.linalg.cho_factor(sigma, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise CholeskyFailure(f"covariance is not positive definite: {exc}") from exc
-
-
-def _quadratic_forms(mu: np.ndarray, sigma: np.ndarray) -> tuple[float, float, float]:
-    """(a, b, c) through a single Cholesky factorization."""
-    factor = _cholesky(sigma)
     ones = np.ones_like(mu)
     sol = scipy.linalg.cho_solve(factor, np.column_stack([ones, mu]), check_finite=False)
     c = float(ones @ sol[:, 0])

@@ -77,11 +77,20 @@ def asymptotic_variances(params: FrontierParams, ratio: float) -> AsymptoticVari
     s, v = params.slope, params.v_gmv
     if s < 0.0:
         raise InvalidParams(f"asymptotic variances need slope >= 0, got {s}")
+    return AsymptoticVariances(*_limit_variances(v, s, ratio))
+
+
+def _limit_variances(v, s, ratio: float) -> tuple:
+    """(var_r, var_v, var_s) of the module docstring, elementwise on arrays.
+
+    Operands keep the caller's types: Python's and NumPy's ``x**2`` can
+    differ in the last bit, so converting them would move results.
+    """
     one_minus = 1.0 - ratio
-    return AsymptoticVariances(
-        var_r=(1.0 + (s + ratio) / one_minus) * v,
-        var_v=2.0 * v * v / one_minus,
-        var_s=2.0 * (ratio + 2.0 * s) + 2.0 * (ratio + s) ** 2 / one_minus,
+    return (
+        (1.0 + (s + ratio) / one_minus) * v,
+        2.0 * v * v / one_minus,
+        2.0 * (ratio + 2.0 * s) + 2.0 * (ratio + s) ** 2 / one_minus,
     )
 
 
@@ -109,11 +118,7 @@ def _half_widths(v, s, ratio: float, n: int, level: float, center_s_bias: bool):
     v = np.asarray(v, dtype=float)
     s = np.asarray(s, dtype=float)
     s_center = s - ratio if center_s_bias else s
-    s_var = np.maximum(s_center, 0.0)
-    one_minus = 1.0 - ratio
-    var_r = (1.0 + (s_var + ratio) / one_minus) * v
-    var_v = 2.0 * v * v / one_minus
-    var_s = 2.0 * (ratio + 2.0 * s_var) + 2.0 * (ratio + s_var) ** 2 / one_minus
+    var_r, var_v, var_s = _limit_variances(v, np.maximum(s_center, 0.0), ratio)
     root_n = np.sqrt(float(n))
     return (
         s_center,

@@ -193,12 +193,16 @@ class RollingConfig:
 
 @dataclass(frozen=True, eq=False)
 class WindowEstimate:
-    """One rolling-window result: horizon-scaled report plus optional CIs."""
+    """One rolling-window result: horizon-scaled report plus optional CIs.
+
+    ``end`` (the last observation's time) tells apart windows sharing a ``date``.
+    """
 
     date: dt.date
     kind: EstimatorKind
     report: EstimateReport
     cis: ConfidenceIntervals | None
+    end: dt.datetime | None = None
 
 
 def _parse_timestamp(cell: str, line: int) -> dt.datetime:
@@ -512,11 +516,11 @@ def rolling_estimate(
     results: list[WindowEstimate] = []
     for start in range(0, panel.n_rows - config.n + 1, step):
         stop = start + config.n
-        date = panel.timestamps[stop - 1].date()
+        end = panel.timestamps[stop - 1]
         window = _winsorized(selected[start:stop], config.winsor_quantiles)
         reports, errors = _estimate_each(sample_moments(window.T), kinds)
         for kind, exc in errors.items():
-            logger.warning("window ending %s: %s skipped: %s", date, kind.value, exc)
+            logger.warning("window ending %s: %s skipped: %s", end, kind.value, exc)
         for kind in kinds:
             native = reports.get(kind)
             if native is None:
@@ -529,7 +533,9 @@ def rolling_estimate(
             scaled = scale_to_horizon(
                 native, config.frequency_minutes, config.target_horizon_minutes
             )
-            results.append(WindowEstimate(date=date, kind=kind, report=scaled, cis=cis))
+            results.append(
+                WindowEstimate(date=end.date(), kind=kind, report=scaled, cis=cis, end=end)
+            )
     return results
 
 

@@ -22,7 +22,6 @@ covariances here use divisor ``n``, matching the estimators module.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
@@ -40,9 +39,6 @@ from .frontier import FrontierParams
 
 __all__ = [
     "StieltjesPoint",
-    "ScalingRegime",
-    "LimitLawKind",
-    "LimitLawSpec",
     "DiagnosticRecord",
     "ExactGaussianLaws",
     "mp_support",
@@ -78,24 +74,6 @@ class StieltjesPoint:
             raise InvalidParams(f"c must be a positive real, got {self.c}")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "c", float(self.c))
-
-
-@dataclass(frozen=True)
-class ScalingRegime:
-    """Growth exponent ``q >= 0`` of the normalized quadratic forms.
-
-    This is an asymptotic-regime descriptor: quadratic forms such as
-    ``1' inv(S) 1`` grow like ``p**q`` (q = 1 for the all-ones direction)
-    and diagnostics divide by ``p**q`` before comparing against limits.
-    There is no finite-sample test for the regime's boundedness constants;
-    the class exists to carry ``q`` and document its meaning.
-    """
-
-    q: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.q) and self.q >= 0.0):
-            raise InvalidParams(f"growth exponent must be >= 0, got {self.q}")
 
 
 def mp_support(c: float) -> tuple[float, float]:
@@ -210,35 +188,6 @@ def m_of_z(pt: StieltjesPoint) -> tuple[complex, complex | None]:
         m = positive[0]
     companion = -(1.0 - c) / z + c * m
     return m, companion
-
-
-class LimitLawKind(str, enum.Enum):
-    """Which central-limit approximation a :class:`LimitLawSpec` describes."""
-
-    CHI2_RATIO = "chi2-ratio"
-    NONCENTRAL_F = "noncentral-f"
-
-
-@dataclass(frozen=True)
-class LimitLawSpec:
-    """Dimensions (and noncentrality) identifying one of the two CLT laws."""
-
-    kind: LimitLawKind
-    p: int
-    n: int
-    lam: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.n <= self.p:
-            raise TooFewObservations(f"need n > p, got n={self.n}, p={self.p}")
-        if self.lam < 0.0:
-            raise InvalidParams(f"noncentrality must be >= 0, got {self.lam}")
-
-    def clt_moments(self) -> tuple[float, float]:
-        """(centering, variance) for the scaled statistic of this law."""
-        if self.kind is LimitLawKind.CHI2_RATIO:
-            return chi2_ratio_clt_moments(self.p, self.n)
-        return noncentral_f_clt_params(self.p, self.n, self.lam)
 
 
 def chi2_ratio_clt_moments(p: int, n: int) -> tuple[float, float]:
@@ -497,8 +446,9 @@ def demeaned_quadform_diagnostics(
 
     Draws ``Y`` with independent columns of mean zero and covariance
     ``sigma`` (default: identity; a 1-D array is taken as a diagonal), forms
-    the divisor-``n`` de-meaned covariance ``S`` and reports, with ``q``
-    the growth exponent and ``ybar`` the sample mean,
+    the divisor-``n`` de-meaned covariance ``S`` and reports, with ``q >= 0``
+    the growth exponent (forms such as ``1' inv(S) 1`` grow like ``p**q``;
+    ``q = 1`` for the all-ones direction) and ``ybar`` the sample mean,
 
     - ``demeaned-ones-form`` : ``|1' inv(S) 1 - (1-c)^{-1} 1' inv(sigma) 1| / p**q``,
     - ``demeaned-mean-form`` : ``|ybar' inv(S) ybar - c/(1-c)|``,
@@ -513,11 +463,14 @@ def demeaned_quadform_diagnostics(
     ------
     SingularMatrix
         If ``round(p/c) <= p``.
+    InvalidParams
+        If ``growth_exponent`` is negative or not finite.
     NotPositiveDefinite
         If ``sigma`` is not positive definite.
     """
     n = _diag_dimensions(c, p)
-    regime = ScalingRegime(growth_exponent)
+    if not (math.isfinite(growth_exponent) and growth_exponent >= 0.0):
+        raise InvalidParams(f"growth exponent must be >= 0, got {growth_exponent}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ones = np.ones(p)
     if sigma is None:
@@ -556,7 +509,7 @@ def demeaned_quadform_diagnostics(
     except np.linalg.LinAlgError as exc:  # pragma: no cover - a.s. invertible
         raise SingularMatrix(f"de-meaned sample covariance is singular: {exc}") from exc
     ratio = p / n
-    scale = p ** regime.q
+    scale = p ** growth_exponent
     ones_form = abs(float(ones @ sol[:, 0]) - ones_pop / (1.0 - ratio)) / scale
     mean_form = abs(float(ybar @ sol[:, 1]) - ratio / (1.0 - ratio))
     cross_form = abs(float(ybar @ sol[:, 0])) / scale

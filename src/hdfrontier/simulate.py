@@ -460,9 +460,6 @@ def run_monte_carlo(
     )
 
 
-_PARAM_COLUMNS = {"R": 0, "V": 1, "s": 2, "r": 0, "v": 1, "S": 2}
-
-
 @dataclass(frozen=True, eq=False)
 class HistogramData:
     """Histogram of scaled estimation errors plus the limiting normal overlay."""
@@ -494,10 +491,10 @@ def histogram_data(
     TooFewReps
         If fewer than 100 replications are available.
     """
-    if param not in _PARAM_COLUMNS:
+    if param not in PARAM_LABELS:
         raise InvalidParams(f"param must be one of {PARAM_LABELS}, got {param!r}")
     kind = EstimatorKind(kind)
-    column = _PARAM_COLUMNS[param]
+    column = PARAM_LABELS.index(param)
     estimates = result.estimates[kind][:, column]
     estimates = estimates[np.isfinite(estimates)]
     if estimates.size < 100:
@@ -520,7 +517,7 @@ def histogram_data(
     grid = np.linspace(lo, hi, 512)
     density = np.exp(-0.5 * ((grid - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
     return HistogramData(
-        param={0: "R", 1: "V", 2: "s"}[column],
+        param=param,
         kind=kind,
         edges=edges,
         counts=counts,

@@ -370,6 +370,16 @@ class TestPipelineCommand:
         out = capsys.readouterr().out
         assert "9 windows" in out
 
+    def test_counts_windows_not_dates(self, tmp_path, capsys):
+        panel = write_panel(tmp_path / "panel.csv", days=4, rows_per_day=30, p=4)
+        code = run_cli(
+            ["pipeline", "--input", panel, "--p", "4", "--n", "30", "--step", "5",
+             "--outdir", tmp_path]
+        )
+        assert code == 0
+        # starts 0, 5, ..., 90 -> 19 windows, ending on only 4 distinct dates
+        assert "38 estimates over 19 windows" in capsys.readouterr().out
+
     def test_reruns_are_byte_identical(self, tmp_path):
         panel = write_panel(tmp_path / "panel.csv", days=8, rows_per_day=30, p=4)
         args = ["pipeline", "--input", panel, "--p", "4", "--n", "60",

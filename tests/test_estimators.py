@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hdfrontier import (
     EstimateReport,
@@ -15,6 +16,7 @@ from hdfrontier import (
     build_population,
     estimate,
     estimate_many,
+    merton_constants,
     plugin_frontier,
     precision_ebe,
     precision_rte,
@@ -109,6 +111,21 @@ class TestSampleAndConsistent:
         m = sample_moments(rng.standard_normal((10, 8)))
         with pytest.raises(SingularCovariance, match="n > p"):
             sample_frontier(m)
+        for kind in ALL_KINDS:
+            if kind is not EstimatorKind.RTE:
+                with pytest.raises(SingularCovariance, match="n > p"):
+                    estimate(m, kind)
+
+    def test_sample_merton_is_population_merton(self):
+        """The estimators and merton_constants share one quadratic-form kernel."""
+        rng = np.random.default_rng(21)
+        for p, n in ((2, 5), (9, 40), (60, 100)):
+            mu = rng.uniform(-0.1, 0.1, p)
+            half = rng.standard_normal((p, n))
+            sigma = half @ half.T / n
+            sigma = 0.5 * (sigma + sigma.T)
+            moments = SampleMoments(mean=mu, cov=sigma, n=n, p=p)
+            assert estimate(moments, "sample").merton == merton_constants(mu, sigma)
 
     def test_population_moments_recover_population(self):
         # plugging exact moments in: corrections vanish as n grows
@@ -257,6 +274,21 @@ class TestPluginFrontier:
 
 
 class TestEstimateMany:
+    def test_one_factorization_per_moments(self, monkeypatch):
+        calls = []
+        factor = scipy.linalg.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        m = _random_moments(p=6, n=30, seed=13)
+        for kind in ("sample", "consistent", "unbiased", "sse", "ebe"):
+            estimate(m, kind)
+        assert len(calls) == 1
+        assert calls[0][0] is m.cov
+
     def test_matches_individual_estimates(self):
         m = _random_moments(p=6, n=30, seed=12)
         many = estimate_many(m, ALL_KINDS)

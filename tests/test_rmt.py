@@ -12,10 +12,7 @@ from hdfrontier import (
     ExactGaussianLaws,
     FrontierParams,
     InvalidParams,
-    LimitLawKind,
-    LimitLawSpec,
     PoleAtZ,
-    ScalingRegime,
     SingularMatrix,
     StieltjesPoint,
     TooFewObservations,
@@ -165,10 +162,13 @@ class TestPointAndRegimeValidation:
             StieltjesPoint(1.0, -0.5)
 
     def test_regime_default_and_bounds(self):
-        assert ScalingRegime().q == 1.0
-        assert ScalingRegime(0.0).q == 0.0
-        with pytest.raises(InvalidParams):
-            ScalingRegime(-0.1)
+        default = demeaned_quadform_diagnostics(0.5, 10, seed=3)
+        explicit = demeaned_quadform_diagnostics(0.5, 10, seed=3, growth_exponent=1.0)
+        assert [r.value for r in default] == [r.value for r in explicit]
+        assert len(demeaned_quadform_diagnostics(0.5, 10, seed=3, growth_exponent=0.0)) == 3
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(InvalidParams):
+                demeaned_quadform_diagnostics(0.5, 10, growth_exponent=bad)
 
 
 class TestCltOracles:
@@ -193,16 +193,6 @@ class TestCltOracles:
             noncentral_f_clt_params(10, 9, 0.0)
         with pytest.raises(InvalidParams):
             noncentral_f_clt_params(10, 20, -1.0)
-
-    def test_spec_dispatch(self):
-        spec = LimitLawSpec(LimitLawKind.CHI2_RATIO, p=100, n=200)
-        assert spec.clt_moments() == chi2_ratio_clt_moments(100, 200)
-        spec = LimitLawSpec(LimitLawKind.NONCENTRAL_F, p=100, n=200, lam=0.3)
-        assert spec.clt_moments() == noncentral_f_clt_params(100, 200, 0.3)
-        with pytest.raises(TooFewObservations):
-            LimitLawSpec(LimitLawKind.CHI2_RATIO, p=5, n=5)
-        with pytest.raises(InvalidParams):
-            LimitLawSpec(LimitLawKind.NONCENTRAL_F, p=5, n=50, lam=-2.0)
 
     def test_chi2_clt_against_simulation(self):
         p, n, draws = 100, 200, 200_000
