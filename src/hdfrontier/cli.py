@@ -452,10 +452,13 @@ def cmd_simulate(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
     if "losses" in wanted or "histograms" in wanted:
         result = run_monte_carlo(spec, int(config["reps"]), kinds, jobs=jobs)
         for kind in kinds:
+            reasons = ", ".join(
+                f"{name}={count}" for name, count in result.failure_reasons[kind].items()
+            )
             print(
                 f"{kind.value}: mean loss (R, V, s) = "
                 + ", ".join(_fmt(x) for x in result.mean_loss(kind))
-                + (f"  [{result.failures[kind]} failed reps]" if result.failures[kind] else "")
+                + (f"  [{result.failures[kind]} failed reps: {reasons}]" if reasons else "")
             )
     if "losses" in wanted:
         path = os.path.join(run_dir, "losses.csv")

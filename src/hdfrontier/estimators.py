@@ -121,7 +121,7 @@ class SampleMoments:
     The covariance uses divisor ``n`` (maximum-likelihood normalisation):
     ``cov = (Y - mean) (Y - mean)' / n``.  The quadratic forms in its inverse
     are computed on first use and cached, so every estimator kind read from
-    one instance shares one Cholesky factorization.
+    one instance shares one Cholesky factorization, or one failed attempt.
     """
 
     mean: np.ndarray
@@ -134,24 +134,34 @@ class SampleMoments:
         """Concentration ratio p/n."""
         return self.p / self.n
 
-    @functools.cached_property
+    @property
     def forms(self) -> tuple[float, float, float]:
         """(a, b, c) in ``inv(cov)``, factorized at most once.
 
-        Raises SingularCovariance if ``n <= p`` or ``cov`` is not positive definite.
+        Raises SingularCovariance if ``n <= p`` or ``cov`` is not positive
+        definite; a failure is cached too, and raised again on every read.
         """
+        forms = self._forms_or_error
+        if isinstance(forms, SingularCovariance):
+            raise forms.with_traceback(None)
+        return forms
+
+    @functools.cached_property
+    def _forms_or_error(self) -> tuple[float, float, float] | SingularCovariance:
         if self.n <= self.p:
-            raise SingularCovariance(
+            return SingularCovariance(
                 f"sample covariance with p={self.p}, n={self.n} is singular: "
                 f"estimators based on inv(S) require n > p"
             )
         try:
             return _quadratic_forms(self.mean, self.cov)
         except CholeskyFailure as exc:  # keeps the LAPACK error as the cause
-            raise SingularCovariance(
+            error = SingularCovariance(
                 f"sample covariance is not positive definite (p={self.p}, "
                 f"n={self.n}; estimators based on inv(S) require n > p): {exc.__cause__}"
-            ) from exc.__cause__
+            )
+            error.__cause__ = exc.__cause__
+            return error
 
 
 class EstimatorKind(str, enum.Enum):
@@ -228,13 +238,24 @@ def sample_moments(returns) -> SampleMoments:
         raise TooFewObservations(
             f"need at least 2 observations to form a covariance, got {returns.n}"
         )
-    mean = returns.values.mean(axis=1)
-    centered = returns.values - mean[:, None]
-    cov = centered @ centered.T
-    cov /= returns.n
-    cov = cov + cov.T
-    cov *= 0.5
+    mean, cov = _moments(returns.values)
     return SampleMoments(mean=mean, cov=cov, n=returns.n, p=returns.p)
+
+
+def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and divisor-``n`` covariance of each ``(p, n)`` panel in a ``(..., p, n)`` stack.
+
+    Stacked panels give the same bits as one panel at a time: the mean and
+    the elementwise steps act slice by slice, and ``matmul`` runs the same
+    BLAS product on each slice.
+    """
+    mean = values.mean(axis=-1)
+    centered = values - mean[..., None]
+    cov = centered @ np.swapaxes(centered, -1, -2)
+    cov /= values.shape[-1]
+    cov = cov + np.swapaxes(cov, -1, -2)
+    cov *= 0.5
+    return mean, cov
 
 
 def _report(kind, merton, moments, params=None, notes=()) -> EstimateReport:

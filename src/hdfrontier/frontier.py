@@ -20,6 +20,7 @@ Cholesky factorization and triangular solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -70,7 +71,7 @@ class MertonConstants:
 
     def __post_init__(self, validate: bool) -> None:
         vals = (self.a, self.b, self.c)
-        if not all(np.isfinite(vals)):
+        if not all(map(math.isfinite, vals)):
             raise InvalidConstants(f"constants must be finite, got {vals}")
         if not validate:
             return
@@ -108,7 +109,7 @@ class FrontierParams:
 
     def __post_init__(self, validate: bool) -> None:
         vals = (self.r_gmv, self.v_gmv, self.slope)
-        if not all(np.isfinite(vals)):
+        if not all(map(math.isfinite, vals)):
             raise InvalidParams(f"parameters must be finite, got {vals}")
         if self.v_gmv <= 0.0:
             raise InvalidParams(f"v_gmv must be positive, got {self.v_gmv}")
@@ -147,6 +148,11 @@ def _as_covariance(sigma, p: int) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
+#: the LAPACK routines behind scipy.linalg.cho_factor and cho_solve, called
+#: directly: the wrappers' checks cost more than the factorization at small p
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
 def _quadratic_forms(mu: np.ndarray, sigma: np.ndarray) -> tuple[float, float, float]:
     """(a, b, c) in ``inv(sigma)`` through a single Cholesky factorization.
 
@@ -154,12 +160,15 @@ def _quadratic_forms(mu: np.ndarray, sigma: np.ndarray) -> tuple[float, float, f
     population constants and every estimator so that they cannot drift
     apart.  Raises CholeskyFailure if ``sigma`` is not positive definite.
     """
-    try:
-        factor = scipy.linalg.cho_factor(sigma, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    # a negative info flags an illegal argument, which these calls never pass
+    factor, info = _potrf(sigma, lower=True, clean=False)
+    if info > 0:
+        exc = scipy.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
         raise CholeskyFailure(f"covariance is not positive definite: {exc}") from exc
     ones = np.ones_like(mu)
-    sol = scipy.linalg.cho_solve(factor, np.column_stack([ones, mu]), check_finite=False)
+    sol, _ = _potrs(factor, np.column_stack([ones, mu]), lower=True)
     c = float(ones @ sol[:, 0])
     b = float(ones @ sol[:, 1])
     a = float(mu @ sol[:, 1])

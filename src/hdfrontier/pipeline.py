@@ -406,10 +406,14 @@ def scale_to_horizon(
     """Rescale an estimate to a different holding horizon.
 
     With additive (log) returns over ``f = to/from`` periods, the expected
-    return and variance both scale by ``f``; the slope is kept fixed by
-    convention, and the Merton constants are recomputed from the scaled
-    parabola so the report stays internally consistent.  The round trip
-    a → b → a is the identity.
+    return and variance both scale by ``f``.  The slope is kept as the
+    per-period slope of the ``from`` frequency: the frontier of f-period
+    returns has slope ``f * slope``, so the returned ``r_gmv`` and ``v_gmv``
+    are horizon-scaled while ``slope`` is not, and the three do not lie on
+    one frontier.  ``rolling.csv`` carries them as they are: its ``slope``
+    column is per period of ``frequency_minutes``.  The Merton constants are
+    recomputed from the returned parameters, so the report is internally
+    consistent.  The round trip a → b → a is the identity.
     """
     if not (from_minutes > 0 and to_minutes > 0):
         raise InvalidParams(

@@ -9,9 +9,10 @@ The experiment design is fixed by three ingredients:
   (scaled to unit entry variance, so fourth moments do not exist), or a
   CCC-GARCH(1,1) process whose unconditional covariance equals the
   population covariance;
-- an **engine** that runs independent replications, re-estimating the
-  frontier with any set of estimator kinds, and aggregates quadratic losses,
-  histogram data for the standardized errors, and frontier-curve overlays.
+- an **engine** that runs independent replications in fixed-size chunks,
+  re-estimating the frontier with any set of estimator kinds, and
+  aggregates quadratic losses, histogram data for the standardized errors,
+  and frontier-curve overlays.
 
 Reproducibility contract: every random draw derives from
 ``SeedSequence(seed, spawn_key=(domain, index))`` with fixed domain codes
@@ -24,7 +25,9 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import enum
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,10 +40,11 @@ from .errors import (
     TooFewReps,
 )
 from .estimators import (
-    EstimateReport,
     EstimatorKind,
     ReturnsMatrix,
+    SampleMoments,
     _estimate_each,
+    _moments,
     estimate_many,
     sample_moments,
 )
@@ -209,28 +213,41 @@ def _sqrt_factor(sigma: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.linalg.cholesky(sigma), False
 
 
-def _finish(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> ReturnsMatrix:
-    """Returns ``factor x + mu``; ``x`` is a fresh draw and is overwritten."""
-    factor, diagonal = _sqrt_factor(sigma)
+def _scale_shift(x: np.ndarray, mu: np.ndarray, factor: np.ndarray, diagonal: bool) -> np.ndarray:
+    """``factor x + mu`` for each ``(p, n)`` panel of ``x``, in place when ``factor`` is diagonal."""
     if diagonal:
         x *= factor[:, None]
     else:
         x = factor @ x
     x += mu[:, None]
-    return ReturnsMatrix(x)
+    return x
+
+
+def _draw_normal(rng: np.random.Generator, out: np.ndarray) -> None:
+    rng.standard_normal(out=out)
+
+
+#: variance multiplier making t(3) entries unit-variance: Var t3 = 3/(3-2) = 3
+_T3_SCALE = math.sqrt(1.0 / 3.0)
+
+
+def _draw_t3(rng: np.random.Generator, out: np.ndarray) -> None:
+    np.multiply(rng.standard_t(3, size=out.shape), _T3_SCALE, out=out)
+
+
+def _generate_iid(spec, mu, sigma, rng, draw) -> ReturnsMatrix:
+    if rng is None:
+        rng = _rng_for(spec.seed, _DOMAIN_REPLICATION, 0)
+    x = np.empty((spec.p, spec.n))
+    draw(rng, x)
+    return ReturnsMatrix(_scale_shift(x, mu, *_sqrt_factor(sigma)))
 
 
 def generate_normal(
     spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray, rng=None
 ) -> ReturnsMatrix:
     """i.i.d. Gaussian columns with mean ``mu`` and covariance ``sigma``."""
-    if rng is None:
-        rng = _rng_for(spec.seed, _DOMAIN_REPLICATION, 0)
-    return _finish(rng.standard_normal((spec.p, spec.n)), mu, sigma)
-
-
-#: variance multiplier making t(3) entries unit-variance: Var t3 = 3/(3-2) = 3
-_T3_SCALE = math.sqrt(1.0 / 3.0)
+    return _generate_iid(spec, mu, sigma, rng, _draw_normal)
 
 
 def generate_t3(
@@ -242,10 +259,7 @@ def generate_t3(
     ``Var = (1/3) * 3/(3-2) = 1`` per entry, so every column has covariance
     ``sigma`` exactly — while fourth moments remain infinite.
     """
-    if rng is None:
-        rng = _rng_for(spec.seed, _DOMAIN_REPLICATION, 0)
-    x = rng.standard_t(3, size=(spec.p, spec.n)) * _T3_SCALE
-    return _finish(x, mu, sigma)
+    return _generate_iid(spec, mu, sigma, rng, _draw_t3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,6 +367,9 @@ _GENERATORS = {
     Scenario.CCC_GARCH: generate_ccc_garch,
 }
 
+#: scenarios whose replications draw straight into the engine's buffer
+_IID_DRAWS = {Scenario.NORMAL: _draw_normal, Scenario.STUDENT_T3: _draw_t3}
+
 
 def generate_returns(
     spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray, rng=None
@@ -367,7 +384,8 @@ class MonteCarloResult:
 
     ``estimates[kind]`` is a ``(reps, 3)`` array with columns
     ``(r_gmv, v_gmv, slope)``; rows of failed replications are NaN and
-    counted in ``failures[kind]``.
+    counted in ``failures[kind]``, and ``failure_reasons[kind]`` splits that
+    count by exception class name.
     """
 
     spec: ScenarioSpec
@@ -376,6 +394,7 @@ class MonteCarloResult:
     estimates: dict
     failures: dict
     reps: int
+    failure_reasons: dict = field(default_factory=dict)
 
     def losses(self, kind: EstimatorKind) -> np.ndarray:
         """Quadratic losses (est - truth)**2, shape (reps, 3), NaN rows kept."""
@@ -391,21 +410,53 @@ class MonteCarloResult:
         return np.nanquantile(self.losses(kind), qs, axis=0)
 
 
-def _replicate(spec: ScenarioSpec, kinds: tuple[EstimatorKind, ...], index: int):
-    """One replication: (index, {kind: (r, v, s) or None}).  Top-level for pickling."""
-    mu, sigma = build_population(spec)
-    rng = _rng_for(spec.seed, _DOMAIN_REPLICATION, index)
-    data = generate_returns(spec, mu, sigma, rng)
-    moments = sample_moments(data)
-    rows: dict[EstimatorKind, tuple | None] = {}
-    reports, _ = _estimate_each(moments, kinds)
-    for kind in kinds:
-        report = reports.get(kind)
-        if report is None:
-            rows[kind] = None
-        else:
-            rows[kind] = (report.params.r_gmv, report.params.v_gmv, report.params.slope)
-    return index, rows
+#: byte cap on one chunk's draws and covariances: 54 replications at
+#: p=10, n=50 and one at p=500, n=1000
+_CHUNK_BYTES = 1 << 18
+
+
+def _chunk_size(p: int, n: int) -> int:
+    """Replications per chunk; it depends on ``(p, n)`` only, so never on ``jobs``."""
+    return max(1, _CHUNK_BYTES // (8 * p * (n + p)))
+
+
+def _replicate_span(spec, kinds, mu, sigma, start, stop) -> tuple[dict, dict]:
+    """Replications ``start`` to ``stop - 1``, chunk by chunk.  Top-level for pickling.
+
+    Each replication draws from its own generator into its slice of one
+    ``(chunk, p, n)`` buffer; the chunk is then scaled, shifted and reduced
+    to sample moments in stacked steps, and each replication's moments go
+    through the estimators on their own.  Returns ``(estimates, reasons)``:
+    ``estimates[kind]`` has one ``(r, v, s)`` row per replication, NaN when
+    the kind failed, and ``reasons[kind]`` counts failures by class name.
+    """
+    size = _chunk_size(spec.p, spec.n)
+    draw = _IID_DRAWS.get(spec.scenario)
+    factor, diagonal = _sqrt_factor(sigma)
+    estimates = {kind: np.full((stop - start, 3), np.nan) for kind in kinds}
+    reasons = {kind: Counter() for kind in kinds}
+    buffer = np.empty((min(size, stop - start), spec.p, spec.n))
+    for first in range(start, stop, size):
+        x = buffer[: min(size, stop - first)]
+        for slot, index in enumerate(range(first, first + len(x))):
+            rng = _rng_for(spec.seed, _DOMAIN_REPLICATION, index)
+            if draw is None:
+                x[slot] = generate_ccc_garch(spec, mu, sigma, rng).values
+            else:
+                draw(rng, x[slot])
+        if draw is not None:
+            x = _scale_shift(x, mu, factor, diagonal)
+        means, covs = _moments(x)
+        for slot in range(len(x)):
+            moments = SampleMoments(mean=means[slot], cov=covs[slot], n=spec.n, p=spec.p)
+            reports, errors = _estimate_each(moments, kinds)
+            row = first - start + slot
+            for kind, report in reports.items():
+                params = report.params
+                estimates[kind][row] = (params.r_gmv, params.v_gmv, params.slope)
+            for kind, exc in errors.items():
+                reasons[kind][type(exc).__name__] += 1
+    return estimates, reasons
 
 
 def run_monte_carlo(
@@ -420,13 +471,18 @@ def run_monte_carlo(
         Number of replications (>= 1).
     kinds : iterable of EstimatorKind or str
     jobs : int
-        Worker processes; results are identical for any value because each
-        replication's generator stream depends only on (seed, index).
+        Most worker processes to start; results are identical for any value
+        because each replication's generator stream depends only on
+        (seed, index), and the chunks only on (p, n).
 
     Notes
     -----
+    The replications run in fixed-size chunks of consecutive indices (see
+    :func:`_replicate_span`).  With ``jobs > 1`` the chunks are split into
+    ``min(jobs, chunks)`` contiguous runs, one per spawned worker.
     Estimator failures in a replication (e.g. a singular sample covariance)
-    are recorded as NaN rows and counted per kind, not raised.
+    are recorded as NaN rows and counted per kind and per exception class,
+    not raised.
     """
     if reps < 1:
         raise InvalidParams(f"need reps >= 1, got {reps}")
@@ -435,28 +491,29 @@ def run_monte_carlo(
         raise InvalidParams("need at least one estimator kind")
     mu, sigma = build_population(spec)
     truth = frontier_params(mu, sigma)
-    estimates = {kind: np.full((reps, 3), np.nan) for kind in kinds}
-    failures = {kind: 0 for kind in kinds}
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_replicate, *zip(*[(spec, kinds, k) for k in range(reps)]))
-            results = list(results)
+    size = _chunk_size(spec.p, spec.n)
+    chunks = -(-reps // size)
+    tasks = min(jobs, chunks)
+    run_span = functools.partial(_replicate_span, spec, kinds, mu, sigma)
+    if tasks > 1:
+        import multiprocessing  # only worker pools need it
+
+        bounds = [min(reps, size * (chunks * task // tasks)) for task in range(tasks + 1)]
+        context = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(tasks, mp_context=context) as pool:
+            parts = list(pool.map(run_span, bounds[:-1], bounds[1:]))
     else:
-        results = [_replicate(spec, kinds, k) for k in range(reps)]
-    for index, rows in results:
-        for kind in kinds:
-            row = rows[kind]
-            if row is None:
-                failures[kind] += 1
-            else:
-                estimates[kind][index] = row
+        parts = [run_span(0, reps)]
+    estimates = {kind: np.concatenate([part[0][kind] for part in parts]) for kind in kinds}
+    failure_reasons = {kind: sum((part[1][kind] for part in parts), Counter()) for kind in kinds}
     return MonteCarloResult(
         spec=spec,
         truth=truth,
         kinds=kinds,
         estimates=estimates,
-        failures=failures,
+        failures={kind: failure_reasons[kind].total() for kind in kinds},
         reps=reps,
+        failure_reasons=failure_reasons,
     )
 
 

@@ -203,6 +203,20 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert "mean loss" in out.lower() or "loss" in out.lower()
 
+    # every sse replication fails, so its mean loss is the NaN of an empty slice
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_reps_named_by_class(self, tmp_path, capsys):
+        code = run_cli(
+            ["simulate", "--p", "10", "--n", "12", "--reps", "6", "--seed", "4",
+             "--kinds", "sample,sse", "--outdir", tmp_path]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        sse = next(line for line in lines if line.startswith("sse:"))
+        sample = next(line for line in lines if line.startswith("sample:"))
+        assert sse.endswith("  [6 failed reps: TooFewObservations=6]")
+        assert "failed" not in sample
+
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
         first_out = tmp_path / "first"
         code = run_cli(

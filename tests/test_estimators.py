@@ -24,7 +24,8 @@ from hdfrontier import (
     sample_moments,
     unbiased_frontier,
 )
-from hdfrontier.estimators import consistent_frontier, sample_frontier
+from hdfrontier import frontier
+from hdfrontier.estimators import _estimate_each, consistent_frontier, sample_frontier
 from hdfrontier.simulate import ScenarioSpec, generate_normal
 
 ALL_KINDS = tuple(EstimatorKind)
@@ -34,6 +35,19 @@ def _random_moments(p=8, n=30, seed=5):
     rng = np.random.default_rng(seed)
     returns = rng.standard_normal((p, n)) * 0.05 + rng.uniform(-0.1, 0.1, p)[:, None]
     return sample_moments(returns)
+
+
+def _count_factorizations(monkeypatch) -> list:
+    """Record the arguments of every Cholesky factorization the forms kernel makes."""
+    calls = []
+    potrf = frontier._potrf
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return potrf(*args, **kwargs)
+
+    monkeypatch.setattr(frontier, "_potrf", counting)
+    return calls
 
 
 def _dense_forms(mean, precision):
@@ -275,19 +289,27 @@ class TestPluginFrontier:
 
 class TestEstimateMany:
     def test_one_factorization_per_moments(self, monkeypatch):
-        calls = []
-        factor = scipy.linalg.cho_factor
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return factor(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        calls = _count_factorizations(monkeypatch)
         m = _random_moments(p=6, n=30, seed=13)
         for kind in ("sample", "consistent", "unbiased", "sse", "ebe"):
             estimate(m, kind)
         assert len(calls) == 1
         assert calls[0][0] is m.cov
+
+    def test_failed_factorization_is_cached(self, monkeypatch):
+        returns = np.random.default_rng(3).standard_normal((6, 40))
+        returns[2] = 0.5  # a constant asset makes S singular
+        calls = _count_factorizations(monkeypatch)
+        reports, errors = _estimate_each(sample_moments(returns), ALL_KINDS)
+        # one failed attempt for the five inv(S) kinds, one for rte's ridged matrix
+        assert len(calls) == 2
+        assert set(reports) == {EstimatorKind.RTE}
+        for kind in ALL_KINDS[:-1]:
+            with pytest.raises(SingularCovariance) as fresh:
+                estimate(sample_moments(returns), kind)
+            assert type(errors[kind]) is SingularCovariance
+            assert str(errors[kind]) == str(fresh.value)
+            assert isinstance(errors[kind].__cause__, scipy.linalg.LinAlgError)
 
     def test_matches_individual_estimates(self):
         m = _random_moments(p=6, n=30, seed=12)

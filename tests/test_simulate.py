@@ -1,5 +1,6 @@
 """Scenario generators, Monte Carlo harness, and simulation outputs."""
 
+import concurrent.futures
 import csv
 import math
 import warnings
@@ -29,14 +30,19 @@ from hdfrontier import (
     generate_t3,
     histogram_data,
     run_monte_carlo,
+    sample_moments,
 )
+from hdfrontier.estimators import _estimate_each
 from hdfrontier.simulate import (
     GarchState,
+    _chunk_size,
     loss_rows,
     write_frontier_csv,
     write_histogram_csv,
     write_loss_csv,
 )
+
+ALL_KINDS = tuple(EstimatorKind)
 
 
 class TestSpectrumSpec:
@@ -306,6 +312,124 @@ class TestMonteCarlo:
             run_monte_carlo(spec, reps=0, kinds=["sample"])
         with pytest.raises(InvalidParams):
             run_monte_carlo(spec, reps=3, kinds=[])
+
+
+def _reference_run(spec, reps, kinds):
+    """The engine's per-replication definition, one replication at a time:
+    build_population, generate_returns, sample_moments and _estimate_each."""
+    estimates = {kind: np.full((reps, 3), np.nan) for kind in kinds}
+    reasons = {kind: {} for kind in kinds}
+    for index in range(reps):
+        mu, sigma = build_population(spec)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(spec.seed, spawn_key=(2, index))
+        )
+        moments = sample_moments(generate_returns(spec, mu, sigma, rng))
+        reports, errors = _estimate_each(moments, kinds)
+        for kind, report in reports.items():
+            params = report.params
+            estimates[kind][index] = (params.r_gmv, params.v_gmv, params.slope)
+        for kind, exc in errors.items():
+            name = type(exc).__name__
+            reasons[kind][name] = reasons[kind].get(name, 0) + 1
+    return estimates, reasons
+
+
+class TestChunkedEngine:
+    """run_monte_carlo against the one-replication-at-a-time reference."""
+
+    # p=20, n=60 gives chunks of 20 replications
+    P, N = 20, 60
+
+    def spec(self, scenario, seed=21, n=None):
+        return ScenarioSpec(scenario=scenario, p=self.P, n=n or self.N, seed=seed, burn_in=30)
+
+    def test_chunk_size_depends_on_shape_only(self):
+        assert _chunk_size(self.P, self.N) == 20
+        assert _chunk_size(10, 50) == 54
+        assert _chunk_size(500, 1000) == 1
+
+    @pytest.mark.parametrize("scenario", ["normal", "t3", "ccc-garch"])
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_matches_reference_across_chunk_edge(self, scenario, offset):
+        spec = self.spec(scenario)
+        reps = _chunk_size(spec.p, spec.n) + offset
+        result = run_monte_carlo(spec, reps, ALL_KINDS)
+        estimates, reasons = _reference_run(spec, reps, ALL_KINDS)
+        for kind in ALL_KINDS:
+            assert np.array_equal(result.estimates[kind], estimates[kind], equal_nan=True)
+            assert np.all(np.isfinite(result.estimates[kind]))
+        assert result.failure_reasons == reasons
+
+    def test_failures_match_reference(self):
+        # n = p + 1: unbiased, sse and ebe fail in every replication, by class
+        spec = self.spec("normal", n=self.P + 1)
+        reps = _chunk_size(spec.p, spec.n) + 1
+        result = run_monte_carlo(spec, reps, ALL_KINDS)
+        estimates, reasons = _reference_run(spec, reps, ALL_KINDS)
+        for kind in ALL_KINDS:
+            assert np.array_equal(result.estimates[kind], estimates[kind], equal_nan=True)
+        assert result.failure_reasons == reasons
+        assert result.failures[EstimatorKind.UNBIASED] == reps
+
+    def test_leading_rows_of_longer_run(self):
+        spec = self.spec("normal")
+        size = _chunk_size(spec.p, spec.n)
+        short = run_monte_carlo(spec, size + 3, ALL_KINDS)
+        long = run_monte_carlo(spec, 3 * size + 1, ALL_KINDS)
+        for kind in ALL_KINDS:
+            assert np.array_equal(long.estimates[kind][: size + 3], short.estimates[kind])
+
+    def test_jobs_with_several_chunks(self):
+        spec = self.spec("t3")
+        reps = 3 * _chunk_size(spec.p, spec.n) + 7
+        serial = run_monte_carlo(spec, reps, ALL_KINDS, jobs=1)
+        parallel = run_monte_carlo(spec, reps, ALL_KINDS, jobs=2)
+        for kind in ALL_KINDS:
+            assert np.array_equal(serial.estimates[kind], parallel.estimates[kind])
+        assert serial.failure_reasons == parallel.failure_reasons
+
+    @pytest.mark.parametrize(("jobs", "reps", "workers"), [(2, 101, 2), (8, 41, 3), (4, 20, 0), (0, 41, 0)])
+    def test_pool_never_exceeds_jobs(self, monkeypatch, jobs, reps, workers):
+        started = []
+
+        class Recording:
+            """An in-process stand-in for ProcessPoolExecutor that records its set-up."""
+
+            def __init__(self, max_workers, mp_context):
+                started.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                spans.extend(zip(*iterables))
+                return map(fn, *iterables)
+
+        spans = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        spec = self.spec("normal")
+        result = run_monte_carlo(spec, reps, ["consistent"], jobs=jobs)
+        assert started == ([(workers, "spawn")] if workers else [])
+        # one contiguous run of whole chunks per task, covering every replication
+        size = _chunk_size(spec.p, spec.n)
+        if workers:
+            assert len(spans) == workers
+            assert spans[0][0] == 0 and spans[-1][1] == reps
+            assert all(a[1] == b[0] and a[1] % size == 0 for a, b in zip(spans, spans[1:]))
+        serial = run_monte_carlo(spec, reps, ["consistent"])
+        kind = EstimatorKind.CONSISTENT
+        assert np.array_equal(result.estimates[kind], serial.estimates[kind])
+
+    def test_failure_reasons_by_class(self):
+        spec = ScenarioSpec(scenario="normal", p=10, n=12, seed=4)
+        result = run_monte_carlo(spec, reps=7, kinds=["sample", "sse"])
+        assert result.failure_reasons[EstimatorKind.SSE] == {"TooFewObservations": 7}
+        assert result.failure_reasons[EstimatorKind.SAMPLE] == {}
+        assert result.failures == {EstimatorKind.SAMPLE: 0, EstimatorKind.SSE: 7}
 
 
 @pytest.fixture(scope="module")
