@@ -14,6 +14,10 @@ rewrites it on completion with the end time and output list.  A previous
 manifest can be passed to ``--config`` to reproduce its run; CSV outputs are
 byte-identical for identical manifests regardless of ``--jobs``.
 
+Each subcommand is one entry of ``_COMMANDS``: its flags, their config keys
+and types, and its defaults are declared there once.  A run's config merges
+the defaults, then ``--config``, then ``--input``, then the flags.
+
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 data error.
 """
 
@@ -28,20 +32,16 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from importlib.metadata import PackageNotFoundError, version
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CholeskyFailure,
-    EmptyPanel,
-    HDFrontierError,
-    InputValidationError,
-    ParseError,
-)
+from .errors import CholeskyFailure, EmptyPanel, HDFrontierError, InputValidationError, ParseError
 from .estimators import EstimatorKind, ReturnsMatrix, estimate, sample_moments
 from .frontier import frontier_curve, from_merton, merton_constants
 from .inference import confidence_intervals
-from .pipeline import RollingConfig, ingest_csv, rolling_estimate, write_rolling_csv
+from .pipeline import RollingConfig, _write_csv, ingest_csv, rolling_estimate, write_rolling_csv
 from .rmt import (
     DiagnosticRecord,
     StieltjesPoint,
@@ -65,13 +65,8 @@ from .simulate import (
 __all__ = ["main", "RunManifest"]
 
 try:  # installed distribution metadata, if available
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        _VERSION = version("hdfrontier")
-    except PackageNotFoundError:  # pragma: no cover - source tree use
-        _VERSION = "0.1.0"
-except ImportError:  # pragma: no cover
+    _VERSION = version("hdfrontier")
+except PackageNotFoundError:  # pragma: no cover - source tree use
     _VERSION = "0.1.0"
 
 EXIT_OK = 0
@@ -117,6 +112,12 @@ def _data(message: str) -> _CliError:
     return _CliError(message, EXIT_DATA)
 
 
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, _CliError):
+        return exc.code
+    return EXIT_USAGE if isinstance(exc, InputValidationError) else EXIT_DATA
+
+
 @dataclass
 class RunManifest:
     """Everything needed to reproduce a run, serialized beside its outputs."""
@@ -159,28 +160,108 @@ def _make_run_dir(outdir: str, subcommand: str) -> str:
             candidate = f"{base}-{suffix}"
 
 
+# ---------------------------------------------------------------------------
+# flag types: each parses a flag's text, and names what a config file must hold
+# ---------------------------------------------------------------------------
+
+
 def _load_config_file(path: str) -> tuple[dict, int | None]:
     """Load a config JSON; accepts a previous RunManifest transparently."""
     try:
         with open(path) as handle:
             payload = json.load(handle)
     except OSError as exc:
-        raise _usage(f"cannot read config {path}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise _usage(f"config {path} is not valid JSON: {exc}") from None
+        raise argparse.ArgumentTypeError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
-        raise _usage(f"config {path} must hold a JSON object")
+        raise argparse.ArgumentTypeError(f"config {path} must hold a JSON object")
     if "config" in payload and "subcommand" in payload:
-        seed = payload.get("seed")
-        config = payload["config"]
-        if not isinstance(config, dict):
-            raise _usage(f"manifest {path} has a malformed 'config' entry")
-        return config, seed
+        if not isinstance(payload["config"], dict):
+            raise argparse.ArgumentTypeError(f"manifest {path} has a malformed 'config' entry")
+        return payload["config"], payload.get("seed")
     return payload, None
 
 
-def _parse_list(text: str) -> list[str]:
+def _comma_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _inline_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"must be inline JSON: {exc}") from None
+
+
+def _winsor(text: str) -> list[float]:
+    try:
+        low, high = map(float, _comma_list(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs 'low,high', got {text!r}") from None
+    return [low, high]
+
+
+def _read_frontier_csv(path: str) -> tuple[list, list]:
+    """CSV layout: header ``mu,<labels...>``; row i = mu_i, sigma_i1..sigma_ip."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or len(header) < 2 or header[0].strip().lower() != "mu":
+            raise ValueError(f"{path} line 1: header must be 'mu,<asset labels...>'")
+        p = len(header) - 1
+        mu, sigma = [], []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != p + 1:
+                raise ValueError(f"{path} line {line_no}: expected {p + 1} fields, got {len(row)}")
+            try:
+                mu.append(float(row[0]))
+                sigma.append([float(cell) for cell in row[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {line_no}: {exc}") from None
+        if len(sigma) != p:
+            raise ValueError(f"{path}: sigma must be {p}x{p}, got {len(sigma)} rows")
+    return mu, sigma
+
+
+def _population(path: str) -> dict:
+    """``frontier --input``: ``mu`` and ``sigma`` from a JSON file or a CSV table."""
+    if path.endswith(".json"):
+        payload, _ = _load_config_file(path)
+        return {k: payload[k] for k in ("mu", "sigma") if k in payload}
+    try:
+        mu, sigma = _read_frontier_csv(path)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return {"mu": mu, "sigma": sigma}
+
+
+_NUMBER = (int, float)
+
+#: the JSON types a config-file value of each flag type may have, and their name
+_CONFIG_TYPES = {
+    int: ((int,), "an integer"),
+    float: (_NUMBER, "a number"),
+    str: ((str,), "a string"),
+    os.path.abspath: ((str,), "a string"),
+    bool: ((bool,), "true or false"),
+    _comma_list: ((list,), "a list"),
+    _winsor: ((list,), "a [low, high] list of numbers"),
+}
+
+
+def _check_config_value(key: str, value, kind, nullable: bool) -> None:
+    """Reject a config-file value its flag could not have produced."""
+    if kind not in _CONFIG_TYPES or (value is None and nullable):
+        return
+    types, name = _CONFIG_TYPES[kind]
+    ok = type(value) in types  # exact types: a JSON true is not an integer
+    if ok and kind is _winsor:
+        ok = len(value) == 2 and all(type(v) in _NUMBER for v in value)
+    if not ok:
+        raise _usage(f"config key {key!r} must be {name}, got {value!r}")
 
 
 def _parse_kinds(items) -> tuple[EstimatorKind, ...]:
@@ -196,6 +277,12 @@ def _parse_kinds(items) -> tuple[EstimatorKind, ...]:
     return tuple(kinds)
 
 
+def _check_names(names, valid, what: str) -> None:
+    unknown = [name for name in names if name not in valid]
+    if unknown:
+        raise _usage(f"unknown {what} {unknown}; valid: {', '.join(valid)}")
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
@@ -205,66 +292,12 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _read_frontier_csv(path: str) -> tuple[list, list]:
-    """CSV layout: header ``mu,<labels...>``; row i = mu_i, sigma_i1..sigma_ip."""
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise _usage(f"cannot read {path}: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 2 or header[0].strip().lower() != "mu":
-            raise _usage(f"{path} line 1: header must be 'mu,<asset labels...>'")
-        p = len(header) - 1
-        mu, sigma = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != p + 1:
-                raise _usage(f"{path} line {line_no}: expected {p + 1} fields, got {len(row)}")
-            try:
-                mu.append(float(row[0]))
-                sigma.append([float(cell) for cell in row[1:]])
-            except ValueError as exc:
-                raise _usage(f"{path} line {line_no}: {exc}") from None
-        if len(sigma) != p:
-            raise _usage(f"{path}: sigma must be {p}x{p}, got {len(sigma)} rows")
-    return mu, sigma
-
-
-def _resolve_frontier_config(args) -> dict:
-    config: dict = {"curve": False, "v_max": None, "points": 65}
-    file_cfg: dict = {}
-    if args.config:
-        file_cfg, _ = _load_config_file(args.config)
-    config.update(file_cfg)
-    if args.input:
-        if args.input.endswith(".json"):
-            payload, _ = _load_config_file(args.input)
-            config.update({k: payload[k] for k in ("mu", "sigma") if k in payload})
-        else:
-            mu, sigma = _read_frontier_csv(args.input)
-            config["mu"], config["sigma"] = mu, sigma
-    for flag in ("mu", "sigma"):
-        raw = getattr(args, flag)
-        if raw is not None:
-            try:
-                config[flag] = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise _usage(f"--{flag} must be inline JSON: {exc}") from None
-    if args.curve:
-        config["curve"] = True
-    if args.v_max is not None:
-        config["v_max"] = args.v_max
-    if args.points is not None:
-        config["points"] = args.points
+def _finish_frontier(config: dict) -> None:
     if "mu" not in config or "sigma" not in config:
         raise _usage(
             "frontier needs both 'mu' and 'sigma' "
             "(via --input FILE, --config FILE, or --mu/--sigma inline JSON)"
         )
-    return config
 
 
 def cmd_frontier(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int, list]:
@@ -286,7 +319,6 @@ def cmd_frontier(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
     print(f"v_gmv  = {_fmt(params.v_gmv)}")
     print(f"slope  = {_fmt(params.slope)}")
     print(f"merton a = {_fmt(constants.a)}, b = {_fmt(constants.b)}, c = {_fmt(constants.c)}")
-    outputs = []
     summary = {
         "r_gmv": params.r_gmv,
         "v_gmv": params.v_gmv,
@@ -296,16 +328,11 @@ def cmd_frontier(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
     with open(os.path.join(run_dir, "frontier.json"), "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    outputs.append("frontier.json")
-    if config.get("curve"):
-        v_max = config.get("v_max") or 10.0 * params.v_gmv
-        curve = frontier_curve(params, v_max, int(config.get("points") or 65))
-        path = os.path.join(run_dir, "curve.csv")
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("V", "R"))
-            for v, r in curve:
-                writer.writerow((repr(float(v)), repr(float(r))))
+    outputs = ["frontier.json"]
+    if config["curve"]:
+        v_max = 10.0 * params.v_gmv if config["v_max"] is None else config["v_max"]
+        curve = frontier_curve(params, v_max, int(config["points"]))
+        _write_csv(os.path.join(run_dir, "curve.csv"), ("V", "R"), curve)
         outputs.append("curve.csv")
     return EXIT_OK, outputs
 
@@ -315,21 +342,9 @@ def cmd_frontier(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
 # ---------------------------------------------------------------------------
 
 
-def _resolve_estimate_config(args) -> dict:
-    config: dict = {"kinds": ["sample", "consistent"], "level": 0.95, "input": None}
-    if args.config:
-        file_cfg, _ = _load_config_file(args.config)
-        config.update(file_cfg)
-    if args.input:
-        config["input"] = os.path.abspath(args.input)
-    if args.kinds:
-        config["kinds"] = _parse_list(args.kinds)
-    if args.level is not None:
-        config["level"] = args.level
-    if not config.get("input"):
-        raise _usage("estimate needs a returns CSV via --input (or config field 'input')")
-    config["kinds"] = [k.value for k in _parse_kinds(config["kinds"])]
-    return config
+def _need_input(config: dict) -> None:
+    if not config["input"]:
+        raise _usage("a returns CSV is needed via --input (or config field 'input')")
 
 
 def cmd_estimate(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int, list]:
@@ -388,54 +403,23 @@ def cmd_estimate(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
 # ---------------------------------------------------------------------------
 
 
-def _resolve_simulate_config(args, seed: int) -> dict:
-    config: dict = {
-        "scenario": "normal",
-        "p": 100,
-        "n": None,
-        "c": None,
-        "reps": 1000,
-        "kinds": ["sample", "consistent"],
-        "outputs": ["losses"],
-        "seed": seed,
-        "v_max": None,
-    }
-    if args.config:
-        file_cfg, file_seed = _load_config_file(args.config)
-        config.update(file_cfg)
-        if args.seed is None and file_seed is not None:
-            config["seed"] = file_seed
-    for flag in ("scenario", "p", "n", "c", "reps", "v_max"):
-        value = getattr(args, flag)
-        if value is not None:
-            config[flag] = value
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.kinds:
-        config["kinds"] = _parse_list(args.kinds)
-    if args.outputs:
-        config["outputs"] = _parse_list(args.outputs)
+def _finish_simulate(config: dict) -> None:
     try:
         config["scenario"] = Scenario(config["scenario"]).value
     except ValueError:
         valid = ", ".join(s.value for s in Scenario)
         raise _usage(f"unknown scenario {config['scenario']!r}; valid: {valid}") from None
+    p, c = config["p"], config["c"]
     if config["n"] is None:
-        c = config.get("c")
-        if c is not None:
-            if not (0 < c):
-                raise _usage(f"--c must be positive, got {c}")
-            config["n"] = round(config["p"] / c)
-        else:
-            config["n"] = 2 * config["p"]
-    config["c"] = config["p"] / config["n"]
-    unknown = [o for o in config["outputs"] if o not in _SIMULATE_OUTPUTS]
-    if unknown:
-        raise _usage(f"unknown outputs {unknown}; valid: {', '.join(_SIMULATE_OUTPUTS)}")
-    config["kinds"] = [k.value for k in _parse_kinds(config["kinds"])]
+        if c is not None and not c > 0:
+            raise _usage(f"--c must be positive, got {c}")
+        config["n"] = 2 * p if c is None else round(p / c)
+    if p < 2 or config["n"] < 2:
+        raise _usage(f"simulate needs p >= 2 and n >= 2, got p={p}, n={config['n']}")
+    config["c"] = p / config["n"]
+    _check_names(config["outputs"], _SIMULATE_OUTPUTS, "outputs")
     if config["reps"] < 1:
         raise _usage(f"--reps must be >= 1, got {config['reps']}")
-    return config
 
 
 def cmd_simulate(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int, list]:
@@ -461,24 +445,17 @@ def cmd_simulate(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
                 + (f"  [{result.failures[kind]} failed reps: {reasons}]" if reasons else "")
             )
     if "losses" in wanted:
-        path = os.path.join(run_dir, "losses.csv")
-        write_loss_csv(path, loss_rows(result))
+        write_loss_csv(os.path.join(run_dir, "losses.csv"), loss_rows(result))
         outputs.append("losses.csv")
     if "histograms" in wanted:
         for param in ("R", "V", "s"):
             hist = histogram_data(result, param, kind=EstimatorKind.CONSISTENT)
-            hist_name = f"hist_{param}.csv"
-            density_name = f"density_{param}.csv"
-            write_histogram_csv(
-                os.path.join(run_dir, hist_name),
-                os.path.join(run_dir, density_name),
-                hist,
-            )
-            outputs.extend([hist_name, density_name])
+            names = [f"hist_{param}.csv", f"density_{param}.csv"]
+            write_histogram_csv(*(os.path.join(run_dir, name) for name in names), hist)
+            outputs.extend(names)
     if "frontiers" in wanted:
         comparison = frontier_comparison(spec, kinds, v_max=config.get("v_max"))
-        path = os.path.join(run_dir, "frontier.csv")
-        write_frontier_csv(path, comparison)
+        write_frontier_csv(os.path.join(run_dir, "frontier.csv"), comparison)
         outputs.append("frontier.csv")
     return EXIT_OK, outputs
 
@@ -488,7 +465,7 @@ def cmd_simulate(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
 # ---------------------------------------------------------------------------
 
 
-def _transform_records(c: float, points: int, seed: int, thresholds: dict) -> list:
+def _transform_values(c: float, points: int, seed: int) -> list[tuple[str, float]]:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst = 0.0
     for _ in range(points):
@@ -497,80 +474,23 @@ def _transform_records(c: float, points: int, seed: int, thresholds: dict) -> li
         z = complex(rng.uniform(-3.0, 5.0), rng.uniform(0.05, 3.0))
         x = x_of_z(StieltjesPoint(z, c))
         worst = max(worst, abs((1.0 - x) / x - c / (x - z)))
-    records = [
-        DiagnosticRecord(
-            check="x-residual-max",
-            p=points,
-            n=0,
-            c=c,
-            seed=seed,
-            value=worst,
-            threshold=thresholds["x-residual-max"],
-            passed=worst < thresholds["x-residual-max"],
-        )
-    ]
     z0 = complex(1.0 + c, 2.0 * math.sqrt(c))
     x0 = x_of_z(StieltjesPoint(z0, c))
-    err = abs(x0.imag - math.sqrt(c) * (1.0 + math.sqrt(2.0)))
-    records.append(
-        DiagnosticRecord(
-            check="x-test-point",
-            p=points,
-            n=0,
-            c=c,
-            seed=seed,
-            value=err,
-            threshold=thresholds["x-test-point"],
-            passed=err < thresholds["x-test-point"],
-        )
-    )
+    values = [
+        ("x-residual-max", worst),
+        ("x-test-point", abs(x0.imag - math.sqrt(c) * (1.0 + math.sqrt(2.0)))),
+    ]
     if c < 1.0:
         m0, _ = m_of_z(StieltjesPoint(0.0, c))
-        err0 = abs(m0 - 1.0 / (1.0 - c))
-        records.append(
-            DiagnosticRecord(
-                check="m-at-zero",
-                p=points,
-                n=0,
-                c=c,
-                seed=seed,
-                value=err0,
-                threshold=thresholds["m-at-zero"],
-                passed=err0 < thresholds["m-at-zero"],
-            )
-        )
+        values.append(("m-at-zero", abs(m0 - 1.0 / (1.0 - c))))
         print(f"m(0+) at c={c:g}: {_fmt(m0.real)}")
-    return records
+    return values
 
 
-def _resolve_theory_config(args, seed: int) -> dict:
-    config: dict = {
-        "checks": list(_THEORY_CHECKS),
-        "p": 500,
-        "c": 0.5,
-        "points": 100,
-        "seed": seed,
-        "thresholds": {},
-    }
-    if args.config:
-        file_cfg, file_seed = _load_config_file(args.config)
-        config.update(file_cfg)
-        if args.seed is None and file_seed is not None:
-            config["seed"] = file_seed
-    for flag in ("p", "c", "points"):
-        value = getattr(args, flag)
-        if value is not None:
-            config[flag] = value
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.checks:
-        config["checks"] = _parse_list(args.checks)
-    unknown = [c for c in config["checks"] if c not in _THEORY_CHECKS]
-    if unknown:
-        raise _usage(f"unknown checks {unknown}; valid: {', '.join(_THEORY_CHECKS)}")
+def _finish_theory_check(config: dict) -> None:
+    _check_names(config["checks"], _THEORY_CHECKS, "checks")
     if not (0.0 < config["c"]):
         raise _usage(f"c must be positive, got {config['c']}")
-    return config
 
 
 def cmd_theory_check(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int, list]:
@@ -579,31 +499,25 @@ def cmd_theory_check(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[
     c = float(config["c"])
     p = int(config["p"])
     check_seed = int(config["seed"])
+    points = int(config["points"])
     records = []
     if "transforms" in config["checks"]:
-        records.extend(_transform_records(c, int(config["points"]), check_seed, thresholds))
-    if "lemma2" in config["checks"]:
-        if not 0.0 < c < 1.0:
-            raise _usage(f"lemma2 requires 0 < c < 1, got c={c}")
-        for record in white_quadform_diagnostics(c, p, seed=check_seed):
-            records.append(
-                dataclasses.replace(
-                    record,
-                    threshold=thresholds[record.check],
-                    passed=record.value < thresholds[record.check],
-                )
-            )
-    if "lemma3" in config["checks"]:
-        if not 0.0 < c < 1.0:
-            raise _usage(f"lemma3 requires 0 < c < 1, got c={c}")
-        for record in demeaned_quadform_diagnostics(c, p, seed=check_seed):
-            records.append(
-                dataclasses.replace(
-                    record,
-                    threshold=thresholds[record.check],
-                    passed=record.value < thresholds[record.check],
-                )
-            )
+        records.extend(
+            DiagnosticRecord(check, points, 0, c, check_seed, value, math.nan, False)
+            for check, value in _transform_values(c, points, check_seed)
+        )
+    for name, diagnostics in (
+        ("lemma2", white_quadform_diagnostics),
+        ("lemma3", demeaned_quadform_diagnostics),
+    ):
+        if name in config["checks"]:
+            if not 0.0 < c < 1.0:
+                raise _usage(f"{name} requires 0 < c < 1, got c={c}")
+            records.extend(diagnostics(c, p, seed=check_seed))
+    # one pass rule for every check: the measured value is below its threshold
+    for i, record in enumerate(records):
+        limit = thresholds[record.check]
+        records[i] = dataclasses.replace(record, threshold=limit, passed=record.value < limit)
     all_passed = all(record.passed for record in records)
     for record in records:
         status = "pass" if record.passed else "FAIL"
@@ -618,48 +532,6 @@ def cmd_theory_check(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
-
-
-def _resolve_pipeline_config(args) -> dict:
-    config: dict = {
-        "input": None,
-        "p": 200,
-        "n": 375,
-        "step": None,
-        "frequency_minutes": 5.0,
-        "target_horizon_minutes": 60.0,
-        "winsor_quantiles": [0.01, 0.99],
-        "kinds": ["sample", "consistent"],
-        "level": 0.95,
-        "assets": None,
-    }
-    if args.config:
-        file_cfg, _ = _load_config_file(args.config)
-        config.update(file_cfg)
-    if args.input:
-        config["input"] = os.path.abspath(args.input)
-    for flag, key in (
-        ("p", "p"),
-        ("n", "n"),
-        ("step", "step"),
-        ("frequency", "frequency_minutes"),
-        ("horizon", "target_horizon_minutes"),
-        ("level", "level"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            config[key] = value
-    if args.kinds:
-        config["kinds"] = _parse_list(args.kinds)
-    if args.winsor:
-        parts = _parse_list(args.winsor)
-        if len(parts) != 2:
-            raise _usage(f"--winsor needs 'low,high', got {args.winsor!r}")
-        config["winsor_quantiles"] = [float(parts[0]), float(parts[1])]
-    if not config.get("input"):
-        raise _usage("pipeline needs a returns CSV via --input (or config field 'input')")
-    config["kinds"] = [k.value for k in _parse_kinds(config["kinds"])]
-    return config
 
 
 def cmd_pipeline(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int, list]:
@@ -692,8 +564,139 @@ def cmd_pipeline(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# the subcommand table, argument parsing and dispatch
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: handler, config defaults, flags and a final check.
+
+    Each option is ``(flag, config key, type, help)``.  The type parses the
+    flag's text (``bool`` makes a switch) and fixes what a config file may
+    hold under the key.  A ``None`` key marks ``frontier --input``, whose
+    parsed value is a dict of keys.  ``seeded`` commands keep the seed in
+    their config, so a config file can supply it.
+    """
+
+    help: str
+    handler: Callable[[dict, str, int, int], tuple[int, list]]
+    defaults: dict
+    options: tuple
+    finish: Callable[[dict], None]
+    seeded: bool = False
+
+
+_KINDS_HELP = "comma list: sample,consistent,unbiased,sse,ebe,rte"
+_RETURNS_INPUT = ("--input", "input", os.path.abspath, "returns CSV (timestamp,ASSET1,...)")
+
+_COMMANDS = {
+    "frontier": _Command(
+        help="population frontier from mean/covariance",
+        handler=cmd_frontier,
+        defaults={"curve": False, "v_max": None, "points": 65},
+        options=(
+            ("--input", None, _population, "CSV ('mu,<labels>' header) or JSON with mu/sigma"),
+            ("--mu", "mu", _inline_json, "inline JSON array"),
+            ("--sigma", "sigma", _inline_json, "inline JSON matrix (or diagonal vector)"),
+            ("--curve", "curve", bool, "also write curve.csv"),
+            ("--v-max", "v_max", float, "curve variance upper end"),
+            ("--points", "points", int, "curve grid size (default 65)"),
+        ),
+        finish=_finish_frontier,
+    ),
+    "estimate": _Command(
+        help="estimator reports from a returns CSV",
+        handler=cmd_estimate,
+        defaults={"kinds": ["sample", "consistent"], "level": 0.95, "input": None},
+        options=(
+            _RETURNS_INPUT,
+            ("--kinds", "kinds", _comma_list, _KINDS_HELP),
+            ("--level", "level", float, "CI level for the consistent kind"),
+        ),
+        finish=_need_input,
+    ),
+    "simulate": _Command(
+        help="Monte Carlo losses/histograms/frontiers",
+        handler=cmd_simulate,
+        defaults={
+            "scenario": "normal", "p": 100, "n": None, "c": None, "reps": 1000,
+            "kinds": ["sample", "consistent"], "outputs": ["losses"], "v_max": None,
+        },
+        options=(
+            ("--scenario", "scenario", str, "normal | t3 | ccc-garch"),
+            ("--p", "p", int, "cross-section size"),
+            ("--n", "n", int, "sample size (overrides --c)"),
+            ("--c", "c", float, "concentration ratio; n = round(p/c)"),
+            ("--reps", "reps", int, "replications (default 1000)"),
+            ("--kinds", "kinds", _comma_list, _KINDS_HELP),
+            ("--outputs", "outputs", _comma_list, "comma list: losses,histograms,frontiers"),
+            ("--v-max", "v_max", float, "frontier grid upper end"),
+        ),
+        finish=_finish_simulate,
+        seeded=True,
+    ),
+    "theory-check": _Command(
+        help="numeric checks of the limit theory",
+        handler=cmd_theory_check,
+        defaults={
+            "checks": list(_THEORY_CHECKS), "p": 500, "c": 0.5, "points": 100, "thresholds": {},
+        },
+        options=(
+            ("--checks", "checks", _comma_list, "comma list: transforms,lemma2,lemma3"),
+            ("--p", "p", int, "matrix dimension (default 500)"),
+            ("--c", "c", float, "concentration ratio (default 0.5)"),
+            ("--points", "points", int, "random z points (default 100)"),
+        ),
+        finish=_finish_theory_check,
+        seeded=True,
+    ),
+    "pipeline": _Command(
+        help="rolling-window estimation over a panel",
+        handler=cmd_pipeline,
+        defaults={"input": None, **RollingConfig().to_dict()},
+        options=(
+            _RETURNS_INPUT,
+            ("--p", "p", int, "assets per window"),
+            ("--n", "n", int, "observations per window"),
+            ("--step", "step", int, "advance per move (default one day)"),
+            ("--frequency", "frequency_minutes", float, "estimation frequency, minutes"),
+            ("--horizon", "target_horizon_minutes", float, "target horizon, minutes"),
+            ("--kinds", "kinds", _comma_list, _KINDS_HELP),
+            ("--level", "level", float, "CI level (default 0.95)"),
+            ("--winsor", "winsor_quantiles", _winsor, "winsor quantiles 'low,high'"),
+        ),
+        finish=_need_input,
+    ),
+}
+
+
+def _resolve_config(command: _Command, args) -> tuple[dict, int]:
+    """Merge the defaults, ``--config``, ``--input`` and the flags, in that order."""
+    config = dict(command.defaults)
+    file_seed = None
+    if args.config is not None:
+        file_config, file_seed = args.config
+        for _, key, kind, _ in command.options:
+            if key in file_config:
+                nullable = command.defaults.get(key) is None
+                _check_config_value(key, file_config[key], kind, nullable)
+        config.update(file_config)
+    for _, key, _, _ in command.options:
+        value = getattr(args, key or "input")
+        if value is not None:
+            config.update(value if key is None else {key: value})
+    seed = args.seed if args.seed is not None else _entropy_seed()
+    if command.seeded:
+        if args.seed is None:
+            seed = file_seed if file_seed is not None else config.get("seed", seed)
+        if type(seed) is not int:
+            raise _usage(f"config key 'seed' must be an integer, got {seed!r}")
+        config["seed"] = seed
+    command.finish(config)
+    if "kinds" in command.defaults:
+        config["kinds"] = [k.value for k in _parse_kinds(config["kinds"])]
+    return config, seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -703,58 +706,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {_VERSION}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file or a previous manifest.json")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument(
+            "--config", type=_load_config_file,
+            help="JSON config file or a previous manifest.json",
+        )
         p.add_argument("--seed", type=int, help="RNG seed (default: fresh entropy)")
         p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
         p.add_argument("--outdir", default="runs", help="output root (default: ./runs)")
-
-    p = sub.add_parser("frontier", help="population frontier from mean/covariance")
-    common(p)
-    p.add_argument("--input", help="CSV ('mu,<labels>' header) or JSON with mu/sigma")
-    p.add_argument("--mu", help="inline JSON array")
-    p.add_argument("--sigma", help="inline JSON matrix (or diagonal vector)")
-    p.add_argument("--curve", action="store_true", help="also write curve.csv")
-    p.add_argument("--v-max", dest="v_max", type=float, help="curve variance upper end")
-    p.add_argument("--points", type=int, help="curve grid size (default 65)")
-
-    p = sub.add_parser("estimate", help="estimator reports from a returns CSV")
-    common(p)
-    p.add_argument("--input", help="returns CSV (timestamp,ASSET1,...)")
-    p.add_argument("--kinds", help="comma list: sample,consistent,unbiased,sse,ebe,rte")
-    p.add_argument("--level", type=float, help="CI level for the consistent kind")
-
-    p = sub.add_parser("simulate", help="Monte Carlo losses/histograms/frontiers")
-    common(p)
-    p.add_argument("--scenario", help="normal | t3 | ccc-garch")
-    p.add_argument("--p", type=int, help="cross-section size")
-    p.add_argument("--n", type=int, help="sample size (overrides --c)")
-    p.add_argument("--c", type=float, help="concentration ratio; n = round(p/c)")
-    p.add_argument("--reps", type=int, help="replications (default 1000)")
-    p.add_argument("--kinds", help="comma list of estimator kinds")
-    p.add_argument("--outputs", help="comma list: losses,histograms,frontiers")
-    p.add_argument("--v-max", dest="v_max", type=float, help="frontier grid upper end")
-
-    p = sub.add_parser("theory-check", help="numeric checks of the limit theory")
-    common(p)
-    p.add_argument("--checks", help="comma list: transforms,lemma2,lemma3")
-    p.add_argument("--p", type=int, help="matrix dimension (default 500)")
-    p.add_argument("--c", type=float, help="concentration ratio (default 0.5)")
-    p.add_argument("--points", type=int, help="random z points (default 100)")
-
-    p = sub.add_parser("pipeline", help="rolling-window estimation over a panel")
-    common(p)
-    p.add_argument("--input", help="returns CSV (timestamp,ASSET1,...)")
-    p.add_argument("--p", type=int, help="assets per window")
-    p.add_argument("--n", type=int, help="observations per window")
-    p.add_argument("--step", type=int, help="advance per move (default one day)")
-    p.add_argument("--frequency", type=float, help="estimation frequency, minutes")
-    p.add_argument("--horizon", type=float, help="target horizon, minutes")
-    p.add_argument("--kinds", help="comma list of estimator kinds")
-    p.add_argument("--level", type=float, help="CI level (default 0.95)")
-    p.add_argument("--winsor", help="winsor quantiles 'low,high'")
-
+        for flag, key, kind, text in command.options:
+            if kind is bool:
+                p.add_argument(flag, dest=key, action="store_true", default=None, help=text)
+            else:  # the metavar names the flag, not the config key
+                metavar = flag[2:].replace("-", "_").upper()
+                p.add_argument(flag, dest=key or "input", type=kind, metavar=metavar, help=text)
     return parser
 
 
@@ -766,34 +732,15 @@ def main(argv=None) -> int:
         code = exc.code
         return 0 if code is None else int(code)
 
+    command = _COMMANDS[args.subcommand]
     try:
-        seed = args.seed if args.seed is not None else _entropy_seed()
         jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
         if jobs < 1:
             raise _usage(f"--jobs must be >= 1, got {jobs}")
-        if args.subcommand == "frontier":
-            config = _resolve_frontier_config(args)
-            handler = cmd_frontier
-        elif args.subcommand == "estimate":
-            config = _resolve_estimate_config(args)
-            handler = cmd_estimate
-        elif args.subcommand == "simulate":
-            config = _resolve_simulate_config(args, seed)
-            seed = int(config["seed"])
-            handler = cmd_simulate
-        elif args.subcommand == "theory-check":
-            config = _resolve_theory_config(args, seed)
-            seed = int(config["seed"])
-            handler = cmd_theory_check
-        else:
-            config = _resolve_pipeline_config(args)
-            handler = cmd_pipeline
-    except _CliError as exc:
+        config, seed = _resolve_config(command, args)
+    except (_CliError, InputValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except InputValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _exit_code(exc)
 
     run_dir = _make_run_dir(args.outdir, args.subcommand)
     manifest = RunManifest(
@@ -806,16 +753,10 @@ def main(argv=None) -> int:
     manifest_path = os.path.join(run_dir, "manifest.json")
     manifest.write(manifest_path)
     try:
-        code, outputs = handler(config, run_dir, seed, jobs)
-    except _CliError as exc:
+        code, outputs = command.handler(config, run_dir, seed, jobs)
+    except (_CliError, HDFrontierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code, outputs = exc.code, []
-    except InputValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code, outputs = EXIT_USAGE, []
-    except HDFrontierError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code, outputs = EXIT_DATA, []
+        code, outputs = _exit_code(exc), []
     manifest.finished = _now()
     manifest.outputs = outputs
     manifest.exit_code = code

@@ -561,39 +561,44 @@ ROLLING_CSV_COLUMNS = (
 )
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _write_csv(path, header, rows) -> None:
+    """Write one CSV table; float cells (NumPy's too) as ``repr(float(x))``.
+
+    The shortest round-trip ``repr`` is locale-free and byte-stable, which
+    makes reruns byte-identical; ``csv`` alone would format a NumPy scalar
+    its own way.
+    """
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows
+        )
 
 
 def write_rolling_csv(path, windows, frequency_minutes: float) -> None:
     """Serialize rolling results; CI cells are empty for kinds without CIs."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ROLLING_CSV_COLUMNS)
-        for window in windows:
-            cis = window.cis
-            ci_cells = (
-                [
-                    _fmt(cis.ci_r[0]),
-                    _fmt(cis.ci_r[1]),
-                    _fmt(cis.ci_v[0]),
-                    _fmt(cis.ci_v[1]),
-                    _fmt(cis.ci_s[0]),
-                    _fmt(cis.ci_s[1]),
-                ]
-                if cis is not None
-                else [""] * 6
+    frequency = float(frequency_minutes)
+    _write_csv(
+        path,
+        ROLLING_CSV_COLUMNS,
+        (
+            (
+                window.date.isoformat(),
+                window.kind.value,
+                window.report.params.r_gmv,
+                window.report.params.v_gmv,
+                window.report.params.slope,
+                *(
+                    (*window.cis.ci_r, *window.cis.ci_v, *window.cis.ci_s)
+                    if window.cis is not None
+                    else ("",) * 6
+                ),
+                window.report.p,
+                window.report.n,
+                frequency,
             )
-            writer.writerow(
-                [
-                    window.date.isoformat(),
-                    window.kind.value,
-                    _fmt(window.report.params.r_gmv),
-                    _fmt(window.report.params.v_gmv),
-                    _fmt(window.report.params.slope),
-                    *ci_cells,
-                    window.report.p,
-                    window.report.n,
-                    _fmt(frequency_minutes),
-                ]
-            )
+            for window in windows
+        ),
+    )

@@ -23,7 +23,6 @@ are identical for any job count and any execution order.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import enum
 import functools
 import math
@@ -50,6 +49,7 @@ from .estimators import (
 )
 from .frontier import FrontierParams, frontier_params
 from .inference import asymptotic_variances
+from .pipeline import _write_csv
 
 __all__ = [
     "Scenario",
@@ -168,20 +168,6 @@ class ScenarioSpec:
     @property
     def ratio(self) -> float:
         return self.p / self.n
-
-    def to_dict(self) -> dict:
-        """JSON-ready description (used by run manifests)."""
-        return {
-            "scenario": self.scenario.value,
-            "p": self.p,
-            "n": self.n,
-            "seed": self.seed,
-            "spectrum": [list(g) for g in self.spectrum.groups],
-            "mean_range": list(self.mean_range),
-            "alpha1_range": list(self.alpha1_range),
-            "beta1_range": list(self.beta1_range),
-            "burn_in": self.burn_in,
-        }
 
 
 def _rng_for(seed: int, *key: int) -> np.random.Generator:
@@ -402,12 +388,22 @@ class MonteCarloResult:
         return (self.estimates[EstimatorKind(kind)] - target) ** 2
 
     def mean_loss(self, kind: EstimatorKind) -> np.ndarray:
-        """Mean quadratic loss per parameter, ignoring failed replications."""
-        return np.nanmean(self.losses(kind), axis=0)
+        """Mean quadratic loss per parameter, ignoring failed replications.
+
+        NaN, without NumPy's empty-slice warning, for a kind that failed in
+        every replication (a failed replication is a NaN row).
+        """
+        losses = self.losses(kind)
+        if np.isnan(losses).all():
+            return np.full(losses.shape[1], np.nan)
+        return np.nanmean(losses, axis=0)
 
     def loss_quantiles(self, kind: EstimatorKind, qs=(0.05, 0.95)) -> np.ndarray:
-        """Loss quantiles per parameter, shape (len(qs), 3)."""
-        return np.nanquantile(self.losses(kind), qs, axis=0)
+        """Loss quantiles per parameter, shape (len(qs), 3); NaN as in :meth:`mean_loss`."""
+        losses = self.losses(kind)
+        if np.isnan(losses).all():
+            return np.full((len(qs), losses.shape[1]), np.nan)
+        return np.nanquantile(losses, qs, axis=0)
 
 
 #: byte cap on one chunk's draws and covariances: 54 replications at
@@ -634,13 +630,6 @@ def frontier_comparison(
     return FrontierComparison(spec=spec, truth=truth, grid=grid, curves=curves, reports=reports)
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats (deterministic, locale-free)."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def loss_rows(result: MonteCarloResult) -> list[dict]:
     """Flatten a result into loss-table rows (one per kind x parameter)."""
     rows = []
@@ -669,32 +658,27 @@ _LOSS_COLUMNS = ("p", "n", "c", "scenario", "estimator", "param", "mean_loss", "
 
 def write_loss_csv(path, rows) -> None:
     """Write loss-table rows with deterministic float formatting."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_LOSS_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in _LOSS_COLUMNS])
+    _write_csv(path, _LOSS_COLUMNS, ([row[col] for col in _LOSS_COLUMNS] for row in rows))
 
 
 def write_histogram_csv(hist_path, density_path, hist: HistogramData) -> None:
     """Write histogram bins and the overlay density as two CSV files."""
-    with open(hist_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("bin_left", "bin_right", "count"))
-        for left, right, count in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
-            writer.writerow((_fmt(float(left)), _fmt(float(right)), int(count)))
-    with open(density_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("x", "density"))
-        for x, y in zip(hist.density_x, hist.density_y):
-            writer.writerow((_fmt(float(x)), _fmt(float(y))))
+    _write_csv(
+        hist_path,
+        ("bin_left", "bin_right", "count"),
+        zip(hist.edges[:-1], hist.edges[1:], map(int, hist.counts)),
+    )
+    _write_csv(density_path, ("x", "density"), zip(hist.density_x, hist.density_y))
 
 
 def write_frontier_csv(path, comparison: FrontierComparison) -> None:
     """Write frontier curves in long format: one (V, R, kind) row per point."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("V", "R", "kind"))
-        for kind_name, values in comparison.curves.items():
-            for v, r in zip(comparison.grid, values):
-                writer.writerow((_fmt(float(v)), _fmt(float(r)), kind_name))
+    _write_csv(
+        path,
+        ("V", "R", "kind"),
+        (
+            (v, r, kind_name)
+            for kind_name, values in comparison.curves.items()
+            for v, r in zip(comparison.grid, values)
+        ),
+    )

@@ -95,6 +95,18 @@ class TestFrontierCommand:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert "curve.csv" in manifest["outputs"]
 
+    @pytest.mark.parametrize("flag", ["--points", "--v-max"])
+    def test_zero_curve_setting_is_rejected(self, tmp_path, capsys, flag):
+        # 0 is a value, not "use the default": it fails as --points 1 does
+        code = run_cli(
+            ["frontier", "--mu", "[0.0, 0.3]", "--sigma", "[1.0, 2.0]",
+             "--curve", flag, "0", "--outdir", tmp_path]
+        )
+        assert code == 2
+        assert "must" in capsys.readouterr().err
+        run_dir = only_run_dir(tmp_path, "frontier")
+        assert not (run_dir / "curve.csv").exists()
+
     def test_missing_inputs_is_usage_error(self, tmp_path, capsys):
         code = run_cli(["frontier", "--outdir", tmp_path])
         assert code == 2
@@ -203,8 +215,6 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert "mean loss" in out.lower() or "loss" in out.lower()
 
-    # every sse replication fails, so its mean loss is the NaN of an empty slice
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_reps_named_by_class(self, tmp_path, capsys):
         code = run_cli(
             ["simulate", "--p", "10", "--n", "12", "--reps", "6", "--seed", "4",
@@ -475,3 +485,278 @@ class TestParserAndManifest:
              "--outdir", tmp_path]
         ) == 0
         assert "run directory:" in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    """Bad flags and wrongly typed config values: exit 2, no run directory."""
+
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["simulate", "--n", "0"], None, "n >= 2"),
+            (["simulate", "--p", "0"], None, "p >= 2"),
+            (["simulate", "--p", "10", "--c", "100"], None, "n >= 2"),
+            (["pipeline", "--input", "x.csv", "--winsor", "a,b"], None, "--winsor"),
+            (["pipeline", "--input", "x.csv", "--winsor", "0.1"], None, "--winsor"),
+            (["simulate"], {"reps": "10"}, "'reps' must be an integer"),
+            (["simulate"], {"c": "0.5"}, "'c' must be a number"),
+            (["simulate"], {"p": True}, "'p' must be an integer"),
+            (["simulate"], {"seed": 1.5}, "'seed' must be an integer"),
+            (["simulate"], {"kinds": "sample"}, "'kinds' must be a list"),
+            (["theory-check"], {"points": None}, "'points' must be an integer"),
+            (["estimate", "--input", "x.csv"], {"level": [0.9]}, "'level' must be a number"),
+            (["pipeline", "--input", "x.csv"], {"winsor_quantiles": [0.1]}, "'winsor_quantiles'"),
+            (["pipeline", "--input", "x.csv"], {"winsor_quantiles": ["0", "1"]}, "'winsor_quantiles'"),
+            (["frontier", "--mu", "[0.0, 0.3]", "--sigma", "[1.0, 2.0]"], {"curve": 1}, "'curve'"),
+        ],
+    )
+    def test_exit_2_without_run_directory(self, tmp_path, capsys, args, config, message):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            args = [*args, "--config", path]
+        assert run_cli([*args, "--outdir", tmp_path / "runs"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_null_is_allowed_where_the_default_is_null(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": None, "c": None, "v_max": None}))
+        args = ["simulate", "--config", path, "--p", "4", "--reps", "2", "--seed", "1"]
+        assert run_cli([*args, "--outdir", tmp_path]) == 0
+        manifest = json.loads((only_run_dir(tmp_path, "simulate") / "manifest.json").read_text())
+        assert (manifest["config"]["n"], manifest["config"]["c"]) == (8, 0.5)
+
+
+class TestManifestConfig:
+    """``manifest["config"]`` and ``manifest["seed"]`` for every config source.
+
+    Sources merge in one order: defaults, then ``--config``, then ``--input``,
+    then the flags; only ``simulate`` and ``theory-check`` take the seed from
+    a config file.
+    """
+
+    MU = [0.0, 0.3]
+    SIGMA = ["--mu", "[0.0, 0.3]", "--sigma", "[1.0, 2.0]"]
+
+    @staticmethod
+    def manifest(tmp_path, args):
+        out = tmp_path / f"run{len(list(tmp_path.glob('run*')))}"
+        run_cli([*args, "--outdir", out])
+        return json.loads((only_run_dir(out, args[0]) / "manifest.json").read_text())
+
+    @staticmethod
+    def config_file(tmp_path, payload):
+        path = tmp_path / f"config{len(list(tmp_path.glob('config*')))}.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    def assert_manifest_reruns(self, tmp_path, first, seeded):
+        """A previous manifest as ``--config`` keeps its config, with and without ``--seed``."""
+        path = self.config_file(tmp_path, first)
+        again = self.manifest(tmp_path, [first["subcommand"], "--config", path])
+        assert again["config"] == first["config"]
+        if seeded:
+            assert again["seed"] == first["seed"]
+        else:
+            assert isinstance(again["seed"], int) and again["seed"] != first["seed"]
+        reseeded = self.manifest(
+            tmp_path, [first["subcommand"], "--config", path, "--seed", "4"]
+        )
+        expected = dict(first["config"], seed=4) if seeded else first["config"]
+        assert reseeded["config"] == expected
+        assert reseeded["seed"] == 4
+
+    def test_frontier(self, tmp_path):
+        base = {"curve": False, "v_max": None, "points": 65}
+        m = self.manifest(tmp_path, ["frontier", *self.SIGMA, "--seed", "9"])
+        assert m["config"] == {**base, "mu": self.MU, "sigma": [1.0, 2.0]}
+        assert m["seed"] == 9
+
+        flags = self.manifest(
+            tmp_path,
+            ["frontier", *self.SIGMA, "--curve", "--v-max", "4", "--points", "9",
+             "--seed", "9"],
+        )
+        assert flags["config"] == {
+            "curve": True, "v_max": 4.0, "points": 9, "mu": self.MU, "sigma": [1.0, 2.0],
+        }
+        assert flags["seed"] == 9
+        self.assert_manifest_reruns(tmp_path, flags, seeded=False)
+
+        plain = self.config_file(
+            tmp_path, {"mu": self.MU, "sigma": [[1.0, 0.0], [0.0, 2.0]], "curve": True,
+                       "points": 5, "seed": 6},
+        )
+        m = self.manifest(tmp_path, ["frontier", "--config", plain, "--seed", "9"])
+        assert m["config"] == {
+            "curve": True, "v_max": None, "points": 5, "mu": self.MU,
+            "sigma": [[1.0, 0.0], [0.0, 2.0]], "seed": 6,
+        }
+        assert m["seed"] == 9
+        m = self.manifest(tmp_path, ["frontier", "--config", plain, "--points", "7"])
+        assert m["config"]["points"] == 7
+
+        table = tmp_path / "population.csv"
+        table.write_text("mu,x,y\n0.0,1.0,0.0\n0.3,0.0,2.0\n")
+        m = self.manifest(tmp_path, ["frontier", "--input", table, "--seed", "9"])
+        assert m["config"] == {**base, "mu": self.MU, "sigma": [[1.0, 0.0], [0.0, 2.0]]}
+        spec = self.config_file(
+            tmp_path, {"mu": [0, 0.3], "sigma": [[1, 0], [0, 2]], "points": 3}
+        )
+        m = self.manifest(tmp_path, ["frontier", "--input", spec, "--seed", "9"])
+        assert m["config"] == {**base, "mu": [0, 0.3], "sigma": [[1, 0], [0, 2]]}
+        # --input beats --config, and the flags beat --input
+        m = self.manifest(
+            tmp_path,
+            ["frontier", "--config", plain, "--input", table, "--mu", "[0.1, 0.2]",
+             "--seed", "9"],
+        )
+        assert m["config"] == {
+            "curve": True, "v_max": None, "points": 5, "mu": [0.1, 0.2],
+            "sigma": [[1.0, 0.0], [0.0, 2.0]], "seed": 6,
+        }
+
+    def test_estimate(self, tmp_path):
+        panel = str(write_panel(tmp_path / "panel.csv", days=2, rows_per_day=10, p=3))
+        m = self.manifest(tmp_path, ["estimate", "--input", panel, "--seed", "9"])
+        assert m["config"] == {"kinds": ["sample", "consistent"], "level": 0.95, "input": panel}
+        assert m["seed"] == 9
+
+        flags = self.manifest(
+            tmp_path,
+            ["estimate", "--input", panel, "--kinds", "SAMPLE,rte", "--level", "0.9",
+             "--seed", "9"],
+        )
+        assert flags["config"] == {"kinds": ["sample", "rte"], "level": 0.9, "input": panel}
+        self.assert_manifest_reruns(tmp_path, flags, seeded=False)
+
+        plain = self.config_file(
+            tmp_path, {"input": panel, "kinds": ["consistent"], "level": 0.8, "seed": 6}
+        )
+        m = self.manifest(tmp_path, ["estimate", "--config", plain, "--seed", "9"])
+        assert m["config"] == {"kinds": ["consistent"], "level": 0.8, "input": panel, "seed": 6}
+        assert m["seed"] == 9
+
+        moved = self.config_file(tmp_path, {"input": "elsewhere.csv", "level": 0.8})
+        m = self.manifest(
+            tmp_path, ["estimate", "--config", moved, "--input", panel, "--level", "0.7"]
+        )
+        assert m["config"] == {"kinds": ["sample", "consistent"], "level": 0.7, "input": panel}
+
+    def test_simulate(self, tmp_path):
+        m = self.manifest(tmp_path, ["simulate", "--seed", "3", "--jobs", "1"])
+        assert m["config"] == {
+            "scenario": "normal", "p": 100, "n": 200, "c": 0.5, "reps": 1000,
+            "kinds": ["sample", "consistent"], "outputs": ["losses"], "seed": 3,
+            "v_max": None,
+        }
+        assert m["seed"] == 3
+
+        flags = self.manifest(
+            tmp_path,
+            ["simulate", "--scenario", "t3", "--p", "6", "--n", "30", "--reps", "4",
+             "--kinds", "sample,rte", "--outputs", "losses,frontiers", "--v-max", "2.5",
+             "--seed", "3"],
+        )
+        assert flags["config"] == {
+            "scenario": "t3", "p": 6, "n": 30, "c": 0.2, "reps": 4,
+            "kinds": ["sample", "rte"], "outputs": ["losses", "frontiers"], "seed": 3,
+            "v_max": 2.5,
+        }
+        assert flags["seed"] == 3
+        self.assert_manifest_reruns(tmp_path, flags, seeded=True)
+
+        m = self.manifest(
+            tmp_path, ["simulate", "--p", "8", "--c", "0.3", "--reps", "2", "--seed", "3"]
+        )
+        assert (m["config"]["n"], m["config"]["c"]) == (27, 8 / 27)
+
+        plain = self.config_file(
+            tmp_path,
+            {"scenario": "ccc-garch", "p": 5, "c": 0.25, "reps": 2, "kinds": ["sample"],
+             "seed": 7},
+        )
+        m = self.manifest(tmp_path, ["simulate", "--config", plain])
+        assert m["config"] == {
+            "scenario": "ccc-garch", "p": 5, "n": 20, "c": 0.25, "reps": 2,
+            "kinds": ["sample"], "outputs": ["losses"], "seed": 7, "v_max": None,
+        }
+        assert m["seed"] == 7
+        m = self.manifest(tmp_path, ["simulate", "--config", plain, "--n", "25", "--seed", "8"])
+        assert (m["config"]["n"], m["config"]["c"], m["config"]["seed"]) == (25, 0.2, 8)
+        assert m["seed"] == 8
+
+    def test_theory_check(self, tmp_path):
+        m = self.manifest(tmp_path, ["theory-check", "--seed", "0"])
+        assert m["config"] == {
+            "checks": ["transforms", "lemma2", "lemma3"], "p": 500, "c": 0.5,
+            "points": 100, "seed": 0, "thresholds": {},
+        }
+        assert m["seed"] == 0
+
+        flags = self.manifest(
+            tmp_path,
+            ["theory-check", "--checks", "transforms", "--p", "50", "--c", "1.5",
+             "--points", "10", "--seed", "2"],
+        )
+        assert flags["config"] == {
+            "checks": ["transforms"], "p": 50, "c": 1.5, "points": 10, "seed": 2,
+            "thresholds": {},
+        }
+        assert flags["seed"] == 2
+        self.assert_manifest_reruns(tmp_path, flags, seeded=True)
+
+        plain = self.config_file(
+            tmp_path,
+            {"checks": ["transforms"], "points": 5, "thresholds": {"x-test-point": 1e-10},
+             "seed": 6},
+        )
+        m = self.manifest(tmp_path, ["theory-check", "--config", plain])
+        assert m["config"] == {
+            "checks": ["transforms"], "p": 500, "c": 0.5, "points": 5, "seed": 6,
+            "thresholds": {"x-test-point": 1e-10},
+        }
+        assert m["seed"] == 6
+        m = self.manifest(tmp_path, ["theory-check", "--config", plain, "--points", "7"])
+        assert (m["config"]["points"], m["seed"]) == (7, 6)
+
+    def test_pipeline(self, tmp_path):
+        panel = str(write_panel(tmp_path / "panel.csv", days=4, rows_per_day=30, p=4))
+        base = {
+            "input": panel, "p": 200, "n": 375, "step": None, "frequency_minutes": 5.0,
+            "target_horizon_minutes": 60.0, "winsor_quantiles": [0.01, 0.99],
+            "kinds": ["sample", "consistent"], "level": 0.95, "assets": None,
+        }
+        m = self.manifest(tmp_path, ["pipeline", "--input", panel, "--seed", "9"])
+        assert m["config"] == base
+        assert m["seed"] == 9
+
+        flags = self.manifest(
+            tmp_path,
+            ["pipeline", "--input", panel, "--p", "4", "--n", "60", "--step", "30",
+             "--frequency", "5", "--horizon", "30", "--kinds", "consistent",
+             "--level", "0.9", "--winsor", "0.05,0.95", "--seed", "9"],
+        )
+        assert flags["config"] == {
+            **base, "p": 4, "n": 60, "step": 30, "frequency_minutes": 5.0,
+            "target_horizon_minutes": 30.0, "kinds": ["consistent"], "level": 0.9,
+            "winsor_quantiles": [0.05, 0.95],
+        }
+        self.assert_manifest_reruns(tmp_path, flags, seeded=False)
+
+        plain = self.config_file(
+            tmp_path,
+            {"input": panel, "p": 3, "n": 60, "assets": ["A0", "A1", "A2"],
+             "winsor_quantiles": [0, 1], "seed": 6},
+        )
+        m = self.manifest(tmp_path, ["pipeline", "--config", plain, "--seed", "9"])
+        assert m["config"] == {
+            **base, "p": 3, "n": 60, "assets": ["A0", "A1", "A2"],
+            "winsor_quantiles": [0, 1], "seed": 6,
+        }
+        assert m["seed"] == 9
+        m = self.manifest(
+            tmp_path, ["pipeline", "--config", plain, "--n", "90", "--winsor", "0,1"]
+        )
+        assert (m["config"]["n"], m["config"]["winsor_quantiles"]) == (90, [0.0, 1.0])

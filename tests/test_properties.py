@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hdfrontier import (
     EstimatorKind,
@@ -184,6 +184,9 @@ class TestInferenceInvariants:
     )
     @settings(deadline=None, max_examples=30)
     def test_interval_width_monotone_in_level(self, seed, levels):
+        # the interval reads the normal quantile at 0.5 + 0.5 * level, which
+        # rounds levels one ulp apart (0.01 and 0.010000000000000002) together
+        assume(len({0.5 + 0.5 * lv for lv in levels}) == len(levels))
         rng = np.random.default_rng(seed)
         y = rng.standard_normal((6, 30)) * 0.02 + 0.01
         report = estimate(sample_moments(y), EstimatorKind.CONSISTENT)
