@@ -411,8 +411,8 @@ def _finish_simulate(config: dict) -> None:
         raise _usage(f"unknown scenario {config['scenario']!r}; valid: {valid}") from None
     p, c = config["p"], config["c"]
     if config["n"] is None:
-        if c is not None and not c > 0:
-            raise _usage(f"--c must be positive, got {c}")
+        if c is not None and not (c > 0 and math.isfinite(p / c)):
+            raise _usage(f"--c must be positive with p / c finite, got {c}")
         config["n"] = 2 * p if c is None else round(p / c)
     if p < 2 or config["n"] < 2:
         raise _usage(f"simulate needs p >= 2 and n >= 2, got p={p}, n={config['n']}")
@@ -488,14 +488,16 @@ def _transform_values(c: float, points: int, seed: int) -> list[tuple[str, float
 
 
 def _finish_theory_check(config: dict) -> None:
+    thresholds = config["thresholds"]
+    if type(thresholds) is not dict or any(type(v) not in _NUMBER for v in thresholds.values()):
+        raise _usage(f"config key 'thresholds' must be an object of numbers, got {thresholds!r}")
     _check_names(config["checks"], _THEORY_CHECKS, "checks")
     if not (0.0 < config["c"]):
         raise _usage(f"c must be positive, got {config['c']}")
 
 
 def cmd_theory_check(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int, list]:
-    thresholds = dict(_DEFAULT_THRESHOLDS)
-    thresholds.update(config.get("thresholds", {}))
+    thresholds = {**_DEFAULT_THRESHOLDS, **config["thresholds"]}
     c = float(config["c"])
     p = int(config["p"])
     check_seed = int(config["seed"])
@@ -534,6 +536,13 @@ def cmd_theory_check(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[
 # ---------------------------------------------------------------------------
 
 
+def _finish_pipeline(config: dict) -> None:
+    _need_input(config)
+    assets = config["assets"]
+    if not (assets is None or type(assets) is list and all(type(a) is str for a in assets)):
+        raise _usage(f"config key 'assets' must be a list of strings or null, got {assets!r}")
+
+
 def cmd_pipeline(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int, list]:
     try:
         rolling = RollingConfig(
@@ -545,7 +554,7 @@ def cmd_pipeline(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
             winsor_quantiles=tuple(config["winsor_quantiles"]),
             kinds=tuple(config["kinds"]),
             level=float(config["level"]),
-            assets=None if config.get("assets") is None else tuple(config["assets"]),
+            assets=config["assets"],
         )
     except InputValidationError as exc:
         raise _usage(f"invalid pipeline config: {exc}") from None
@@ -666,7 +675,7 @@ _COMMANDS = {
             ("--level", "level", float, "CI level (default 0.95)"),
             ("--winsor", "winsor_quantiles", _winsor, "winsor quantiles 'low,high'"),
         ),
-        finish=_need_input,
+        finish=_finish_pipeline,
     ),
 }
 

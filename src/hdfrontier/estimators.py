@@ -45,7 +45,7 @@ from .errors import (
     TooFewObservations,
     ZeroTrace,
 )
-from .frontier import FrontierParams, MertonConstants, _quadratic_forms, from_merton
+from .frontier import FrontierParams, MertonConstants, _quadratic_forms, from_merton, to_merton
 
 __all__ = [
     "ReturnsMatrix",
@@ -322,11 +322,8 @@ def unbiased_frontier(moments: SampleMoments) -> EstimateReport:
     v_u = base.v_gmv * n / (n - p)
     s_u = base.slope * (n - p - 1) / n - (p - 1) / n
     params = FrontierParams(base.r_gmv, v_u, s_u, validate=False)
-    merton = MertonConstants(
-        s_u + base.r_gmv**2 / v_u, base.r_gmv / v_u, 1.0 / v_u, validate=False
-    )
     notes = ("negative-slope",) if s_u < 0 else ()
-    return _report(EstimatorKind.UNBIASED, merton, moments, params, notes)
+    return _report(EstimatorKind.UNBIASED, to_merton(params), moments, params, notes)
 
 
 def _require_trace(moments: SampleMoments) -> float:

@@ -260,6 +260,13 @@ def frontier_variance_at(params: FrontierParams, r: float) -> float:
     return params.v_gmv + dev * dev / params.slope
 
 
+def _upper_branch(params: FrontierParams, v: np.ndarray) -> np.ndarray:
+    """``r_gmv + sqrt(slope (v - v_gmv))`` per ``v``: NaN left of the vertex, flat if slope < 0."""
+    gap = v - params.v_gmv
+    slope = max(params.slope, 0.0)
+    return np.where(gap >= 0.0, params.r_gmv + np.sqrt(np.maximum(slope * gap, 0.0)), np.nan)
+
+
 def frontier_curve(params: FrontierParams, v_max: float, n_points: int = 65) -> np.ndarray:
     """Upper frontier branch sampled on an even variance grid.
 
@@ -282,5 +289,4 @@ def frontier_curve(params: FrontierParams, v_max: float, n_points: int = 65) -> 
     if n_points < 2:
         raise InvalidRange(f"n_points must be at least 2, got {n_points}")
     v = np.linspace(params.v_gmv, v_max, n_points)
-    r = params.r_gmv + np.sqrt(np.maximum(params.slope * (v - params.v_gmv), 0.0))
-    return np.column_stack([v, r])
+    return np.column_stack([v, _upper_branch(params, v)])

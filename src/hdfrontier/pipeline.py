@@ -44,7 +44,7 @@ from .estimators import (
     _estimate_each,
     sample_moments,
 )
-from .frontier import FrontierParams, MertonConstants
+from .frontier import FrontierParams, to_merton
 from .inference import ConfidenceIntervals, confidence_intervals
 
 __all__ = [
@@ -215,6 +215,13 @@ def _parse_timestamp(cell: str, line: int) -> dt.datetime:
         raise ParseError(f"unparseable timestamp {text!r}: {exc}", line=line) from None
 
 
+def _mode(values):
+    """The most common of ``values``, the smallest among the ties."""
+    tally = Counter(values)
+    top = max(tally.values())
+    return min(value for value, count in tally.items() if count == top)
+
+
 def ingest_csv(source) -> ReturnPanel:
     """Read a return panel from ``timestamp,ASSET1,ASSET2,...`` CSV.
 
@@ -294,14 +301,11 @@ def ingest_csv(source) -> ReturnPanel:
     ]
     if not diffs:
         diffs = [(b - a).total_seconds() / 60.0 for a, b in zip(timestamps, timestamps[1:])]
-    tally = Counter(diffs)
-    top = max(tally.values())
-    frequency = min(d for d, count in tally.items() if count == top)
     return ReturnPanel(
         timestamps=tuple(timestamps),
         values=np.array(rows),
         asset_labels=labels,
-        frequency_minutes=frequency,
+        frequency_minutes=_mode(diffs),
         dropped_rows=dropped,
     )
 
@@ -425,18 +429,8 @@ def scale_to_horizon(
     r = report.params.r_gmv * factor
     v = report.params.v_gmv * factor
     s = report.params.slope
-    valid = s >= 0.0
-    params = FrontierParams(r, v, s, validate=valid)
-    merton = MertonConstants(s + r * r / v, r / v, 1.0 / v, validate=valid)
-    return EstimateReport(
-        kind=report.kind,
-        params=params,
-        merton=merton,
-        p=report.p,
-        n=report.n,
-        ratio=report.ratio,
-        notes=report.notes,
-    )
+    params = FrontierParams(r, v, s, validate=s >= 0.0)
+    return replace(report, params=params, merton=to_merton(params))
 
 
 def _scaled_intervals(cis: ConfidenceIntervals, factor: float) -> ConfidenceIntervals:
@@ -452,9 +446,7 @@ def _scaled_intervals(cis: ConfidenceIntervals, factor: float) -> ConfidenceInte
 
 
 def _modal_day_length(panel: ReturnPanel) -> int:
-    counts = Counter(len(day) for day in _day_slices(panel.timestamps))
-    top = max(counts.values())
-    return min(length for length, c in counts.items() if c == top)
+    return _mode(len(day) for day in _day_slices(panel.timestamps))
 
 
 def rolling_estimate(

@@ -47,7 +47,7 @@ from .estimators import (
     estimate_many,
     sample_moments,
 )
-from .frontier import FrontierParams, frontier_params
+from .frontier import FrontierParams, _upper_branch, frontier_params
 from .inference import asymptotic_variances
 from .pipeline import _write_csv
 
@@ -199,16 +199,6 @@ def _sqrt_factor(sigma: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.linalg.cholesky(sigma), False
 
 
-def _scale_shift(x: np.ndarray, mu: np.ndarray, factor: np.ndarray, diagonal: bool) -> np.ndarray:
-    """``factor x + mu`` for each ``(p, n)`` panel of ``x``, in place when ``factor`` is diagonal."""
-    if diagonal:
-        x *= factor[:, None]
-    else:
-        x = factor @ x
-    x += mu[:, None]
-    return x
-
-
 def _draw_normal(rng: np.random.Generator, out: np.ndarray) -> None:
     rng.standard_normal(out=out)
 
@@ -219,33 +209,6 @@ _T3_SCALE = math.sqrt(1.0 / 3.0)
 
 def _draw_t3(rng: np.random.Generator, out: np.ndarray) -> None:
     np.multiply(rng.standard_t(3, size=out.shape), _T3_SCALE, out=out)
-
-
-def _generate_iid(spec, mu, sigma, rng, draw) -> ReturnsMatrix:
-    if rng is None:
-        rng = _rng_for(spec.seed, _DOMAIN_REPLICATION, 0)
-    x = np.empty((spec.p, spec.n))
-    draw(rng, x)
-    return ReturnsMatrix(_scale_shift(x, mu, *_sqrt_factor(sigma)))
-
-
-def generate_normal(
-    spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray, rng=None
-) -> ReturnsMatrix:
-    """i.i.d. Gaussian columns with mean ``mu`` and covariance ``sigma``."""
-    return _generate_iid(spec, mu, sigma, rng, _draw_normal)
-
-
-def generate_t3(
-    spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray, rng=None
-) -> ReturnsMatrix:
-    """i.i.d. t(3) columns scaled so each entry has variance one.
-
-    The scale acts on the variance (factor 1/3), giving
-    ``Var = (1/3) * 3/(3-2) = 1`` per entry, so every column has covariance
-    ``sigma`` exactly — while fourth moments remain infinite.
-    """
-    return _generate_iid(spec, mu, sigma, rng, _draw_t3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,6 +277,78 @@ def garch_state(spec: ScenarioSpec, sigma: np.ndarray) -> GarchState:
     return GarchState(h=variances.copy(), alpha0=alpha0, alpha1=alpha1, beta1=beta1, corr=corr)
 
 
+def _sampler(scenario: Scenario, spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray):
+    """``fill(x, rngs)``: one finished ``(p, n)`` panel of ``scenario`` per slot of ``x``.
+
+    Slot ``i`` of the ``(B, p, n)`` stack ``x`` draws from the ``i``-th
+    generator of ``rngs``.  What depends on the population only (the
+    covariance factor, and for CCC-GARCH the coefficients and the factor of
+    their correlation matrix) is computed here, once per sampler.
+    """
+    if scenario is not Scenario.CCC_GARCH:
+        draw = _draw_normal if scenario is Scenario.NORMAL else _draw_t3
+        factor, diagonal = _sqrt_factor(sigma)
+
+        def fill(x: np.ndarray, rngs) -> None:
+            for slot, rng in zip(x, rngs):
+                draw(rng, slot)
+            if diagonal:
+                x *= factor[:, None]
+            else:
+                x[...] = factor @ x
+            x += mu[:, None]
+
+        return fill
+
+    state = garch_state(spec, sigma)
+    factor, diagonal = _sqrt_factor(state.corr)
+    total = spec.burn_in + spec.n
+
+    def fill(x: np.ndarray, rngs) -> None:
+        for out, rng in zip(x, rngs):
+            # row t holds step t's draws: the same stream as one draw of p per step
+            shocks = rng.standard_normal((total, spec.p))
+            if diagonal:
+                shocks *= factor
+            h = state.h
+            for t in range(total):
+                eps = shocks[t] if diagonal else factor @ shocks[t]
+                centered = np.sqrt(h) * eps
+                if t >= spec.burn_in:
+                    out[:, t - spec.burn_in] = centered + mu
+                h = state.alpha0 + state.alpha1 * centered**2 + state.beta1 * h
+
+    return fill
+
+
+def _generate(scenario: Scenario, spec, mu, sigma, rng) -> ReturnsMatrix:
+    """One panel of ``scenario``, from replication stream 0 unless ``rng`` is given."""
+    if rng is None:
+        rng = _rng_for(spec.seed, _DOMAIN_REPLICATION, 0)
+    x = np.empty((1, spec.p, spec.n))
+    _sampler(scenario, spec, mu, sigma)(x, [rng])
+    return ReturnsMatrix(x[0])
+
+
+def generate_normal(
+    spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray, rng=None
+) -> ReturnsMatrix:
+    """i.i.d. Gaussian columns with mean ``mu`` and covariance ``sigma``."""
+    return _generate(Scenario.NORMAL, spec, mu, sigma, rng)
+
+
+def generate_t3(
+    spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray, rng=None
+) -> ReturnsMatrix:
+    """i.i.d. t(3) columns scaled so each entry has variance one.
+
+    The scale acts on the variance (factor 1/3), giving
+    ``Var = (1/3) * 3/(3-2) = 1`` per entry, so every column has covariance
+    ``sigma`` exactly — while fourth moments remain infinite.
+    """
+    return _generate(Scenario.STUDENT_T3, spec, mu, sigma, rng)
+
+
 def generate_ccc_garch(
     spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray, rng=None
 ) -> ReturnsMatrix:
@@ -327,41 +362,14 @@ def generate_ccc_garch(
     of the innovations.  The recursion starts at the unconditional
     variances and a burn-in of ``spec.burn_in`` steps is discarded.
     """
-    if rng is None:
-        rng = _rng_for(spec.seed, _DOMAIN_REPLICATION, 0)
-    state = garch_state(spec, sigma)
-    factor, diagonal = _sqrt_factor(state.corr)
-    h = state.h.copy()
-    out = np.empty((spec.p, spec.n))
-    total = spec.burn_in + spec.n
-    # row t holds step t's draws: the same stream as one draw of p per step
-    shocks = rng.standard_normal((total, spec.p))
-    if diagonal:
-        shocks *= factor
-    for t in range(total):
-        eps = shocks[t] if diagonal else factor @ shocks[t]
-        centered = np.sqrt(h) * eps
-        if t >= spec.burn_in:
-            out[:, t - spec.burn_in] = centered + mu
-        h = state.alpha0 + state.alpha1 * centered**2 + state.beta1 * h
-    return ReturnsMatrix(out)
-
-
-_GENERATORS = {
-    Scenario.NORMAL: generate_normal,
-    Scenario.STUDENT_T3: generate_t3,
-    Scenario.CCC_GARCH: generate_ccc_garch,
-}
-
-#: scenarios whose replications draw straight into the engine's buffer
-_IID_DRAWS = {Scenario.NORMAL: _draw_normal, Scenario.STUDENT_T3: _draw_t3}
+    return _generate(Scenario.CCC_GARCH, spec, mu, sigma, rng)
 
 
 def generate_returns(
     spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray, rng=None
 ) -> ReturnsMatrix:
     """Dispatch to the spec's scenario generator."""
-    return _GENERATORS[spec.scenario](spec, mu, sigma, rng)
+    return _generate(spec.scenario, spec, mu, sigma, rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,29 +427,22 @@ def _chunk_size(p: int, n: int) -> int:
 def _replicate_span(spec, kinds, mu, sigma, start, stop) -> tuple[dict, dict]:
     """Replications ``start`` to ``stop - 1``, chunk by chunk.  Top-level for pickling.
 
-    Each replication draws from its own generator into its slice of one
-    ``(chunk, p, n)`` buffer; the chunk is then scaled, shifted and reduced
-    to sample moments in stacked steps, and each replication's moments go
-    through the estimators on their own.  Returns ``(estimates, reasons)``:
+    The span's one sampler, built here in the worker, fills each
+    ``(chunk, p, n)`` buffer with one panel per replication, drawn from that
+    replication's own generator; the chunk is reduced to sample moments in
+    one stacked step, and each replication's moments go through the
+    estimators on their own.  Returns ``(estimates, reasons)``:
     ``estimates[kind]`` has one ``(r, v, s)`` row per replication, NaN when
     the kind failed, and ``reasons[kind]`` counts failures by class name.
     """
     size = _chunk_size(spec.p, spec.n)
-    draw = _IID_DRAWS.get(spec.scenario)
-    factor, diagonal = _sqrt_factor(sigma)
+    fill = _sampler(spec.scenario, spec, mu, sigma)
     estimates = {kind: np.full((stop - start, 3), np.nan) for kind in kinds}
     reasons = {kind: Counter() for kind in kinds}
     buffer = np.empty((min(size, stop - start), spec.p, spec.n))
     for first in range(start, stop, size):
         x = buffer[: min(size, stop - first)]
-        for slot, index in enumerate(range(first, first + len(x))):
-            rng = _rng_for(spec.seed, _DOMAIN_REPLICATION, index)
-            if draw is None:
-                x[slot] = generate_ccc_garch(spec, mu, sigma, rng).values
-            else:
-                draw(rng, x[slot])
-        if draw is not None:
-            x = _scale_shift(x, mu, factor, diagonal)
+        fill(x, (_rng_for(spec.seed, _DOMAIN_REPLICATION, first + k) for k in range(len(x))))
         means, covs = _moments(x)
         for slot in range(len(x)):
             moments = SampleMoments(mean=means[slot], cov=covs[slot], n=spec.n, p=spec.p)
@@ -614,19 +615,11 @@ def frontier_comparison(
         raise InvalidRange(f"v_max must exceed the population v_gmv, got {v_max}")
     if n_points < 2:
         raise InvalidRange(f"need n_points >= 2, got {n_points}")
-    rng = _rng_for(spec.seed, _DOMAIN_REPLICATION, 0)
-    data = generate_returns(spec, mu, sigma, rng)
-    reports = estimate_many(sample_moments(data), kinds)
+    reports = estimate_many(sample_moments(generate_returns(spec, mu, sigma)), kinds)
     grid = np.linspace(truth.v_gmv, v_max, n_points)
-
-    def curve(params: FrontierParams) -> np.ndarray:
-        gap = grid - params.v_gmv
-        slope = max(params.slope, 0.0)
-        return np.where(gap >= 0.0, params.r_gmv + np.sqrt(np.maximum(slope * gap, 0.0)), np.nan)
-
-    curves = {"population": curve(truth)}
+    curves = {"population": _upper_branch(truth, grid)}
     for kind in kinds:
-        curves[kind.value] = curve(reports[kind].params)
+        curves[kind.value] = _upper_branch(reports[kind].params, grid)
     return FrontierComparison(spec=spec, truth=truth, grid=grid, curves=curves, reports=reports)
 
 

@@ -508,6 +508,16 @@ class TestUsageErrors:
             (["pipeline", "--input", "x.csv"], {"winsor_quantiles": [0.1]}, "'winsor_quantiles'"),
             (["pipeline", "--input", "x.csv"], {"winsor_quantiles": ["0", "1"]}, "'winsor_quantiles'"),
             (["frontier", "--mu", "[0.0, 0.3]", "--sigma", "[1.0, 2.0]"], {"curve": 1}, "'curve'"),
+            (
+                ["theory-check"],
+                {"thresholds": {"x-test-point": "a"}, "checks": ["transforms"], "points": 3},
+                "'thresholds' must be an object of numbers",
+            ),
+            (
+                ["pipeline", "--input", "x.csv"], {"assets": "A0A1", "p": 2, "n": 60},
+                "'assets' must be a list of strings or null",
+            ),
+            (["simulate", "--p", "10", "--c", "1e-320"], None, "p / c finite"),
         ],
     )
     def test_exit_2_without_run_directory(self, tmp_path, capsys, args, config, message):

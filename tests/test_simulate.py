@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from hdfrontier import (
     run_monte_carlo,
     sample_moments,
 )
+from hdfrontier import simulate
 from hdfrontier.estimators import _estimate_each
 from hdfrontier.simulate import (
     GarchState,
@@ -175,6 +177,74 @@ class TestGenerators:
             )
 
 
+def _stream(seed, *key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _non_diagonal(p):
+    """A dense positive definite covariance with unequal variances."""
+    a = _stream(99).standard_normal((p, p))
+    return a @ a.T / p + np.diag(np.linspace(0.5, 2.0, p))
+
+
+class TestGeneratorOracle:
+    """The public generators, bit for bit, against draws written out by hand.
+
+    Each expected panel comes from the replication-0 stream of the spec's seed
+    (spawn key ``(2, 0)``) and, for CCC-GARCH, the coefficient stream
+    (spawn key ``(1,)``), without calling into the package's samplers.
+    """
+
+    P, N = 6, 25
+
+    def population(self, scenario, diagonal):
+        spec = ScenarioSpec(scenario=scenario, p=self.P, n=self.N, seed=17, burn_in=40)
+        mu, sigma = build_population(spec)
+        return spec, mu, sigma if diagonal else _non_diagonal(self.P)
+
+    @staticmethod
+    def scale_shift(z, mu, sigma, diagonal):
+        if diagonal:
+            return np.sqrt(np.diag(sigma))[:, None] * z + mu[:, None]
+        return np.linalg.cholesky(sigma) @ z + mu[:, None]
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_normal(self, diagonal):
+        spec, mu, sigma = self.population("normal", diagonal)
+        z = _stream(spec.seed, 2, 0).standard_normal((self.P, self.N))
+        expected = self.scale_shift(z, mu, sigma, diagonal)
+        assert np.array_equal(generate_normal(spec, mu, sigma).values, expected)
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_t3(self, diagonal):
+        spec, mu, sigma = self.population("t3", diagonal)
+        z = _stream(spec.seed, 2, 0).standard_t(3, size=(self.P, self.N)) * math.sqrt(1 / 3)
+        expected = self.scale_shift(z, mu, sigma, diagonal)
+        assert np.array_equal(generate_t3(spec, mu, sigma).values, expected)
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_ccc_garch(self, diagonal):
+        spec, mu, sigma = self.population("ccc-garch", diagonal)
+        coefficients = _stream(spec.seed, 1)
+        alpha1 = coefficients.uniform(*spec.alpha1_range, size=self.P)
+        beta1 = coefficients.uniform(*spec.beta1_range, size=self.P)
+        variances = np.diag(sigma)
+        alpha0 = variances * (1.0 - alpha1 - beta1)
+        scale = np.sqrt(variances)
+        chol = np.linalg.cholesky(sigma / np.outer(scale, scale))
+        rng = _stream(spec.seed, 2, 0)
+        h = variances
+        expected = np.empty((self.P, self.N))
+        for t in range(spec.burn_in + self.N):
+            shock = rng.standard_normal(self.P)  # one draw of p per step
+            eps = chol @ shock  # also for diagonal sigma, whose corr diagonal is 1 to an ulp
+            centered = np.sqrt(h) * eps
+            if t >= spec.burn_in:
+                expected[:, t - spec.burn_in] = centered + mu
+            h = alpha0 + alpha1 * centered**2 + beta1 * h
+        assert np.array_equal(generate_ccc_garch(spec, mu, sigma).values, expected)
+
+
 class TestGarch:
     def test_state_starts_at_unconditional_variance(self):
         spec = ScenarioSpec(scenario="ccc-garch", p=6, n=20, seed=7)
@@ -314,10 +384,7 @@ def _reference_run(spec, reps, kinds):
     reasons = {kind: {} for kind in kinds}
     for index in range(reps):
         mu, sigma = build_population(spec)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(spec.seed, spawn_key=(2, index))
-        )
-        moments = sample_moments(generate_returns(spec, mu, sigma, rng))
+        moments = sample_moments(generate_returns(spec, mu, sigma, _stream(spec.seed, 2, index)))
         reports, errors = _estimate_each(moments, kinds)
         for kind, report in reports.items():
             params = report.params
@@ -416,6 +483,20 @@ class TestChunkedEngine:
         serial = run_monte_carlo(spec, reps, ["consistent"])
         kind = EstimatorKind.CONSISTENT
         assert np.array_equal(result.estimates[kind], serial.estimates[kind])
+
+    @pytest.mark.parametrize("reps", [1, 41])
+    def test_garch_population_state_drawn_once(self, monkeypatch, reps):
+        # the coefficients and the correlation factor are per run, not per
+        # replication: one call each whatever the number of chunks
+        calls = Counter()
+        for name in ("garch_state", "_sqrt_factor"):
+            def counted(*args, _name=name, _original=getattr(simulate, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(simulate, name, counted)
+        run_monte_carlo(self.spec("ccc-garch"), reps, ["sample"], jobs=1)
+        assert calls == {"garch_state": 1, "_sqrt_factor": 1}
 
     def test_failure_reasons_by_class(self):
         spec = ScenarioSpec(scenario="normal", p=10, n=12, seed=4)
