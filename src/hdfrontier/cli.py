@@ -416,6 +416,8 @@ def _finish_simulate(config: dict) -> None:
         config["n"] = 2 * p if c is None else round(p / c)
     if p < 2 or config["n"] < 2:
         raise _usage(f"simulate needs p >= 2 and n >= 2, got p={p}, n={config['n']}")
+    if p * config["n"] * 8 > sys.maxsize:
+        raise _usage(f"a p x n float64 panel is not addressable, got p={p}, n={config['n']}")
     config["c"] = p / config["n"]
     _check_names(config["outputs"], _SIMULATE_OUTPUTS, "outputs")
     if config["reps"] < 1:

@@ -277,6 +277,11 @@ def garch_state(spec: ScenarioSpec, sigma: np.ndarray) -> GarchState:
     return GarchState(h=variances.copy(), alpha0=alpha0, alpha1=alpha1, beta1=beta1, corr=corr)
 
 
+#: steps of CCC-GARCH shocks each replication draws at a time: consecutive
+#: blocks give the same stream as one draw, and the buffers stay small
+_GARCH_BLOCK = 50
+
+
 def _sampler(scenario: Scenario, spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray):
     """``fill(x, rngs)``: one finished ``(p, n)`` panel of ``scenario`` per slot of ``x``.
 
@@ -284,6 +289,14 @@ def _sampler(scenario: Scenario, spec: ScenarioSpec, mu: np.ndarray, sigma: np.n
     generator of ``rngs``.  What depends on the population only (the
     covariance factor, and for CCC-GARCH the coefficients and the factor of
     their correlation matrix) is computed here, once per sampler.
+
+    The CCC-GARCH recursion advances all ``B`` slots together, one step at a
+    time, over flat ``(B * p,)`` state, with the same elementwise operations
+    in the same order as a one-slot recursion, so each panel is bit for bit
+    the one its generator gives alone.  Each slot draws its shocks in blocks
+    of ``_GARCH_BLOCK`` steps, step ``t``'s ``p`` normals after step
+    ``t - 1``'s; a non-diagonal correlation factor is applied per slot and
+    per step, as one matrix-vector product.
     """
     if scenario is not Scenario.CCC_GARCH:
         draw = _draw_normal if scenario is Scenario.NORMAL else _draw_t3
@@ -302,21 +315,42 @@ def _sampler(scenario: Scenario, spec: ScenarioSpec, mu: np.ndarray, sigma: np.n
 
     state = garch_state(spec, sigma)
     factor, diagonal = _sqrt_factor(state.corr)
-    total = spec.burn_in + spec.n
+    p, n, burn_in = spec.p, spec.n, spec.burn_in
+    total = burn_in + n
 
     def fill(x: np.ndarray, rngs) -> None:
-        for out, rng in zip(x, rngs):
-            # row t holds step t's draws: the same stream as one draw of p per step
-            shocks = rng.standard_normal((total, spec.p))
+        rngs = list(rngs)
+        size = len(x)
+        alpha0, alpha1, beta1, h = (
+            np.tile(v, size) for v in (state.alpha0, state.alpha1, state.beta1, state.h)
+        )
+        work = np.empty(size * p)
+        burned = np.empty(size * p)  # the centered returns of a burn-in step
+        kept = np.empty((n, size * p))  # time-major: row t is step burn_in + t of every slot
+        draws = np.empty((size, _GARCH_BLOCK, p))
+        shocks = np.empty((_GARCH_BLOCK, size, p))  # row i is every slot's eps of one step
+        for start in range(0, total, _GARCH_BLOCK):
+            steps = min(_GARCH_BLOCK, total - start)
+            for block, rng in zip(draws, rngs):
+                rng.standard_normal(out=block[:steps])
             if diagonal:
-                shocks *= factor
-            h = state.h
-            for t in range(total):
-                eps = shocks[t] if diagonal else factor @ shocks[t]
-                centered = np.sqrt(h) * eps
-                if t >= spec.burn_in:
-                    out[:, t - spec.burn_in] = centered + mu
-                h = state.alpha0 + state.alpha1 * centered**2 + state.beta1 * h
+                np.multiply(draws[:, :steps].transpose(1, 0, 2), factor, out=shocks[:steps])
+            else:
+                for i in range(steps):
+                    for slot in range(size):
+                        np.matmul(factor, draws[slot, i], out=shocks[i, slot])
+            for t, eps in enumerate(shocks[:steps].reshape(steps, size * p), start):
+                centered = kept[t - burn_in] if t >= burn_in else burned
+                # positional outputs: the ufuncs' fastest calling path
+                np.sqrt(h, work)
+                np.multiply(work, eps, centered)
+                # h = alpha0 + alpha1 * centered**2 + beta1 * h, in that order
+                np.square(centered, work)
+                np.multiply(alpha1, work, work)
+                np.add(alpha0, work, work)
+                np.multiply(beta1, h, h)
+                np.add(work, h, h)
+        np.add(kept.reshape(n, size, p).transpose(1, 2, 0), mu[:, None], out=x)
 
     return fill
 
@@ -414,9 +448,10 @@ class MonteCarloResult:
         return np.nanquantile(losses, qs, axis=0)
 
 
-#: byte cap on one chunk's draws and covariances: 54 replications at
-#: p=10, n=50 and one at p=500, n=1000
-_CHUNK_BYTES = 1 << 18
+#: byte cap on one chunk's draws and covariances: 218 replications at
+#: p=10, n=50, 4 at p=100, n=200 (so the CCC-GARCH recursion advances
+#: several at once) and one at p=500, n=1000
+_CHUNK_BYTES = 1 << 20
 
 
 def _chunk_size(p: int, n: int) -> int:

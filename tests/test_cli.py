@@ -518,6 +518,7 @@ class TestUsageErrors:
                 "'assets' must be a list of strings or null",
             ),
             (["simulate", "--p", "10", "--c", "1e-320"], None, "p / c finite"),
+            (["simulate", "--p", "10", "--c", "1e-300"], None, "not addressable, got p=10, n="),
         ],
     )
     def test_exit_2_without_run_directory(self, tmp_path, capsys, args, config, message):

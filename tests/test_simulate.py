@@ -187,6 +187,28 @@ def _non_diagonal(p):
     return a @ a.T / p + np.diag(np.linspace(0.5, 2.0, p))
 
 
+def _garch_reference(spec, mu, sigma, rng):
+    """The CCC-GARCH(1,1) recursion written out step by step: coefficients
+    from the coefficient stream (spawn key ``(1,)``), shocks from ``rng``."""
+    coefficients = _stream(spec.seed, 1)
+    alpha1 = coefficients.uniform(*spec.alpha1_range, size=spec.p)
+    beta1 = coefficients.uniform(*spec.beta1_range, size=spec.p)
+    variances = np.diag(sigma)
+    alpha0 = variances * (1.0 - alpha1 - beta1)
+    scale = np.sqrt(variances)
+    chol = np.linalg.cholesky(sigma / np.outer(scale, scale))
+    h = variances
+    expected = np.empty((spec.p, spec.n))
+    for t in range(spec.burn_in + spec.n):
+        shock = rng.standard_normal(spec.p)  # one draw of p per step
+        eps = chol @ shock  # also for diagonal sigma, whose corr diagonal is 1 to an ulp
+        centered = np.sqrt(h) * eps
+        if t >= spec.burn_in:
+            expected[:, t - spec.burn_in] = centered + mu
+        h = alpha0 + alpha1 * centered**2 + beta1 * h
+    return expected
+
+
 class TestGeneratorOracle:
     """The public generators, bit for bit, against draws written out by hand.
 
@@ -225,24 +247,34 @@ class TestGeneratorOracle:
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_ccc_garch(self, diagonal):
         spec, mu, sigma = self.population("ccc-garch", diagonal)
-        coefficients = _stream(spec.seed, 1)
-        alpha1 = coefficients.uniform(*spec.alpha1_range, size=self.P)
-        beta1 = coefficients.uniform(*spec.beta1_range, size=self.P)
-        variances = np.diag(sigma)
-        alpha0 = variances * (1.0 - alpha1 - beta1)
-        scale = np.sqrt(variances)
-        chol = np.linalg.cholesky(sigma / np.outer(scale, scale))
-        rng = _stream(spec.seed, 2, 0)
-        h = variances
-        expected = np.empty((self.P, self.N))
-        for t in range(spec.burn_in + self.N):
-            shock = rng.standard_normal(self.P)  # one draw of p per step
-            eps = chol @ shock  # also for diagonal sigma, whose corr diagonal is 1 to an ulp
-            centered = np.sqrt(h) * eps
-            if t >= spec.burn_in:
-                expected[:, t - spec.burn_in] = centered + mu
-            h = alpha0 + alpha1 * centered**2 + beta1 * h
+        expected = _garch_reference(spec, mu, sigma, _stream(spec.seed, 2, 0))
         assert np.array_equal(generate_ccc_garch(spec, mu, sigma).values, expected)
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize(
+        ("burn_in", "n"),
+        [
+            (0, 25),  # no burn-in: the first step is kept
+            (simulate._GARCH_BLOCK + 23, 25),  # burn-in ends inside a draw block
+            (9, simulate._GARCH_BLOCK // 2 - 3),  # every step in one partial block
+        ],
+    )
+    def test_batched_ccc_garch_fill(self, diagonal, burn_in, n):
+        # a (B, p, n) fill advances B replications together; each slot must
+        # be the panel its generator gives alone, and the written-out one
+        spec = ScenarioSpec(scenario="ccc-garch", p=self.P, n=n, seed=17, burn_in=burn_in)
+        mu, sigma = build_population(spec)
+        if not diagonal:
+            sigma = _non_diagonal(self.P)
+        fill = simulate._sampler(Scenario.CCC_GARCH, spec, mu, sigma)
+        slots = 3
+        batch = np.empty((slots, self.P, n))
+        fill(batch, (_stream(spec.seed, 2, k) for k in range(slots)))
+        for k in range(slots):
+            alone = np.empty((1, self.P, n))
+            fill(alone, [_stream(spec.seed, 2, k)])
+            assert np.array_equal(batch[k], alone[0])
+            assert np.array_equal(batch[k], _garch_reference(spec, mu, sigma, _stream(spec.seed, 2, k)))
 
 
 class TestGarch:
@@ -398,15 +430,17 @@ def _reference_run(spec, reps, kinds):
 class TestChunkedEngine:
     """run_monte_carlo against the one-replication-at-a-time reference."""
 
-    # p=20, n=60 gives chunks of 20 replications
+    # p=20, n=60 gives chunks of SIZE replications
     P, N = 20, 60
+    SIZE = 81
 
     def spec(self, scenario, seed=21, n=None):
         return ScenarioSpec(scenario=scenario, p=self.P, n=n or self.N, seed=seed, burn_in=30)
 
     def test_chunk_size_depends_on_shape_only(self):
-        assert _chunk_size(self.P, self.N) == 20
-        assert _chunk_size(10, 50) == 54
+        assert _chunk_size(self.P, self.N) == self.SIZE == 81
+        assert _chunk_size(10, 50) == 218
+        assert _chunk_size(100, 200) == 4
         assert _chunk_size(500, 1000) == 1
 
     @pytest.mark.parametrize("scenario", ["normal", "t3", "ccc-garch"])
@@ -449,7 +483,11 @@ class TestChunkedEngine:
             assert np.array_equal(serial.estimates[kind], parallel.estimates[kind])
         assert serial.failure_reasons == parallel.failure_reasons
 
-    @pytest.mark.parametrize(("jobs", "reps", "workers"), [(2, 101, 2), (8, 41, 3), (4, 20, 0), (0, 41, 0)])
+    # 6, 3, 1 and 3 chunks
+    @pytest.mark.parametrize(
+        ("jobs", "reps", "workers"),
+        [(2, 5 * SIZE + 1, 2), (8, 2 * SIZE + 1, 3), (4, SIZE, 0), (0, 2 * SIZE + 1, 0)],
+    )
     def test_pool_never_exceeds_jobs(self, monkeypatch, jobs, reps, workers):
         started = []
 
@@ -484,7 +522,7 @@ class TestChunkedEngine:
         kind = EstimatorKind.CONSISTENT
         assert np.array_equal(result.estimates[kind], serial.estimates[kind])
 
-    @pytest.mark.parametrize("reps", [1, 41])
+    @pytest.mark.parametrize("reps", [1, 41, 2 * SIZE + 1])
     def test_garch_population_state_drawn_once(self, monkeypatch, reps):
         # the coefficients and the correlation factor are per run, not per
         # replication: one call each whatever the number of chunks
