@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CholeskyFailure, EmptyPanel, HDFrontierError, InputValidationError, ParseError
-from .estimators import EstimatorKind, ReturnsMatrix, estimate, sample_moments
+from .estimators import EstimatorKind, ReturnsMatrix, _estimate_each, sample_moments
 from .frontier import frontier_curve, from_merton, merton_constants
 from .inference import confidence_intervals
 from .pipeline import RollingConfig, _write_csv, ingest_csv, rolling_estimate, write_rolling_csv
@@ -133,9 +133,13 @@ class RunManifest:
     exit_code: int | None = None
 
     def write(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(dataclasses.asdict(self), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(path, dataclasses.asdict(self), sort_keys=True)
+
+
+def _write_json(path, payload, sort_keys: bool = False) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=sort_keys)
+        handle.write("\n")
 
 
 def _now() -> str:
@@ -300,7 +304,7 @@ def _finish_frontier(config: dict) -> None:
         )
 
 
-def cmd_frontier(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int, list]:
+def cmd_frontier(config: dict, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
     try:
         mu = np.asarray(config["mu"], dtype=float)
         sigma = np.asarray(config["sigma"], dtype=float)
@@ -325,16 +329,14 @@ def cmd_frontier(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
         "slope": params.slope,
         "merton": {"a": constants.a, "b": constants.b, "c": constants.c},
     }
-    with open(os.path.join(run_dir, "frontier.json"), "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    outputs = ["frontier.json"]
+    _write_json(os.path.join(run_dir, "frontier.json"), summary, sort_keys=True)
+    outputs.append("frontier.json")
     if config["curve"]:
         v_max = 10.0 * params.v_gmv if config["v_max"] is None else config["v_max"]
         curve = frontier_curve(params, v_max, int(config["points"]))
         _write_csv(os.path.join(run_dir, "curve.csv"), ("V", "R"), curve)
         outputs.append("curve.csv")
-    return EXIT_OK, outputs
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -347,44 +349,32 @@ def _need_input(config: dict) -> None:
         raise _usage("a returns CSV is needed via --input (or config field 'input')")
 
 
-def cmd_estimate(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int, list]:
+def cmd_estimate(config: dict, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
     kinds = _parse_kinds(config["kinds"])
     try:
         panel = ingest_csv(config["input"])
     except (ParseError, EmptyPanel, OSError) as exc:
         raise _data(f"cannot ingest {config['input']}: {exc}") from None
-    matrix = ReturnsMatrix(panel.values.T, asset_labels=panel.asset_labels)
-    moments = sample_moments(matrix)
+    moments = sample_moments(ReturnsMatrix(panel.values.T, asset_labels=panel.asset_labels))
+    reports, errors = _estimate_each(moments, kinds)
     print(f"{'kind':<12}{'r_gmv':>14}{'v_gmv':>14}{'slope':>14}  notes")
     records = []
-    for kind in kinds:
-        try:
-            report = estimate(moments, kind)
-        except (CholeskyFailure, InputValidationError) as exc:
-            raise _data(f"estimator '{kind.value}' failed: {exc}") from None
+    for kind, report in reports.items():
+        params = report.params
         row = {
-            "kind": kind.value,
-            "r_gmv": report.params.r_gmv,
-            "v_gmv": report.params.v_gmv,
-            "slope": report.params.slope,
-            "p": report.p,
-            "n": report.n,
-            "ratio": report.ratio,
-            "notes": list(report.notes),
-            "cis": None,
+            "kind": kind.value, "r_gmv": params.r_gmv, "v_gmv": params.v_gmv,
+            "slope": params.slope, "p": report.p, "n": report.n, "ratio": report.ratio,
+            "notes": list(report.notes), "cis": None,
         }
-        note_text = ",".join(report.notes)
         print(
-            f"{kind.value:<12}{report.params.r_gmv:>14.6g}"
-            f"{report.params.v_gmv:>14.6g}{report.params.slope:>14.6g}  {note_text}"
+            f"{kind.value:<12}{params.r_gmv:>14.6g}{params.v_gmv:>14.6g}"
+            f"{params.slope:>14.6g}  {','.join(report.notes)}"
         )
         if kind is EstimatorKind.CONSISTENT:
             cis = confidence_intervals(report, level=float(config["level"]))
             row["cis"] = {
-                "level": cis.level,
-                "r_gmv": list(cis.ci_r),
-                "v_gmv": list(cis.ci_v),
-                "slope": list(cis.ci_s),
+                "level": cis.level, "r_gmv": list(cis.ci_r),
+                "v_gmv": list(cis.ci_v), "slope": list(cis.ci_s),
             }
             print(
                 f"{'':<12}CI({cis.level:g}) r_gmv [{_fmt(cis.ci_r[0])}, {_fmt(cis.ci_r[1])}]"
@@ -392,10 +382,17 @@ def cmd_estimate(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
                 f"  slope [{_fmt(cis.ci_s[0])}, {_fmt(cis.ci_s[1])}]"
             )
         records.append(row)
-    with open(os.path.join(run_dir, "estimates.json"), "w") as handle:
-        json.dump({"p": moments.p, "n": moments.n, "estimates": records}, handle, indent=2)
-        handle.write("\n")
-    return EXIT_OK, ["estimates.json"]
+    failures = [
+        {"kind": kind.value, "error": type(exc).__name__, "message": str(exc)}
+        for kind, exc in errors.items()
+    ]
+    payload = {"p": moments.p, "n": moments.n, "estimates": records, "failures": failures}
+    _write_json(os.path.join(run_dir, "estimates.json"), payload)
+    outputs.append("estimates.json")
+    if errors:  # the first failed kind, in request order, sets the exit
+        kind, exc = next(iter(errors.items()))
+        raise _data(f"estimator '{kind.value}' failed: {exc}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -409,22 +406,29 @@ def _finish_simulate(config: dict) -> None:
     except ValueError:
         valid = ", ".join(s.value for s in Scenario)
         raise _usage(f"unknown scenario {config['scenario']!r}; valid: {valid}") from None
-    p, c = config["p"], config["c"]
-    if config["n"] is None:
+    p, c, n = config["p"], config["c"], config["n"]
+    if n is None:
         if c is not None and not (c > 0 and math.isfinite(p / c)):
             raise _usage(f"--c must be positive with p / c finite, got {c}")
-        config["n"] = 2 * p if c is None else round(p / c)
-    if p < 2 or config["n"] < 2:
-        raise _usage(f"simulate needs p >= 2 and n >= 2, got p={p}, n={config['n']}")
-    if p * config["n"] * 8 > sys.maxsize:
-        raise _usage(f"a p x n float64 panel is not addressable, got p={p}, n={config['n']}")
-    config["c"] = p / config["n"]
+        n = config["n"] = 2 * p if c is None else round(p / c)
+    if p < 2 or n < 2:
+        raise _usage(f"simulate needs p >= 2 and n >= 2, got p={p}, n={n}")
+    try:  # one replication's panel must fit in physical memory
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        memory = -1
+    if p * n * 8 > (memory if memory > 0 else sys.maxsize):
+        raise _usage(f"a p x n panel beyond physical memory is not addressable, got p={p}, n={n}")
+    config["c"] = p / n
     _check_names(config["outputs"], _SIMULATE_OUTPUTS, "outputs")
+    kinds = _parse_kinds(config["kinds"])
+    if "histograms" in config["outputs"] and EstimatorKind.CONSISTENT not in kinds:
+        raise _usage("--outputs histograms needs the consistent kind in --kinds")
     if config["reps"] < 1:
         raise _usage(f"--reps must be >= 1, got {config['reps']}")
 
 
-def cmd_simulate(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int, list]:
+def cmd_simulate(config: dict, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
     spec = ScenarioSpec(
         scenario=Scenario(config["scenario"]),
         p=int(config["p"]),
@@ -432,7 +436,6 @@ def cmd_simulate(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
         seed=int(config["seed"]),
     )
     kinds = _parse_kinds(config["kinds"])
-    outputs: list[str] = []
     result = None
     wanted = config["outputs"]
     if "losses" in wanted or "histograms" in wanted:
@@ -459,7 +462,7 @@ def cmd_simulate(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
         comparison = frontier_comparison(spec, kinds, v_max=config.get("v_max"))
         write_frontier_csv(os.path.join(run_dir, "frontier.csv"), comparison)
         outputs.append("frontier.csv")
-    return EXIT_OK, outputs
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +501,7 @@ def _finish_theory_check(config: dict) -> None:
         raise _usage(f"c must be positive, got {config['c']}")
 
 
-def cmd_theory_check(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int, list]:
+def cmd_theory_check(config: dict, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
     thresholds = {**_DEFAULT_THRESHOLDS, **config["thresholds"]}
     c = float(config["c"])
     p = int(config["p"])
@@ -527,10 +530,9 @@ def cmd_theory_check(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[
         status = "pass" if record.passed else "FAIL"
         print(f"[{status}] {record.check}: value={record.value:.3e} threshold={record.threshold:g}")
     payload = {"passed": all_passed, "checks": [record.to_dict() for record in records]}
-    with open(os.path.join(run_dir, "diagnostics.json"), "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return (EXIT_OK if all_passed else EXIT_CHECK_FAILED), ["diagnostics.json"]
+    _write_json(os.path.join(run_dir, "diagnostics.json"), payload)
+    outputs.append("diagnostics.json")
+    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +547,7 @@ def _finish_pipeline(config: dict) -> None:
         raise _usage(f"config key 'assets' must be a list of strings or null, got {assets!r}")
 
 
-def cmd_pipeline(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int, list]:
+def cmd_pipeline(config: dict, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
     try:
         rolling = RollingConfig(
             p=int(config["p"]),
@@ -569,9 +571,10 @@ def cmd_pipeline(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
         raise _data(f"rolling estimation failed: {exc}") from None
     path = os.path.join(run_dir, "rolling.csv")
     write_rolling_csv(path, windows, rolling.frequency_minutes)
+    outputs.append("rolling.csv")
     n_windows = len({w.end for w in windows})
     print(f"{len(windows)} estimates over {n_windows} windows -> rolling.csv")
-    return EXIT_OK, ["rolling.csv"]
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +586,8 @@ def cmd_pipeline(config: dict, run_dir: str, seed: int, jobs: int) -> tuple[int,
 class _Command:
     """One subcommand: handler, config defaults, flags and a final check.
 
+    The handler appends each file it writes to ``outputs`` and returns the exit code.
+
     Each option is ``(flag, config key, type, help)``.  The type parses the
     flag's text (``bool`` makes a switch) and fixes what a config file may
     hold under the key.  A ``None`` key marks ``frontier --input``, whose
@@ -591,7 +596,7 @@ class _Command:
     """
 
     help: str
-    handler: Callable[[dict, str, int, int], tuple[int, list]]
+    handler: Callable[[dict, str, int, int, list], int]
     defaults: dict
     options: tuple
     finish: Callable[[dict], None]
@@ -764,12 +769,11 @@ def main(argv=None) -> int:
     manifest_path = os.path.join(run_dir, "manifest.json")
     manifest.write(manifest_path)
     try:
-        code, outputs = command.handler(config, run_dir, seed, jobs)
+        code = command.handler(config, run_dir, seed, jobs, manifest.outputs)
     except (_CliError, HDFrontierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code, outputs = _exit_code(exc), []
+        code = _exit_code(exc)
     manifest.finished = _now()
-    manifest.outputs = outputs
     manifest.exit_code = code
     manifest.write(manifest_path)
     print(f"run directory: {run_dir}")

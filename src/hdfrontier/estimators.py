@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,13 +76,10 @@ class ReturnsMatrix:
         One row per asset, one column per observation.
     asset_labels : tuple of str, optional
         Row labels; length must equal ``p`` when given.
-    timestamps : tuple, optional
-        Column labels (observation times); length must equal ``n`` when given.
     """
 
     values: np.ndarray
     asset_labels: tuple[str, ...] | None = None
-    timestamps: tuple | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -97,13 +95,6 @@ class ReturnsMatrix:
                     f"{len(labels)} labels for {values.shape[0]} assets"
                 )
             object.__setattr__(self, "asset_labels", labels)
-        if self.timestamps is not None:
-            stamps = tuple(self.timestamps)
-            if len(stamps) != values.shape[1]:
-                raise DimensionMismatch(
-                    f"{len(stamps)} timestamps for {values.shape[1]} observations"
-                )
-            object.__setattr__(self, "timestamps", stamps)
 
     @property
     def p(self) -> int:
@@ -148,11 +139,9 @@ class SampleMoments:
 
     @functools.cached_property
     def _forms_or_error(self) -> tuple[float, float, float] | SingularCovariance:
-        if self.n <= self.p:
-            return SingularCovariance(
-                f"sample covariance with p={self.p}, n={self.n} is singular: "
-                f"estimators based on inv(S) require n > p"
-            )
+        error = _shape_error(EstimatorKind.SAMPLE, self.p, self.n)
+        if error is not None:
+            return error
         try:
             return _quadratic_forms(self.mean, self.cov)
         except CholeskyFailure as exc:  # keeps the LAPACK error as the cause
@@ -178,8 +167,36 @@ class EstimatorKind(str, enum.Enum):
         return self.value
 
 
-#: kinds whose precision matrix exists even when the sample covariance is singular
-_ANY_RATIO_KINDS = frozenset({EstimatorKind.RTE})
+_SCALED_INVERSE = (3, "scaled-inverse precision needs n >= p + 3")
+
+#: per kind, the smallest n - p it admits and the rule an n > p shape can still
+#: break; every inv(S) kind needs n > p, and rte's ridge admits every shape
+_SHAPE_RULES = {
+    EstimatorKind.SAMPLE: (1, ""),
+    EstimatorKind.CONSISTENT: (1, ""),
+    EstimatorKind.UNBIASED: (2, "unbiased correction needs n >= p + 2"),
+    EstimatorKind.SSE: _SCALED_INVERSE,
+    EstimatorKind.EBE: _SCALED_INVERSE,
+    EstimatorKind.RTE: (-math.inf, ""),
+}
+
+
+def _shape_error(kind: EstimatorKind, p: int, n: int) -> HDFrontierError | None:
+    """The error a ``p x n`` panel raises for ``kind``, or None if the kind admits it."""
+    need, rule = _SHAPE_RULES[kind]
+    if n - p >= need:
+        return None
+    if n <= p:
+        return SingularCovariance(
+            f"sample covariance with p={p}, n={n} is singular: "
+            f"estimators based on inv(S) require n > p"
+        )
+    return TooFewObservations(f"{rule}, got n={n}, p={p}")
+
+
+def _require_shape(kind: EstimatorKind, moments: SampleMoments) -> None:
+    if moments.n - moments.p < _SHAPE_RULES[kind][0]:  # builds no object on success
+        raise _shape_error(kind, moments.p, moments.n)
 
 
 @dataclass(frozen=True)
@@ -211,7 +228,7 @@ class EstimateReport:
     notes: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.kind not in _ANY_RATIO_KINDS and not 0.0 < self.ratio < 1.0:
+        if _SHAPE_RULES[self.kind][0] > 0 and not 0.0 < self.ratio < 1.0:
             raise RatioOutOfRange(
                 f"{self.kind.value} estimates require p/n in (0, 1), got {self.ratio}"
             )
@@ -312,13 +329,9 @@ def unbiased_frontier(moments: SampleMoments) -> EstimateReport:
     (Equivalently, in the divisor-``n-1`` convention these read
     ``(n-1)/(n-p) * v`` and ``(n-p-1)/(n-1) * s - (p-1)/n``.)
     """
-    a, b, c = moments.forms
+    _require_shape(EstimatorKind.UNBIASED, moments)
     n, p = moments.n, moments.p
-    if n < p + 2:
-        raise TooFewObservations(
-            f"unbiased correction needs n >= p + 2, got n={n}, p={p}"
-        )
-    base = from_merton(MertonConstants(a, b, c))
+    base = from_merton(MertonConstants(*moments.forms))
     v_u = base.v_gmv * n / (n - p)
     s_u = base.slope * (n - p - 1) / n - (p - 1) / n
     params = FrontierParams(base.r_gmv, v_u, s_u, validate=False)
@@ -340,11 +353,8 @@ def precision_sse(moments: SampleMoments) -> np.ndarray:
     quadratic forms in this matrix track the population forms.  Requires
     ``n > p + 2`` so that the scale is positive and ``inv(S)`` exists.
     """
+    _require_shape(EstimatorKind.SSE, moments)
     n, p = moments.n, moments.p
-    if n < p + 3:
-        raise TooFewObservations(
-            f"scaled-inverse precision needs n >= p + 3, got n={n}, p={p}"
-        )
     try:
         inv = scipy.linalg.inv(moments.cov, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -434,14 +444,8 @@ def plugin_frontier(precision, mean, kind: EstimatorKind, n: int) -> EstimateRep
 
 
 def _sse_forms(moments: SampleMoments) -> tuple[float, float, float]:
-    a, b, c = moments.forms
-    n, p = moments.n, moments.p
-    if n < p + 3:
-        raise TooFewObservations(
-            f"scaled-inverse precision needs n >= p + 3, got n={n}, p={p}"
-        )
-    scale = (n - p - 2) / (n - 1)
-    return scale * a, scale * b, scale * c
+    scale = (moments.n - moments.p - 2) / (moments.n - 1)
+    return tuple(scale * form for form in moments.forms)
 
 
 def _sse_frontier(moments: SampleMoments) -> EstimateReport:
@@ -479,7 +483,9 @@ _ESTIMATORS = {
 
 def estimate(moments: SampleMoments, kind: EstimatorKind) -> EstimateReport:
     """Compute one estimator from sample moments.  See :func:`estimate_many`."""
-    return _ESTIMATORS[EstimatorKind(kind)](moments)
+    kind = EstimatorKind(kind)
+    _require_shape(kind, moments)
+    return _ESTIMATORS[kind](moments)
 
 
 def estimate_many(
@@ -488,7 +494,10 @@ def estimate_many(
     """Compute several frontier estimators from one set of sample moments.
 
     All kinds that need quadratic forms in ``inv(S)`` read the forms cached
-    on ``moments``, so they share a single Cholesky factorization.
+    on ``moments``, so they share a single Cholesky factorization.  A kind
+    whose shape rule (see :func:`_shape_error`) rules out ``p x n`` fails
+    before any factorization; the first failing kind, in request order,
+    raises its error.
 
     Parameters
     ----------
@@ -499,12 +508,14 @@ def estimate_many(
     -------
     dict mapping each requested kind to its :class:`EstimateReport`.
     """
-    kinds = [EstimatorKind(k) for k in kinds]
-    return {kind: _ESTIMATORS[kind](moments) for kind in kinds}
+    reports, errors = _estimate_each(moments, [EstimatorKind(k) for k in kinds])
+    if errors:
+        raise next(iter(errors.values()))
+    return reports
 
 
 def _estimate_each(moments: SampleMoments, kinds) -> tuple[dict, dict]:
-    """(reports, errors): each kind estimated alone, so one failing kind spares the rest."""
+    """(reports, errors) in request order: one failing kind spares the rest."""
     reports, errors = {}, {}
     for kind in kinds:
         try:

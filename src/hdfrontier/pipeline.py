@@ -37,13 +37,7 @@ from .errors import (
     RaggedDayWarning,
     WindowTooShort,
 )
-from .estimators import (
-    _ANY_RATIO_KINDS,
-    EstimateReport,
-    EstimatorKind,
-    _estimate_each,
-    sample_moments,
-)
+from .estimators import EstimateReport, EstimatorKind, _estimate_each, _shape_error, sample_moments
 from .frontier import FrontierParams, to_merton
 from .inference import ConfidenceIntervals, confidence_intervals
 
@@ -149,7 +143,7 @@ class RollingConfig:
         if self.n < 2:
             raise InvalidParams(f"need n >= 2 observations, got n={self.n}")
         object.__setattr__(self, "kinds", tuple(EstimatorKind(k) for k in self.kinds))
-        needs_n_above_p = [k.value for k in self.kinds if k not in _ANY_RATIO_KINDS]
+        needs_n_above_p = [k.value for k in self.kinds if _shape_error(k, self.p, self.n)]
         if self.n <= self.p and needs_n_above_p:
             raise InvalidParams(
                 f"need n > p for kinds {needs_n_above_p}, got n={self.n}, p={self.p}"
@@ -517,10 +511,7 @@ def rolling_estimate(
         reports, errors = _estimate_each(sample_moments(window.T), kinds)
         for kind, exc in errors.items():
             logger.warning("window ending %s: %s skipped: %s", end, kind.value, exc)
-        for kind in kinds:
-            native = reports.get(kind)
-            if native is None:
-                continue
+        for kind, native in reports.items():
             cis = None
             if kind is EstimatorKind.CONSISTENT:
                 cis = _scaled_intervals(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -326,31 +326,15 @@ class DiagnosticRecord:
     passed: bool
 
     def to_dict(self) -> dict:
-        """JSON-ready mapping (the pass flag is keyed ``"pass"``)."""
-        return {
-            "check": self.check,
-            "p": self.p,
-            "n": self.n,
-            "c": self.c,
-            "seed": self.seed,
-            "value": self.value,
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
+        """JSON-ready mapping in field order (the pass flag is keyed ``"pass"``)."""
+        record = asdict(self)
+        record["pass"] = record.pop("passed")
+        return record
 
 
 def _record(check: str, p: int, n: int, seed: int, value: float, threshold: float) -> DiagnosticRecord:
     value = float(value)
-    return DiagnosticRecord(
-        check=check,
-        p=p,
-        n=n,
-        c=p / n,
-        seed=seed,
-        value=value,
-        threshold=threshold,
-        passed=value < threshold,
-    )
+    return DiagnosticRecord(check, p, n, p / n, seed, value, threshold, value < threshold)
 
 
 def _diag_dimensions(c: float, p: int) -> int:

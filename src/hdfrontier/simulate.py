@@ -25,6 +25,7 @@ from __future__ import annotations
 import concurrent.futures
 import enum
 import functools
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -44,7 +45,6 @@ from .estimators import (
     SampleMoments,
     _estimate_each,
     _moments,
-    estimate_many,
     sample_moments,
 )
 from .frontier import FrontierParams, _upper_branch, frontier_params
@@ -74,6 +74,8 @@ __all__ = [
     "write_histogram_csv",
     "write_frontier_csv",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: column labels for the three frontier parameters, in report order
 PARAM_LABELS = ("R", "V", "s")
@@ -579,10 +581,14 @@ def histogram_data(
     ------
     TooFewReps
         If fewer than 100 replications are available.
+    InvalidParams
+        If ``param`` is unknown or ``kind`` was not run.
     """
     if param not in PARAM_LABELS:
         raise InvalidParams(f"param must be one of {PARAM_LABELS}, got {param!r}")
     kind = EstimatorKind(kind)
+    if kind not in result.kinds:
+        raise InvalidParams(f"kind {kind.value!r} is not among the run's kinds")
     column = PARAM_LABELS.index(param)
     estimates = result.estimates[kind][:, column]
     estimates = estimates[np.isfinite(estimates)]
@@ -639,7 +645,8 @@ def frontier_comparison(
     population GMV variance to ``v_max`` (default: 20x that variance).
     Grid points left of a curve's own vertex are NaN (the curve does not
     exist there); a negative unbiased slope estimate yields a flat curve at
-    its vertex return.
+    its vertex return.  A kind that fails on the dataset gets no curve and
+    no report, and is logged.
     """
     kinds = tuple(EstimatorKind(k) for k in kinds)
     mu, sigma = build_population(spec)
@@ -650,11 +657,13 @@ def frontier_comparison(
         raise InvalidRange(f"v_max must exceed the population v_gmv, got {v_max}")
     if n_points < 2:
         raise InvalidRange(f"need n_points >= 2, got {n_points}")
-    reports = estimate_many(sample_moments(generate_returns(spec, mu, sigma)), kinds)
+    reports, errors = _estimate_each(sample_moments(generate_returns(spec, mu, sigma)), kinds)
+    for kind, exc in errors.items():
+        logger.warning("frontier overlay: %s skipped: %s", kind.value, exc)
     grid = np.linspace(truth.v_gmv, v_max, n_points)
     curves = {"population": _upper_branch(truth, grid)}
-    for kind in kinds:
-        curves[kind.value] = _upper_branch(reports[kind].params, grid)
+    for kind, report in reports.items():
+        curves[kind.value] = _upper_branch(report.params, grid)
     return FrontierComparison(spec=spec, truth=truth, grid=grid, curves=curves, reports=reports)
 
 

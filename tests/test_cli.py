@@ -163,6 +163,25 @@ class TestEstimateCommand:
         assert code == 3
         assert "n > p" in capsys.readouterr().err
 
+    def test_failed_kind_spares_the_others(self, tmp_path, capsys):
+        panel = write_panel(tmp_path / "panel.csv", days=1, rows_per_day=10, p=20)
+        code = run_cli(
+            ["estimate", "--input", panel, "--kinds", "sample,rte", "--outdir", tmp_path]
+        )
+        assert code == 3
+        assert "error: estimator 'sample' failed: " in capsys.readouterr().err
+        run_dir = only_run_dir(tmp_path, "estimate")
+        payload = json.loads((run_dir / "estimates.json").read_text())
+        assert [row["kind"] for row in payload["estimates"]] == ["rte"]
+        assert payload["failures"] == [{
+            "kind": "sample",
+            "error": "SingularCovariance",
+            "message": "sample covariance with p=20, n=10 is singular: "
+                       "estimators based on inv(S) require n > p",
+        }]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert (manifest["exit_code"], manifest["outputs"]) == (3, ["estimates.json"])
+
     def test_rte_survives_singular_panel(self, tmp_path):
         panel = write_panel(tmp_path / "panel.csv", days=1, rows_per_day=10, p=20)
         code = run_cli(
@@ -279,6 +298,29 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "100" in capsys.readouterr().err
+
+    def test_failed_run_lists_what_it_wrote(self, tmp_path, capsys):
+        code = run_cli(
+            ["simulate", "--p", "6", "--c", "0.5", "--reps", "50", "--kinds", "consistent",
+             "--outputs", "losses,histograms", "--seed", "0", "--outdir", tmp_path]
+        )
+        assert code == 2
+        assert "100" in capsys.readouterr().err
+        manifest = json.loads((only_run_dir(tmp_path, "simulate") / "manifest.json").read_text())
+        assert (manifest["exit_code"], manifest["outputs"]) == (2, ["losses.csv"])
+
+    def test_frontiers_keep_the_kinds_that_succeed(self, tmp_path):
+        code = run_cli(
+            ["simulate", "--p", "10", "--n", "11", "--reps", "4", "--kinds", "sample,unbiased",
+             "--outputs", "losses,frontiers", "--seed", "2", "--outdir", tmp_path]
+        )
+        assert code == 0
+        run_dir = only_run_dir(tmp_path, "simulate")
+        with open(run_dir / "frontier.csv", newline="") as handle:
+            kinds = {row["kind"] for row in csv.DictReader(handle)}
+        assert kinds == {"population", "sample"}
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["outputs"] == ["losses.csv", "frontier.csv"]
 
     def test_bad_scenario_and_outputs_are_usage_errors(self, tmp_path, capsys):
         assert run_cli(
@@ -519,6 +561,11 @@ class TestUsageErrors:
             ),
             (["simulate", "--p", "10", "--c", "1e-320"], None, "p / c finite"),
             (["simulate", "--p", "10", "--c", "1e-300"], None, "not addressable, got p=10, n="),
+            (["simulate", "--p", "10", "--c", "1e-12"], None, "not addressable, got p=10, n="),
+            (
+                ["simulate", "--kinds", "sample", "--outputs", "histograms"], None,
+                "--outputs histograms needs the consistent kind",
+            ),
         ],
     )
     def test_exit_2_without_run_directory(self, tmp_path, capsys, args, config, message):

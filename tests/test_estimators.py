@@ -7,6 +7,8 @@ import scipy.linalg
 from hdfrontier import (
     EstimateReport,
     EstimatorKind,
+    HDFrontierError,
+    InvalidParams,
     RatioOutOfRange,
     ReturnsMatrix,
     SampleMoments,
@@ -25,7 +27,13 @@ from hdfrontier import (
     unbiased_frontier,
 )
 from hdfrontier import frontier
-from hdfrontier.estimators import _estimate_each, consistent_frontier, sample_frontier
+from hdfrontier.estimators import (
+    _estimate_each,
+    _shape_error,
+    consistent_frontier,
+    sample_frontier,
+)
+from hdfrontier.pipeline import RollingConfig
 from hdfrontier.simulate import ScenarioSpec, generate_normal
 
 ALL_KINDS = tuple(EstimatorKind)
@@ -343,3 +351,98 @@ class TestEquivariance:
             assert s.r_gmv == pytest.approx(b.r_gmv + d, rel=1e-9, abs=1e-12)
             assert s.v_gmv == pytest.approx(b.v_gmv, rel=1e-9)
             assert s.slope == pytest.approx(b.slope, rel=1e-8, abs=1e-12)
+
+
+#: the smallest n - p each kind admits, and the message of the rule that a
+#: shape with n > p can still break (None: rte, which admits every shape)
+SHAPE_RULES = {
+    EstimatorKind.SAMPLE: (1, ""),
+    EstimatorKind.CONSISTENT: (1, ""),
+    EstimatorKind.UNBIASED: (2, "unbiased correction needs n >= p + 2"),
+    EstimatorKind.SSE: (3, "scaled-inverse precision needs n >= p + 3"),
+    EstimatorKind.EBE: (3, "scaled-inverse precision needs n >= p + 3"),
+    EstimatorKind.RTE: (None, ""),
+}
+
+#: each kind's public entry point besides estimate
+PUBLIC_FUNCTIONS = {
+    EstimatorKind.SAMPLE: sample_frontier,
+    EstimatorKind.CONSISTENT: consistent_frontier,
+    EstimatorKind.UNBIASED: unbiased_frontier,
+    EstimatorKind.SSE: precision_sse,
+    EstimatorKind.EBE: precision_ebe,
+    EstimatorKind.RTE: precision_rte,
+}
+
+
+def _expected_shape_error(kind, p, n):
+    """(class, message) the shape rules name for a p x n panel, or None."""
+    need, rule = SHAPE_RULES[kind]
+    if need is None or n - p >= need:
+        return None
+    if n <= p:
+        return SingularCovariance, (
+            f"sample covariance with p={p}, n={n} is singular: "
+            f"estimators based on inv(S) require n > p"
+        )
+    return TooFewObservations, f"{rule}, got n={n}, p={p}"
+
+
+class TestShapeRules:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("excess", [-1, 0, 1, 2, 3])
+    def test_boundary(self, kind, excess):
+        """estimate, the kind's public function and precision_sse fail as the rules say."""
+        p = 6
+        n = p + excess
+        m = sample_moments(np.random.default_rng(excess + 10).standard_normal((p, n)))
+        for call, rule_kind in (
+            (lambda m: estimate(m, kind), kind),
+            (PUBLIC_FUNCTIONS[kind], kind),
+            (precision_sse, EstimatorKind.SSE),
+        ):
+            expected = _expected_shape_error(rule_kind, p, n)
+            if expected is None:
+                call(m)
+            else:
+                with pytest.raises(HDFrontierError) as raised:
+                    call(m)
+                assert (type(raised.value), str(raised.value)) == expected
+        error = _shape_error(kind, p, n)
+        expected = _expected_shape_error(kind, p, n)
+        assert (error is None) if expected is None else ((type(error), str(error)) == expected)
+        if n <= p and kind is not EstimatorKind.RTE:
+            with pytest.raises(InvalidParams, match=rf"need n > p for kinds \['{kind.value}'\]"):
+                RollingConfig(p=p, n=n, kinds=(kind,))
+        else:
+            assert RollingConfig(p=p, n=n, kinds=(kind,)).kinds == (kind,)
+
+    def test_shape_check_precedes_factorization(self, monkeypatch):
+        m = _random_moments(p=6, n=7, seed=2)
+        calls = _count_factorizations(monkeypatch)
+        for kind in (EstimatorKind.UNBIASED, EstimatorKind.SSE, EstimatorKind.EBE):
+            with pytest.raises(TooFewObservations):
+                estimate(m, kind)
+        assert calls == []
+
+    def test_unfactorizable_cov_with_too_few_observations(self):
+        """A shape the rules exclude fails by shape, whatever S is."""
+        returns = np.random.default_rng(3).standard_normal((6, 8))
+        returns[2] = 0.5  # a constant asset makes S singular
+        m = sample_moments(returns)
+        with pytest.raises(SingularCovariance):
+            estimate(m, EstimatorKind.SAMPLE)
+        with pytest.raises(TooFewObservations, match="n >= p \\+ 3"):
+            estimate(m, EstimatorKind.SSE)
+
+
+class TestEstimateManyOrder:
+    def test_first_failed_kind_in_request_order(self):
+        m = _random_moments(p=6, n=7, seed=4)
+        with pytest.raises(TooFewObservations, match="scaled-inverse"):
+            estimate_many(m, ["sample", "sse", "unbiased", "rte"])
+        with pytest.raises(TooFewObservations, match="unbiased correction"):
+            estimate_many(m, ["rte", "unbiased", "sse"])
+        singular = _random_moments(p=6, n=5, seed=4)
+        with pytest.raises(SingularCovariance, match="n > p"):
+            estimate_many(singular, ["rte", "ebe", "sample"])

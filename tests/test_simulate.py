@@ -592,6 +592,12 @@ class TestHistogram:
         with pytest.raises(TooFewReps):
             histogram_data(small, "V")
 
+    def test_kind_must_have_been_run(self):
+        spec = ScenarioSpec(scenario="normal", p=4, n=20, seed=8)
+        sample_only = run_monte_carlo(spec, reps=3, kinds=["sample"])
+        with pytest.raises(InvalidParams, match="'consistent' is not among"):
+            histogram_data(sample_only, "V")
+
 
 class TestFrontierComparison:
     def test_grid_and_curves(self):
@@ -622,6 +628,15 @@ class TestFrontierComparison:
         curve = comp.curves["unbiased"]
         right = curve[comp.grid >= report.params.v_gmv]
         assert np.allclose(right, report.params.r_gmv)
+
+    def test_failed_kind_spares_the_others(self, caplog):
+        spec = ScenarioSpec(scenario="normal", p=10, n=11, seed=9)
+        with caplog.at_level("WARNING", logger="hdfrontier.simulate"):
+            comp = frontier_comparison(spec, ["sample", "unbiased"], n_points=21)
+        assert list(comp.curves) == ["population", "sample"]
+        assert list(comp.reports) == [EstimatorKind.SAMPLE]
+        assert np.isfinite(comp.curves["sample"]).any()
+        assert "unbiased skipped: unbiased correction needs n >= p + 2" in caplog.text
 
     def test_range_validation(self):
         spec = ScenarioSpec(scenario="normal", p=5, n=25, seed=0)
