@@ -349,6 +349,12 @@ def _need_input(config: dict) -> None:
         raise _usage("a returns CSV is needed via --input (or config field 'input')")
 
 
+def _finish_estimate(config: dict) -> None:
+    _need_input(config)
+    if not 0.0 < config["level"] < 1.0:
+        raise _usage(f"--level must lie in (0, 1), got {config['level']}")
+
+
 def cmd_estimate(config: dict, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
     kinds = _parse_kinds(config["kinds"])
     try:
@@ -630,7 +636,7 @@ _COMMANDS = {
             ("--kinds", "kinds", _comma_list, _KINDS_HELP),
             ("--level", "level", float, "CI level for the consistent kind"),
         ),
-        finish=_need_input,
+        finish=_finish_estimate,
     ),
     "simulate": _Command(
         help="Monte Carlo losses/histograms/frontiers",
@@ -709,6 +715,8 @@ def _resolve_config(command: _Command, args) -> tuple[dict, int]:
         if type(seed) is not int:
             raise _usage(f"config key 'seed' must be an integer, got {seed!r}")
         config["seed"] = seed
+    if seed < 0:
+        raise _usage(f"seed must be non-negative, got {seed}")
     command.finish(config)
     if "kinds" in command.defaults:
         config["kinds"] = [k.value for k in _parse_kinds(config["kinds"])]

@@ -19,7 +19,15 @@ Three families live here:
 3. **Dispatch.**  :func:`estimate` / :func:`estimate_many` compute any subset
    of the above from one set of sample moments.  The moments cache their
    ``inv(S)`` quadratic forms, so all kinds that need them share a single
-   Cholesky factorization.
+   Cholesky factorization.  One table entry per kind (``_KINDS``) states
+   its shape rule, what it reads (the forms of S or of a ridged S, and the
+   extras ``mean·mean``, ``sum(mean)`` and ``tr S``), its arithmetic after
+   the forms and its correction step.  The same entry is evaluated on
+   floats for one panel and on ``(B,)`` arrays for a Monte Carlo chunk
+   (:func:`_estimate_stack`), with the same operations in the same order,
+   so a chunk gives each replication the bits of the one-panel path.  A
+   chunk slot that is not plainly valid is recomputed through the
+   one-panel path, which owns the error classes.
 
 All estimators report frontier parameters, the underlying Merton constants,
 and the concentration ratio ``p/n`` in a uniform :class:`EstimateReport`.
@@ -30,6 +38,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +55,14 @@ from .errors import (
     TooFewObservations,
     ZeroTrace,
 )
-from .frontier import FrontierParams, MertonConstants, _quadratic_forms, from_merton, to_merton
+from .frontier import (
+    FrontierParams,
+    MertonConstants,
+    _quadratic_forms,
+    _vertex,
+    from_merton,
+    to_merton,
+)
 
 __all__ = [
     "ReturnsMatrix",
@@ -152,6 +168,19 @@ class SampleMoments:
             error.__cause__ = exc.__cause__
             return error
 
+    # what _kind_constants reads beyond ``forms``; _MomentStack reads a chunk
+
+    def _trace(self) -> float:
+        """``tr S``; raises ZeroTrace unless it is positive."""
+        trace = float(np.trace(self.cov))
+        if trace <= 0.0:
+            raise ZeroTrace(f"sample covariance trace must be positive, got {trace}")
+        return trace
+
+    def _extras(self) -> tuple[float, float, float]:
+        """``(mean·mean, sum(mean), tr S)``."""
+        return float(self.mean @ self.mean), float(self.mean.sum()), self._trace()
+
 
 class EstimatorKind(str, enum.Enum):
     """Names for the supported frontier estimators."""
@@ -167,35 +196,93 @@ class EstimatorKind(str, enum.Enum):
         return self.value
 
 
-_SCALED_INVERSE = (3, "scaled-inverse precision needs n >= p + 3")
+# Each kind's arithmetic after its forms, written once.  These functions run
+# on Python floats (``estimate``) and on ``(B,)`` float64 arrays (the chunk
+# core, ``_estimate_stack``) with the same IEEE operations in the same order,
+# so both give the same bits.  The precision plug-ins never form their
+# matrices: sse and ebe are affine in inv(S) and I, so their constants are
+# affine in the forms and in (mean·mean, sum(mean), p); rte reads the forms
+# of its ridged matrix.  ``extras`` is (mean·mean, sum(mean), tr S), for ebe.
 
-#: per kind, the smallest n - p it admits and the rule an n > p shape can still
-#: break; every inv(S) kind needs n > p, and rte's ridge admits every shape
-_SHAPE_RULES = {
-    EstimatorKind.SAMPLE: (1, ""),
-    EstimatorKind.CONSISTENT: (1, ""),
-    EstimatorKind.UNBIASED: (2, "unbiased correction needs n >= p + 2"),
-    EstimatorKind.SSE: _SCALED_INVERSE,
-    EstimatorKind.EBE: _SCALED_INVERSE,
-    EstimatorKind.RTE: (-math.inf, ""),
+
+def _scaled(scale, forms):
+    a, b, c = forms
+    return scale * a, scale * b, scale * c
+
+
+def _sse_constants(forms, p, n, extras):
+    return _scaled((n - p - 2) / (n - 1), forms)
+
+
+def _ebe_constants(forms, p, n, extras):
+    a, b, c = _sse_constants(forms, p, n, extras)
+    mean_sq, mean_sum, trace = extras
+    ridge = (p * p + p - 2) / ((n - 1) * trace)
+    return a + ridge * mean_sq, b + ridge * mean_sum, c + ridge * p
+
+
+def _unbiased(r_gmv, v_gmv, slope, p, n):
+    """The unbiased kind's parameters from those of the sample kind."""
+    return r_gmv, v_gmv * n / (n - p), slope * (n - p - 1) / n - (p - 1) / n
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """How one estimator kind is computed: the facts every caller reads.
+
+    need, shape_rule : the smallest ``n - p`` the kind admits, and the rule
+        that a too-small ``n > p`` shape breaks (every inv(S) kind needs
+        ``n > p``; rte's ridge admits every shape)
+    constants : its Merton constants from ``(forms, p, n, extras)``
+    ridged : it reads the forms of ``(n - 1) S + tr(S) I``, not those of S
+    extras : it reads ``(mean·mean, sum(mean), tr S)``
+    correct : maps the vertex parameters of its constants to its own, which
+        may have a negative slope; its report's constants are then
+        ``to_merton`` of the corrected parameters
+    """
+
+    need: float
+    shape_rule: str
+    constants: Callable
+    ridged: bool = False
+    extras: bool = False
+    correct: Callable | None = None
+
+
+_SCALED_INVERSE = "scaled-inverse precision needs n >= p + 3"
+
+_KINDS = {
+    EstimatorKind.SAMPLE: _Rule(1, "", lambda forms, p, n, extras: forms),
+    EstimatorKind.CONSISTENT: _Rule(
+        1, "", lambda forms, p, n, extras: _scaled(1.0 - p / n, forms)
+    ),
+    EstimatorKind.UNBIASED: _Rule(
+        2, "unbiased correction needs n >= p + 2", lambda forms, p, n, extras: forms,
+        correct=_unbiased,
+    ),
+    EstimatorKind.SSE: _Rule(3, _SCALED_INVERSE, _sse_constants),
+    EstimatorKind.EBE: _Rule(3, _SCALED_INVERSE, _ebe_constants, extras=True),
+    EstimatorKind.RTE: _Rule(
+        -math.inf, "", lambda forms, p, n, extras: _scaled(p, forms), ridged=True
+    ),
 }
 
 
 def _shape_error(kind: EstimatorKind, p: int, n: int) -> HDFrontierError | None:
     """The error a ``p x n`` panel raises for ``kind``, or None if the kind admits it."""
-    need, rule = _SHAPE_RULES[kind]
-    if n - p >= need:
+    rule = _KINDS[kind]
+    if n - p >= rule.need:
         return None
     if n <= p:
         return SingularCovariance(
             f"sample covariance with p={p}, n={n} is singular: "
             f"estimators based on inv(S) require n > p"
         )
-    return TooFewObservations(f"{rule}, got n={n}, p={p}")
+    return TooFewObservations(f"{rule.shape_rule}, got n={n}, p={p}")
 
 
 def _require_shape(kind: EstimatorKind, moments: SampleMoments) -> None:
-    if moments.n - moments.p < _SHAPE_RULES[kind][0]:  # builds no object on success
+    if moments.n - moments.p < _KINDS[kind].need:  # builds no object on success
         raise _shape_error(kind, moments.p, moments.n)
 
 
@@ -228,7 +315,7 @@ class EstimateReport:
     notes: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if _SHAPE_RULES[self.kind][0] > 0 and not 0.0 < self.ratio < 1.0:
+        if _KINDS[self.kind].need > 0 and not 0.0 < self.ratio < 1.0:
             raise RatioOutOfRange(
                 f"{self.kind.value} estimates require p/n in (0, 1), got {self.ratio}"
             )
@@ -275,18 +362,6 @@ def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def _report(kind, merton, moments, params=None, notes=()) -> EstimateReport:
-    return EstimateReport(
-        kind=kind,
-        params=from_merton(merton) if params is None else params,
-        merton=merton,
-        p=moments.p,
-        n=moments.n,
-        ratio=moments.ratio,
-        notes=tuple(notes),
-    )
-
-
 def sample_frontier(moments: SampleMoments) -> EstimateReport:
     """Raw plug-in: population formulas applied to the sample moments.
 
@@ -294,7 +369,7 @@ def sample_frontier(moments: SampleMoments) -> EstimateReport:
     is understated by the factor ``1 - c`` and the slope inflated by roughly
     ``c/(1 - c) + c/(1 - c)**2`` plus a multiplicative distortion.
     """
-    return _report(EstimatorKind.SAMPLE, MertonConstants(*moments.forms), moments)
+    return estimate(moments, EstimatorKind.SAMPLE)
 
 
 def consistent_frontier(moments: SampleMoments) -> EstimateReport:
@@ -308,10 +383,7 @@ def consistent_frontier(moments: SampleMoments) -> EstimateReport:
     ``p/n`` in finite samples (it converges to ``s + c``, not ``s``, when the
     centering at ``s`` alone is used); downstream inference can recenter.
     """
-    a, b, c = moments.forms
-    shrink = 1.0 - moments.ratio
-    merton = MertonConstants(shrink * a, shrink * b, shrink * c)
-    return _report(EstimatorKind.CONSISTENT, merton, moments)
+    return estimate(moments, EstimatorKind.CONSISTENT)
 
 
 def unbiased_frontier(moments: SampleMoments) -> EstimateReport:
@@ -329,21 +401,7 @@ def unbiased_frontier(moments: SampleMoments) -> EstimateReport:
     (Equivalently, in the divisor-``n-1`` convention these read
     ``(n-1)/(n-p) * v`` and ``(n-p-1)/(n-1) * s - (p-1)/n``.)
     """
-    _require_shape(EstimatorKind.UNBIASED, moments)
-    n, p = moments.n, moments.p
-    base = from_merton(MertonConstants(*moments.forms))
-    v_u = base.v_gmv * n / (n - p)
-    s_u = base.slope * (n - p - 1) / n - (p - 1) / n
-    params = FrontierParams(base.r_gmv, v_u, s_u, validate=False)
-    notes = ("negative-slope",) if s_u < 0 else ()
-    return _report(EstimatorKind.UNBIASED, to_merton(params), moments, params, notes)
-
-
-def _require_trace(moments: SampleMoments) -> float:
-    trace = float(np.trace(moments.cov))
-    if trace <= 0.0:
-        raise ZeroTrace(f"sample covariance trace must be positive, got {trace}")
-    return trace
+    return estimate(moments, EstimatorKind.UNBIASED)
 
 
 def precision_sse(moments: SampleMoments) -> np.ndarray:
@@ -354,6 +412,7 @@ def precision_sse(moments: SampleMoments) -> np.ndarray:
     ``n > p + 2`` so that the scale is positive and ``inv(S)`` exists.
     """
     _require_shape(EstimatorKind.SSE, moments)
+    moments.forms  # fails as estimate(moments, "sse") does when S is not positive definite
     n, p = moments.n, moments.p
     try:
         inv = scipy.linalg.inv(moments.cov, check_finite=False)
@@ -370,9 +429,9 @@ def precision_ebe(moments: SampleMoments) -> np.ndarray:
     The identity component shrinks the precision toward a multiple of I,
     which dominates the plain scaled inverse in quadratic loss.
     """
-    trace = _require_trace(moments)
-    n, p = moments.n, moments.p
     base = precision_sse(moments)
+    trace = moments._trace()
+    n, p = moments.n, moments.p
     ridge = (p * p + p - 2) / ((n - 1) * trace)
     return base + ridge * np.eye(p)
 
@@ -383,14 +442,12 @@ def precision_rte(moments: SampleMoments) -> np.ndarray:
     The trace ridge keeps the matrix to invert positive definite for any
     ``p/n``, including ``p >= n`` where ``inv(S)`` does not exist.
     """
-    trace = _require_trace(moments)
-    n, p = moments.n, moments.p
-    ridged = (n - 1) * moments.cov + trace * np.eye(p)
+    ridged = _ridged(moments.cov, moments._trace(), moments.n)
     try:
         inv = scipy.linalg.inv(ridged, check_finite=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - ridge makes this PD
         raise NotPositiveDefinite(f"ridged covariance is singular: {exc}") from exc
-    return p * 0.5 * (inv + inv.T)
+    return moments.p * 0.5 * (inv + inv.T)
 
 
 def plugin_frontier(precision, mean, kind: EstimatorKind, n: int) -> EstimateReport:
@@ -438,54 +495,44 @@ def plugin_frontier(precision, mean, kind: EstimatorKind, n: int) -> EstimateRep
     )
 
 
-# The precision plug-ins below never form their matrices: sse and ebe are
-# affine in inv(S) and I, so their forms are affine in the cached forms and in
-# (||mean||^2, sum(mean), p); rte needs one solve against its ridged matrix.
+def _ridged(cov, trace, n):
+    """``(n - 1) S + tr(S) I``, for one matrix or a ``(B, p, p)`` stack with ``(B,)`` traces."""
+    return (n - 1) * cov + np.multiply.outer(trace, np.eye(cov.shape[-1]))
 
 
-def _sse_forms(moments: SampleMoments) -> tuple[float, float, float]:
-    scale = (moments.n - moments.p - 2) / (moments.n - 1)
-    return tuple(scale * form for form in moments.forms)
+def _kind_constants(kind: EstimatorKind, source):
+    """A kind's Merton constants, from the reads its rule names.
 
-
-def _sse_frontier(moments: SampleMoments) -> EstimateReport:
-    return _report(EstimatorKind.SSE, MertonConstants(*_sse_forms(moments)), moments)
-
-
-def _ebe_frontier(moments: SampleMoments) -> EstimateReport:
-    a, b, c = _sse_forms(moments)
-    n, p, mean = moments.n, moments.p, moments.mean
-    ridge = (p * p + p - 2) / ((n - 1) * _require_trace(moments))
-    merton = MertonConstants(
-        a + ridge * float(mean @ mean),
-        b + ridge * float(mean.sum()),
-        c + ridge * p,
-    )
-    return _report(EstimatorKind.EBE, merton, moments)
-
-
-def _rte_frontier(moments: SampleMoments) -> EstimateReport:
-    n, p = moments.n, moments.p
-    ridged = (n - 1) * moments.cov + _require_trace(moments) * np.eye(p)
-    a, b, c = _quadratic_forms(moments.mean, ridged)
-    return _report(EstimatorKind.RTE, MertonConstants(p * a, p * b, p * c), moments)
-
-
-_ESTIMATORS = {
-    EstimatorKind.SAMPLE: sample_frontier,
-    EstimatorKind.CONSISTENT: consistent_frontier,
-    EstimatorKind.UNBIASED: unbiased_frontier,
-    EstimatorKind.SSE: _sse_frontier,
-    EstimatorKind.EBE: _ebe_frontier,
-    EstimatorKind.RTE: _rte_frontier,
-}
+    ``source`` is one panel's :class:`SampleMoments`, whose reads give
+    floats and raise the kind's error, or a chunk's :class:`_MomentStack`,
+    whose reads give ``(B,)`` arrays, NaN in each slot where they fail.
+    """
+    rule = _KINDS[kind]
+    if rule.ridged:
+        forms = _quadratic_forms(source.mean, _ridged(source.cov, source._trace(), source.n))
+    else:
+        forms = source.forms
+    extras = source._extras() if rule.extras else None
+    return rule.constants(forms, source.p, source.n, extras)
 
 
 def estimate(moments: SampleMoments, kind: EstimatorKind) -> EstimateReport:
     """Compute one estimator from sample moments.  See :func:`estimate_many`."""
     kind = EstimatorKind(kind)
     _require_shape(kind, moments)
-    return _ESTIMATORS[kind](moments)
+    p, n = moments.p, moments.n
+    merton = MertonConstants(*_kind_constants(kind, moments))
+    params = from_merton(merton)
+    notes = ()
+    correct = _KINDS[kind].correct
+    if correct is not None:
+        corrected = correct(params.r_gmv, params.v_gmv, params.slope, p, n)
+        params = FrontierParams(*corrected, validate=False)
+        merton = to_merton(params)
+        notes = ("negative-slope",) if params.slope < 0 else ()
+    return EstimateReport(
+        kind=kind, params=params, merton=merton, p=p, n=n, ratio=moments.ratio, notes=notes
+    )
 
 
 def estimate_many(
@@ -523,3 +570,97 @@ def _estimate_each(moments: SampleMoments, kinds) -> tuple[dict, dict]:
         except HDFrontierError as exc:
             errors[kind] = exc
     return reports, errors
+
+
+class _MomentStack:
+    """A chunk's sample moments, read as the kind rules read :class:`SampleMoments`.
+
+    Each read gives ``(B,)`` arrays over the ``(B, p)`` means and
+    ``(B, p, p)`` covariances of ``n`` observations each, with the bits the
+    one-panel read gives, and NaN in each slot where that read raises: a
+    covariance that is not positive definite, or a trace that is not positive.
+    """
+
+    def __init__(self, means: np.ndarray, covs: np.ndarray, n: int) -> None:
+        self.mean, self.cov, self.n, self.p = means, covs, n, means.shape[1]
+
+    @functools.cached_property
+    def forms(self):
+        return _quadratic_forms(self.mean, self.cov)
+
+    def _trace(self) -> np.ndarray:
+        traces = np.trace(self.cov, axis1=1, axis2=2)
+        return np.where(traces > 0.0, traces, np.nan)
+
+    def _extras(self):
+        means = self.mean
+        mean_sq = means[:, None, :] @ means[:, :, None]  # the bits of each slot's mean @ mean
+        return mean_sq.ravel(), means.sum(axis=1), self._trace()
+
+
+#: the chunk core accepts a slot only if its values lie within this bound, far
+#: inside the float range, so that what the one-panel path derives from them
+#: (to_merton's constants, the Cauchy-Schwarz check) cannot overflow either
+_ACCEPT_BOUND = 1e300
+
+
+def _bounded(*values) -> np.ndarray:
+    """Per slot, whether every value lies within ``_ACCEPT_BOUND`` (False for NaN)."""
+    return np.logical_and.reduce([np.abs(value) <= _ACCEPT_BOUND for value in values])
+
+
+def _estimate_stack(means: np.ndarray, covs: np.ndarray, n: int, kinds) -> tuple[dict, dict]:
+    """Each kind over ``(B, p)`` means and ``(B, p, p)`` covariances of ``n`` observations.
+
+    Returns ``(values, errors)``: ``values[kind]`` holds one row
+    ``(r_gmv, v_gmv, slope)`` per slot, NaN where the kind failed, and
+    ``errors[kind]`` maps each failed slot to its exception.  Each slot gets
+    what :func:`_estimate_each` gives its own moments, bit for bit, and
+    raises what it raises.
+
+    A shape failure (:func:`_shape_error`) holds for the whole stack.  Other
+    kinds are computed for all slots at once by :func:`_kind_constants` and
+    the arithmetic that :func:`estimate` runs on floats, and a slot is
+    accepted only where its values pass every check of ``MertonConstants``,
+    ``FrontierParams`` and the slope clamp with room to spare: bounded,
+    ``c > 0``, ``v > 0``, ``a >= 0`` and a slope that needs no clamp (which
+    implies Cauchy-Schwarz).  Every other slot, a failed read included, is
+    recomputed by :func:`_estimate_each` on its own moments, so the error
+    classes and messages are stated in one place.
+    """
+    size, p = means.shape
+    stack = _MomentStack(means, covs, n)
+    values = {kind: np.full((size, 3), np.nan) for kind in kinds}
+    errors = {kind: {} for kind in kinds}
+    accepted = {}
+    with np.errstate(all="ignore"):  # a rejected slot may divide by zero or overflow
+        for kind in kinds:
+            error = _shape_error(kind, p, n)
+            if error is not None:
+                errors[kind] = dict.fromkeys(range(size), error)
+                continue
+            a, b, c = _kind_constants(kind, stack)
+            r_gmv, v_gmv, slope = _vertex(a, b, c)
+            ok = (c > 0.0) & (a >= 0.0) & (v_gmv > 0.0) & (slope >= 0.0)
+            ok &= _bounded(a, b, c, r_gmv, v_gmv, slope)
+            correct = _KINDS[kind].correct
+            if correct is not None:
+                r_gmv, v_gmv, slope = correct(r_gmv, v_gmv, slope, p, n)
+                # to_merton squares r_gmv with Python's ``**``, which raises
+                # OverflowError instead of giving inf, and divides by v_gmv
+                square = r_gmv * r_gmv
+                ok &= _bounded(v_gmv, square, square / v_gmv, square / (v_gmv * v_gmv))
+            values[kind][ok] = np.column_stack([r_gmv, v_gmv, slope])[ok]
+            accepted[kind] = ok
+    pending = np.zeros(size, dtype=bool)
+    for ok in accepted.values():
+        pending |= ~ok
+    for slot in np.flatnonzero(pending).tolist():
+        moments = SampleMoments(mean=means[slot], cov=covs[slot], n=n, p=p)
+        reports, failed = _estimate_each(moments, [k for k, ok in accepted.items() if not ok[slot]])
+        for kind, report in reports.items():
+            params = report.params
+            values[kind][slot] = (params.r_gmv, params.v_gmv, params.slope)
+        for kind, exc in failed.items():
+            errors[kind][slot] = exc
+    return values, errors

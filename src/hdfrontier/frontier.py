@@ -153,26 +153,50 @@ def _as_covariance(sigma, p: int) -> np.ndarray:
 _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
-def _quadratic_forms(mu: np.ndarray, sigma: np.ndarray) -> tuple[float, float, float]:
+def _solve(sigma: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """``(inv(sigma) @ rhs, 0)`` through potrf and potrs, or ``(None, info)``
+    with LAPACK's positive ``info`` when ``sigma`` is not positive definite."""
+    # a negative info flags an illegal argument, which these calls never pass
+    factor, info = _potrf(sigma, lower=True, clean=False)
+    if info > 0:
+        return None, info
+    return _potrs(factor, rhs, lower=True)[0], 0
+
+
+def _quadratic_forms(mu: np.ndarray, sigma: np.ndarray):
     """(a, b, c) in ``inv(sigma)`` through a single Cholesky factorization.
 
     The package's one factor-and-solve for these forms, shared by the
     population constants and every estimator so that they cannot drift
     apart.  Raises CholeskyFailure if ``sigma`` is not positive definite.
+
+    A ``(B, p)`` stack of means with a ``(B, p, p)`` stack of matrices gives
+    ``(B,)`` arrays instead, NaN in each row whose matrix is not positive
+    definite: one :func:`_solve` per slot, then the dot products as stacked
+    ``(B, 1, p) @ (B, p, 1)`` matmuls, which give each slot the bits of the
+    one-matrix products.  One matrix keeps its own path, cheaper than a
+    stack of one, since the rolling pipeline makes one such call per window.
     """
-    # a negative info flags an illegal argument, which these calls never pass
-    factor, info = _potrf(sigma, lower=True, clean=False)
-    if info > 0:
-        exc = scipy.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite"
-        )
-        raise CholeskyFailure(f"covariance is not positive definite: {exc}") from exc
-    ones = np.ones_like(mu)
-    sol, _ = _potrs(factor, np.column_stack([ones, mu]), lower=True)
-    c = float(ones @ sol[:, 0])
-    b = float(ones @ sol[:, 1])
-    a = float(mu @ sol[:, 1])
-    return a, b, c
+    ones = np.ones(mu.shape[-1])
+    rhs = np.empty(mu.shape + (2,))  # per slot, the columns (ones, mu)
+    rhs[..., 0] = 1.0
+    rhs[..., 1] = mu
+    if mu.ndim == 1:
+        sol, info = _solve(sigma, rhs)
+        if sol is None:
+            exc = scipy.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite"
+            )
+            raise CholeskyFailure(f"covariance is not positive definite: {exc}") from exc
+        return float(mu @ sol[:, 1]), float(ones @ sol[:, 1]), float(ones @ sol[:, 0])
+    sols = np.full((len(mu), 2, mu.shape[1]), np.nan)  # slot i is the transposed solution
+    for slot, matrix in enumerate(sigma):
+        sol, _ = _solve(matrix, rhs[slot])
+        if sol is not None:
+            sols[slot] = sol.T
+    solved_ones, solved_mu = sols[:, 0, :, None], sols[:, 1, :, None]
+    a = mu[:, None, :] @ solved_mu
+    return a.ravel(), (ones @ solved_mu).ravel(), (ones @ solved_ones).ravel()
 
 
 def merton_constants(mu, sigma) -> MertonConstants:
@@ -203,8 +227,15 @@ def merton_constants(mu, sigma) -> MertonConstants:
     return MertonConstants(a, b, c)
 
 
-def _clamped_slope(a: float, b: float, c: float) -> float:
-    slope = a - b * b / c
+def _vertex(a, b, c):
+    """(r_gmv, v_gmv, unclamped slope) of Merton constants.
+
+    Floats and ``(B,)`` arrays alike, with the same operations in the same order.
+    """
+    return b / c, 1.0 / c, a - b * b / c
+
+
+def _clamped_slope(slope: float, a: float) -> float:
     if slope < 0.0:
         if slope > -SLOPE_CLAMP_RTOL * a:
             return 0.0
@@ -219,11 +250,8 @@ def from_merton(constants: MertonConstants) -> FrontierParams:
     """Map Merton constants to the parabola's vertex/curvature form."""
     if constants.c <= 0.0:
         raise InvalidConstants(f"c must be positive, got {constants.c}")
-    return FrontierParams(
-        r_gmv=constants.b / constants.c,
-        v_gmv=1.0 / constants.c,
-        slope=_clamped_slope(constants.a, constants.b, constants.c),
-    )
+    r_gmv, v_gmv, slope = _vertex(constants.a, constants.b, constants.c)
+    return FrontierParams(r_gmv=r_gmv, v_gmv=v_gmv, slope=_clamped_slope(slope, constants.a))
 
 
 def to_merton(params: FrontierParams) -> MertonConstants:

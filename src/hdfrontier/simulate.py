@@ -42,8 +42,8 @@ from .errors import (
 from .estimators import (
     EstimatorKind,
     ReturnsMatrix,
-    SampleMoments,
     _estimate_each,
+    _estimate_stack,
     _moments,
     sample_moments,
 )
@@ -160,6 +160,8 @@ class ScenarioSpec:
             raise InvalidParams(f"need p >= 2, got p={self.p}")
         if self.n < 2:
             raise InvalidParams(f"need n >= 2, got n={self.n}")
+        if self.seed < 0:
+            raise InvalidParams(f"seed must be non-negative, got {self.seed}")
         for name in ("mean_range", "alpha1_range", "beta1_range"):
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -467,8 +469,9 @@ def _replicate_span(spec, kinds, mu, sigma, start, stop) -> tuple[dict, dict]:
     The span's one sampler, built here in the worker, fills each
     ``(chunk, p, n)`` buffer with one panel per replication, drawn from that
     replication's own generator; the chunk is reduced to sample moments in
-    one stacked step, and each replication's moments go through the
-    estimators on their own.  Returns ``(estimates, reasons)``:
+    one stacked step, and the estimator core evaluates each kind once over
+    the whole chunk (:func:`estimators._estimate_stack`), with the bits of
+    one replication at a time.  Returns ``(estimates, reasons)``:
     ``estimates[kind]`` has one ``(r, v, s)`` row per replication, NaN when
     the kind failed, and ``reasons[kind]`` counts failures by class name.
     """
@@ -480,16 +483,15 @@ def _replicate_span(spec, kinds, mu, sigma, start, stop) -> tuple[dict, dict]:
     for first in range(start, stop, size):
         x = buffer[: min(size, stop - first)]
         fill(x, (_rng_for(spec.seed, _DOMAIN_REPLICATION, first + k) for k in range(len(x))))
+        # held until the next chunk's moments replace them: freed right after
+        # the estimators instead, at p=500 the allocator hands the memory back
+        # and each replication takes about 1,700 more page faults (10-20% slower)
         means, covs = _moments(x)
-        for slot in range(len(x)):
-            moments = SampleMoments(mean=means[slot], cov=covs[slot], n=spec.n, p=spec.p)
-            reports, errors = _estimate_each(moments, kinds)
-            row = first - start + slot
-            for kind, report in reports.items():
-                params = report.params
-                estimates[kind][row] = (params.r_gmv, params.v_gmv, params.slope)
-            for kind, exc in errors.items():
-                reasons[kind][type(exc).__name__] += 1
+        values, errors = _estimate_stack(means, covs, spec.n, kinds)
+        rows = slice(first - start, first - start + len(x))
+        for kind in kinds:
+            estimates[kind][rows] = values[kind]
+            reasons[kind].update(type(exc).__name__ for exc in errors[kind].values())
     return estimates, reasons
 
 

@@ -566,6 +566,11 @@ class TestUsageErrors:
                 ["simulate", "--kinds", "sample", "--outputs", "histograms"], None,
                 "--outputs histograms needs the consistent kind",
             ),
+            (["simulate", "--seed", "-1"], None, "seed must be non-negative, got -1"),
+            (["theory-check", "--seed", "-1"], None, "seed must be non-negative, got -1"),
+            (["simulate"], {"seed": -5}, "seed must be non-negative, got -5"),
+            (["estimate", "--input", "x.csv", "--level", "1.5"], None, "--level must lie in (0, 1)"),
+            (["estimate", "--input", "x.csv"], {"level": 0}, "--level must lie in (0, 1)"),
         ],
     )
     def test_exit_2_without_run_directory(self, tmp_path, capsys, args, config, message):

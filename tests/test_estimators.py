@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from hdfrontier import (
     EstimateReport,
@@ -26,9 +27,10 @@ from hdfrontier import (
     sample_moments,
     unbiased_frontier,
 )
-from hdfrontier import frontier
+from hdfrontier import estimators, frontier
 from hdfrontier.estimators import (
     _estimate_each,
+    _estimate_stack,
     _shape_error,
     consistent_frontier,
     sample_frontier,
@@ -446,3 +448,152 @@ class TestEstimateManyOrder:
         singular = _random_moments(p=6, n=5, seed=4)
         with pytest.raises(SingularCovariance, match="n > p"):
             estimate_many(singular, ["rte", "ebe", "sample"])
+
+
+def _outcome(call):
+    """(class, message) of what ``call()`` raises, or None when it returns."""
+    try:
+        call()
+    except HDFrontierError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestPrecisionErrorsMatchEstimate:
+    """A precision function fails as ``estimate`` fails for its kind."""
+
+    # a constant panel: zero covariance at n=4, rounding-size at n=12
+    @pytest.mark.parametrize("n", [4, 12])
+    @pytest.mark.parametrize(
+        "kind, precision",
+        [("sse", precision_sse), ("ebe", precision_ebe), ("rte", precision_rte)],
+    )
+    def test_constant_panel(self, n, kind, precision):
+        def moments():
+            return sample_moments(np.full((6, n), 0.1))
+
+        expected = _outcome(lambda: estimate(moments(), kind))
+        assert _outcome(lambda: precision(moments())) == expected
+        if kind != "rte":
+            assert expected is not None and expected[0] is SingularCovariance
+
+
+#: hand-built slots for the chunk core: what each does to the mean and covariance
+SLOT_CASES = (
+    "well",            # well-conditioned, random mean
+    "constant",        # a constant asset: zero row and column, the factorization fails
+    "near_singular",   # smallest eigenvalue 1e-18 to 1e-12 of the largest
+    "equal_mean",      # mean along the ones vector: a slope of rounding size
+    "zero_mean",       # zero slope, so the unbiased slope is negative
+    "zero",            # zero covariance: zero trace
+    "tiny",            # covariance near 1e-305: forms beyond the core's bound
+    "huge",            # covariance near 5e307: the unbiased variance can overflow
+    "opposed",         # identity covariance, mean +-1e160: a overflows while b = 0
+    "huge_mean",       # covariance near 1e250, mean near 1e200: r_gmv**2 overflows
+)
+
+
+def _slot(case, p, rng):
+    basis = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    eigs = rng.uniform(0.5, 2.0, p)
+    if case == "near_singular":
+        eigs[0] = 10.0 ** rng.uniform(-18, -12)
+    cov = (basis * eigs) @ basis.T
+    cov = 0.5 * (cov + cov.T)
+    mean = rng.uniform(-0.3, 0.3, p)
+    if case == "constant":
+        cov[0, :] = cov[:, 0] = 0.0
+    elif case == "equal_mean":
+        mean[:] = mean[0]
+    elif case == "zero_mean":
+        mean[:] = 0.0
+    elif case == "zero":
+        cov[:] = 0.0
+    elif case == "tiny":
+        cov *= 1e-305
+    elif case == "huge":
+        cov *= 5e307
+    elif case == "opposed":
+        cov = np.eye(p)
+        mean = np.resize([1e160, -1e160], p)
+    elif case == "huge_mean":
+        cov *= 1e250
+        mean = rng.uniform(1e200, 2e200, p)
+    return mean, cov
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the scalar path on extreme slots
+class TestEstimateStack:
+    """The chunk core against one ``_estimate_each`` call per slot."""
+
+    @given(
+        p=st.integers(2, 7),
+        excess=st.sampled_from([1, 2, 3, 9, 40]),
+        cases=st.lists(st.sampled_from(SLOT_CASES), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_matches_each_slot(self, p, excess, cases, seed):
+        rng = np.random.default_rng(seed)
+        slots = [_slot(case, p, rng) for case in cases]
+        means = np.array([mean for mean, _ in slots])
+        covs = np.array([cov for _, cov in slots])
+        n = p + excess
+        each, kept = [], []
+        for slot in range(len(cases)):
+            moments = SampleMoments(mean=means[slot], cov=covs[slot], n=n, p=p)
+            try:
+                each.append(_estimate_each(moments, ALL_KINDS))
+            except OverflowError:  # the unbiased kind's to_merton squares a huge r_gmv
+                with pytest.raises(OverflowError):
+                    _estimate_stack(means[slot:slot + 1], covs[slot:slot + 1], n, ALL_KINDS)
+            else:
+                kept.append(slot)
+        values, errors = _estimate_stack(means[kept], covs[kept], n, ALL_KINDS)
+        for row, (reports, failed) in enumerate(each):
+            for kind in ALL_KINDS:
+                if kind in reports:
+                    params = reports[kind].params
+                    want = np.array([params.r_gmv, params.v_gmv, params.slope])
+                    assert row not in errors[kind]
+                else:
+                    want = np.full(3, np.nan)
+                    got = errors[kind][row]
+                    assert (type(got), str(got)) == (type(failed[kind]), str(failed[kind]))
+                assert np.array_equal(values[kind][row], want, equal_nan=True), (kind, cases[kept[row]])
+
+    def test_covers_every_path(self, monkeypatch):
+        """The hand-built cases reach the accepted rows, the clamp, and each failure."""
+        redone = []  # kinds that a slot's scalar rerun estimated
+
+        def spy(moments, kinds, _each=estimators._estimate_each):
+            reports, failed = _each(moments, kinds)
+            redone.extend(reports)
+            return reports, failed
+
+        monkeypatch.setattr(estimators, "_estimate_each", spy)
+        rng = np.random.default_rng(1)
+        p, n = 5, 7  # n = p + 2: the unbiased kind runs, sse and ebe fail by shape
+        cases = SLOT_CASES[:-1]  # all but huge_mean, which raises
+        slots = [_slot(case, p, rng) for case in cases]
+        means = np.array([mean for mean, _ in slots])
+        covs = np.array([cov for _, cov in slots])
+        values, errors = _estimate_stack(means, covs, n, ALL_KINDS)
+        sample = EstimatorKind.SAMPLE
+        assert np.all(np.isfinite(values[sample][0]))
+        assert type(errors[sample][1]) is SingularCovariance
+        assert type(errors[EstimatorKind.RTE][5]) is ZeroTrace
+        assert values[EstimatorKind.UNBIASED][4, 2] < 0.0
+        assert len(errors[EstimatorKind.SSE]) == len(cases)
+        # the sample kind accepts this slot, but the unbiased kind's is redone,
+        # and raises as the one-panel path does
+        mean, cov = _slot("huge_mean", p, rng)
+        redone.clear()
+        assert np.all(np.isfinite(_estimate_stack(mean[None], cov[None], n, [sample])[0][sample]))
+        assert redone == []
+        with pytest.raises(OverflowError):
+            _estimate_stack(mean[None], cov[None], n, [EstimatorKind.UNBIASED])
+        # this equal-mean slot's slope is -1.4e-17: redone, and clamped to zero
+        mean, cov = _slot("equal_mean", p, np.random.default_rng(0))
+        clamped, _ = _estimate_stack(mean[None], cov[None], n, [sample])
+        assert redone[-1:] == [sample] and clamped[sample][0, 2] == 0.0

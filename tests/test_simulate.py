@@ -104,6 +104,8 @@ class TestScenarioSpec:
             ScenarioSpec(scenario="normal", p=5, n=20, mean_range=(0.3, -0.3))
         with pytest.raises(InvalidParams):
             ScenarioSpec(scenario="normal", p=5, n=20, burn_in=-1)
+        with pytest.raises(InvalidParams, match="seed must be non-negative"):
+            ScenarioSpec(scenario="normal", p=5, n=20, seed=-1)
         with pytest.raises(ValueError):
             ScenarioSpec(scenario="bogus", p=5, n=20)
 
