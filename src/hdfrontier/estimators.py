@@ -171,15 +171,21 @@ class SampleMoments:
     # what _kind_constants reads beyond ``forms``; _MomentStack reads a chunk
 
     def _trace(self) -> float:
-        """``tr S``; raises ZeroTrace unless it is positive."""
-        trace = float(np.trace(self.cov))
+        """``tr S``; raises ZeroTrace unless it is positive.
+
+        A sum beyond the float range is ``inf``, without a NumPy warning: the
+        estimator that reads it fails with its own error.
+        """
+        with np.errstate(over="ignore"):
+            trace = float(np.trace(self.cov))
         if trace <= 0.0:
             raise ZeroTrace(f"sample covariance trace must be positive, got {trace}")
         return trace
 
     def _extras(self) -> tuple[float, float, float]:
-        """``(mean·mean, sum(mean), tr S)``."""
-        return float(self.mean @ self.mean), float(self.mean.sum()), self._trace()
+        """``(mean·mean, sum(mean), tr S)``; a sum beyond the float range is ``inf``, unwarned."""
+        with np.errstate(over="ignore"):
+            return float(self.mean @ self.mean), float(self.mean.sum()), self._trace()
 
 
 class EstimatorKind(str, enum.Enum):
@@ -496,8 +502,13 @@ def plugin_frontier(precision, mean, kind: EstimatorKind, n: int) -> EstimateRep
 
 
 def _ridged(cov, trace, n):
-    """``(n - 1) S + tr(S) I``, for one matrix or a ``(B, p, p)`` stack with ``(B,)`` traces."""
-    return (n - 1) * cov + np.multiply.outer(trace, np.eye(cov.shape[-1]))
+    """``(n - 1) S + tr(S) I``, for one matrix or a ``(B, p, p)`` stack with ``(B,)`` traces.
+
+    Entries beyond the float range become ``inf`` or NaN without a NumPy
+    warning; the factorization then fails with the estimator's own error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (n - 1) * cov + np.multiply.outer(trace, np.eye(cov.shape[-1]))
 
 
 def _kind_constants(kind: EstimatorKind, source):
@@ -523,16 +534,35 @@ def estimate(moments: SampleMoments, kind: EstimatorKind) -> EstimateReport:
     p, n = moments.p, moments.n
     merton = MertonConstants(*_kind_constants(kind, moments))
     params = from_merton(merton)
-    notes = ()
     correct = _KINDS[kind].correct
     if correct is not None:
         corrected = correct(params.r_gmv, params.v_gmv, params.slope, p, n)
         params = FrontierParams(*corrected, validate=False)
+    return _report(kind, params, merton, p, n)
+
+
+def _report(kind: EstimatorKind, params: FrontierParams, merton, p: int, n: int) -> EstimateReport:
+    """A kind's report from its final parameters.
+
+    ``merton`` is the kind's constants, which its report carries unless its
+    rule has a correction step: then the report carries ``to_merton`` of the
+    corrected parameters (``merton`` may be None), and a note when the slope
+    is negative.
+    """
+    notes = ()
+    if _KINDS[kind].correct is not None:
         merton = to_merton(params)
         notes = ("negative-slope",) if params.slope < 0 else ()
     return EstimateReport(
-        kind=kind, params=params, merton=merton, p=p, n=n, ratio=moments.ratio, notes=notes
+        kind=kind, params=params, merton=merton, p=p, n=n, ratio=p / n, notes=notes
     )
+
+
+def _slot_report(kind: EstimatorKind, row: np.ndarray, p: int, n: int) -> EstimateReport:
+    """What :func:`estimate` gives one slot of :func:`_estimate_stack`, from its row of values."""
+    r_gmv, v_gmv, slope, a, b, c = row.tolist()
+    merton = None if _KINDS[kind].correct is not None else MertonConstants(a, b, c)
+    return _report(kind, FrontierParams(r_gmv, v_gmv, slope, validate=False), merton, p, n)
 
 
 def estimate_many(
@@ -613,10 +643,13 @@ def _estimate_stack(means: np.ndarray, covs: np.ndarray, n: int, kinds) -> tuple
     """Each kind over ``(B, p)`` means and ``(B, p, p)`` covariances of ``n`` observations.
 
     Returns ``(values, errors)``: ``values[kind]`` holds one row
-    ``(r_gmv, v_gmv, slope)`` per slot, NaN where the kind failed, and
-    ``errors[kind]`` maps each failed slot to its exception.  Each slot gets
-    what :func:`_estimate_each` gives its own moments, bit for bit, and
-    raises what it raises.
+    ``(r_gmv, v_gmv, slope, a, b, c)`` per slot, the parameters and Merton
+    constants of its report (the constants NaN for a kind with a correction
+    step, whose report derives them from its parameters; see
+    :func:`_slot_report`), and NaN where the kind failed; ``errors[kind]``
+    maps each failed slot to its exception.  Each slot gets what
+    :func:`_estimate_each` gives its own moments, bit for bit, and raises
+    what it raises.
 
     A shape failure (:func:`_shape_error`) holds for the whole stack.  Other
     kinds are computed for all slots at once by :func:`_kind_constants` and
@@ -630,7 +663,7 @@ def _estimate_stack(means: np.ndarray, covs: np.ndarray, n: int, kinds) -> tuple
     """
     size, p = means.shape
     stack = _MomentStack(means, covs, n)
-    values = {kind: np.full((size, 3), np.nan) for kind in kinds}
+    values = {kind: np.full((size, 6), np.nan) for kind in kinds}
     errors = {kind: {} for kind in kinds}
     accepted = {}
     with np.errstate(all="ignore"):  # a rejected slot may divide by zero or overflow
@@ -647,10 +680,13 @@ def _estimate_stack(means: np.ndarray, covs: np.ndarray, n: int, kinds) -> tuple
             if correct is not None:
                 r_gmv, v_gmv, slope = correct(r_gmv, v_gmv, slope, p, n)
                 # to_merton squares r_gmv with Python's ``**``, which raises
-                # OverflowError instead of giving inf, and divides by v_gmv
+                # InvalidParams on overflow instead of giving inf, and divides by v_gmv
                 square = r_gmv * r_gmv
                 ok &= _bounded(v_gmv, square, square / v_gmv, square / (v_gmv * v_gmv))
-            values[kind][ok] = np.column_stack([r_gmv, v_gmv, slope])[ok]
+                rows = np.column_stack([r_gmv, v_gmv, slope])
+            else:
+                rows = np.column_stack([r_gmv, v_gmv, slope, a, b, c])
+            values[kind][ok, : rows.shape[1]] = rows[ok]
             accepted[kind] = ok
     pending = np.zeros(size, dtype=bool)
     for ok in accepted.values():
@@ -659,8 +695,9 @@ def _estimate_stack(means: np.ndarray, covs: np.ndarray, n: int, kinds) -> tuple
         moments = SampleMoments(mean=means[slot], cov=covs[slot], n=n, p=p)
         reports, failed = _estimate_each(moments, [k for k, ok in accepted.items() if not ok[slot]])
         for kind, report in reports.items():
-            params = report.params
-            values[kind][slot] = (params.r_gmv, params.v_gmv, params.slope)
+            params, merton = report.params, report.merton
+            constants = (np.nan,) * 3 if _KINDS[kind].correct else (merton.a, merton.b, merton.c)
+            values[kind][slot] = (params.r_gmv, params.v_gmv, params.slope, *constants)
         for kind, exc in failed.items():
             errors[kind][slot] = exc
     return values, errors

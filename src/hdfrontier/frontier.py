@@ -175,7 +175,7 @@ def _quadratic_forms(mu: np.ndarray, sigma: np.ndarray):
     definite: one :func:`_solve` per slot, then the dot products as stacked
     ``(B, 1, p) @ (B, p, 1)`` matmuls, which give each slot the bits of the
     one-matrix products.  One matrix keeps its own path, cheaper than a
-    stack of one, since the rolling pipeline makes one such call per window.
+    stack of one, since ``estimators.estimate`` makes one such call per panel.
     """
     ones = np.ones(mu.shape[-1])
     rhs = np.empty(mu.shape + (2,))  # per slot, the columns (ones, mu)
@@ -188,7 +188,8 @@ def _quadratic_forms(mu: np.ndarray, sigma: np.ndarray):
                 f"{info}-th leading minor of the array is not positive definite"
             )
             raise CholeskyFailure(f"covariance is not positive definite: {exc}") from exc
-        return float(mu @ sol[:, 1]), float(ones @ sol[:, 1]), float(ones @ sol[:, 0])
+        with np.errstate(over="ignore"):  # a form beyond the float range is inf, which callers reject
+            return float(mu @ sol[:, 1]), float(ones @ sol[:, 1]), float(ones @ sol[:, 0])
     sols = np.full((len(mu), 2, mu.shape[1]), np.nan)  # slot i is the transposed solution
     for slot, matrix in enumerate(sigma):
         sol, _ = _solve(matrix, rhs[slot])
@@ -255,12 +256,23 @@ def from_merton(constants: MertonConstants) -> FrontierParams:
 
 
 def to_merton(params: FrontierParams) -> MertonConstants:
-    """Inverse of :func:`from_merton` (exact round trip)."""
+    """Inverse of :func:`from_merton`, to rounding.
+
+    ``from_merton(to_merton(params))`` is ``params`` up to rounding, not bit
+    for bit: ``r_gmv`` and ``v_gmv`` within a relative ``1e-15``, and
+    ``slope`` within ``2e-15 * a``, since ``slope = a - b**2/c`` cancels
+    when ``r_gmv**2 / v_gmv`` dwarfs it.  Raises InvalidParams when
+    ``r_gmv**2`` overflows.
+    """
     if params.v_gmv <= 0.0:
         raise InvalidParams(f"v_gmv must be positive, got {params.v_gmv}")
     c = 1.0 / params.v_gmv
     b = params.r_gmv / params.v_gmv
-    a = params.slope + params.r_gmv**2 / params.v_gmv
+    try:
+        square = params.r_gmv**2
+    except OverflowError:
+        raise InvalidParams(f"r_gmv**2 overflows the float range, r_gmv={params.r_gmv}") from None
+    a = params.slope + square / params.v_gmv
     return MertonConstants(a, b, c, validate=params.slope >= 0.0)
 
 

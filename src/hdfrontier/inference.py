@@ -83,15 +83,26 @@ def asymptotic_variances(params: FrontierParams, ratio: float) -> AsymptoticVari
 def _limit_variances(v, s, ratio: float) -> tuple:
     """(var_r, var_v, var_s) of the module docstring, elementwise on arrays.
 
-    Operands keep the caller's types: Python's and NumPy's ``x**2`` can
-    differ in the last bit, so converting them would move results.
+    An array gives each element the bits that the element alone gives.
     """
     one_minus = 1.0 - ratio
     return (
         (1.0 + (s + ratio) / one_minus) * v,
         2.0 * v * v / one_minus,
-        2.0 * (ratio + 2.0 * s) + 2.0 * (ratio + s) ** 2 / one_minus,
+        2.0 * (ratio + 2.0 * s) + 2.0 * _square(ratio + s) / one_minus,
     )
+
+
+def _square(x):
+    """``x ** 2`` as a Python or NumPy scalar computes it, also elementwise.
+
+    A scalar's ``**`` calls the C library's ``pow``; NumPy squares an array
+    by multiplication instead, which gives another last bit for about one
+    value in a thousand.
+    """
+    if np.ndim(x) == 0:
+        return x**2
+    return np.reshape([t**2 for t in np.ravel(x).tolist()], np.shape(x))
 
 
 def normal_quantile(beta: float) -> float:
@@ -159,12 +170,18 @@ def confidence_intervals(
     s_center, hw_r, hw_v, hw_s = _half_widths(
         params.v_gmv, params.slope, report.ratio, report.n, level, center_s_bias
     )
-    s_center = float(s_center)
+    return _intervals(
+        level, params.r_gmv, params.v_gmv, float(s_center), float(hw_r), float(hw_v), float(hw_s)
+    )
+
+
+def _intervals(level, r, v, s_center, hw_r, hw_v, hw_s) -> ConfidenceIntervals:
+    """Intervals from the centres and the half-widths of :func:`_half_widths`."""
     return ConfidenceIntervals(
         level=level,
-        ci_r=(params.r_gmv - float(hw_r), params.r_gmv + float(hw_r)),
-        ci_v=(params.v_gmv - float(hw_v), params.v_gmv + float(hw_v)),
-        ci_s=(s_center - float(hw_s), s_center + float(hw_s)),
+        ci_r=(r - hw_r, r + hw_r),
+        ci_v=(v - hw_v, v + hw_v),
+        ci_s=(s_center - hw_s, s_center + hw_s),
     )
 
 

@@ -490,7 +490,7 @@ def _replicate_span(spec, kinds, mu, sigma, start, stop) -> tuple[dict, dict]:
         values, errors = _estimate_stack(means, covs, spec.n, kinds)
         rows = slice(first - start, first - start + len(x))
         for kind in kinds:
-            estimates[kind][rows] = values[kind]
+            estimates[kind][rows] = values[kind][:, :3]
             reasons[kind].update(type(exc).__name__ for exc in errors[kind].values())
     return estimates, reasons
 

@@ -1,5 +1,7 @@
 """Sample moments and the estimator family."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -32,6 +34,7 @@ from hdfrontier.estimators import (
     _estimate_each,
     _estimate_stack,
     _shape_error,
+    _slot_report,
     consistent_frontier,
     sample_frontier,
 )
@@ -522,7 +525,30 @@ def _slot(case, p, rng):
     return mean, cov
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the scalar path on extreme slots
+class TestExtremeMoments:
+    """Moments near the float range fail with an HDFrontierError, and nothing else."""
+
+    def test_huge_covariance_fails_without_numpy_warnings(self):
+        m = SampleMoments(mean=np.ones(5), cov=5e307 * np.eye(5), n=20, p=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ALL_KINDS:
+                try:
+                    estimate(m, kind)
+                except HDFrontierError:
+                    pass
+            with pytest.raises(HDFrontierError):
+                estimate(m, "rte")
+
+    def test_overflowing_unbiased_constants_are_invalid_params(self):
+        m = SampleMoments(mean=np.array([1e200, 1.1e200]), cov=1e250 * np.eye(2), n=10, p=2)
+        with pytest.raises(InvalidParams, match="overflows"):
+            estimate(m, "unbiased")
+        reports, errors = _estimate_each(m, ALL_KINDS)
+        assert EstimatorKind.SAMPLE in reports
+        assert type(errors[EstimatorKind.UNBIASED]) is InvalidParams
+
+
 class TestEstimateStack:
     """The chunk core against one ``_estimate_each`` call per slot."""
 
@@ -539,28 +565,27 @@ class TestEstimateStack:
         means = np.array([mean for mean, _ in slots])
         covs = np.array([cov for _, cov in slots])
         n = p + excess
-        each, kept = [], []
-        for slot in range(len(cases)):
-            moments = SampleMoments(mean=means[slot], cov=covs[slot], n=n, p=p)
-            try:
-                each.append(_estimate_each(moments, ALL_KINDS))
-            except OverflowError:  # the unbiased kind's to_merton squares a huge r_gmv
-                with pytest.raises(OverflowError):
-                    _estimate_stack(means[slot:slot + 1], covs[slot:slot + 1], n, ALL_KINDS)
-            else:
-                kept.append(slot)
-        values, errors = _estimate_stack(means[kept], covs[kept], n, ALL_KINDS)
+        each = [
+            _estimate_each(SampleMoments(mean=means[slot], cov=covs[slot], n=n, p=p), ALL_KINDS)
+            for slot in range(len(cases))
+        ]
+        values, errors = _estimate_stack(means, covs, n, ALL_KINDS)
         for row, (reports, failed) in enumerate(each):
             for kind in ALL_KINDS:
                 if kind in reports:
-                    params = reports[kind].params
-                    want = np.array([params.r_gmv, params.v_gmv, params.slope])
+                    report = reports[kind]
+                    params, merton = report.params, report.merton
+                    constants = (merton.a, merton.b, merton.c)
+                    if kind is EstimatorKind.UNBIASED:  # derived from the parameters
+                        constants = (np.nan,) * 3
+                    want = [params.r_gmv, params.v_gmv, params.slope, *constants]
                     assert row not in errors[kind]
+                    assert _slot_report(kind, values[kind][row], p, n) == report
                 else:
-                    want = np.full(3, np.nan)
+                    want = np.full(6, np.nan)
                     got = errors[kind][row]
                     assert (type(got), str(got)) == (type(failed[kind]), str(failed[kind]))
-                assert np.array_equal(values[kind][row], want, equal_nan=True), (kind, cases[kept[row]])
+                assert np.array_equal(values[kind][row], want, equal_nan=True), (kind, cases[row])
 
     def test_covers_every_path(self, monkeypatch):
         """The hand-built cases reach the accepted rows, the clamp, and each failure."""
@@ -574,7 +599,7 @@ class TestEstimateStack:
         monkeypatch.setattr(estimators, "_estimate_each", spy)
         rng = np.random.default_rng(1)
         p, n = 5, 7  # n = p + 2: the unbiased kind runs, sse and ebe fail by shape
-        cases = SLOT_CASES[:-1]  # all but huge_mean, which raises
+        cases = SLOT_CASES[:-1]  # all but huge_mean, drawn on its own below
         slots = [_slot(case, p, rng) for case in cases]
         means = np.array([mean for mean, _ in slots])
         covs = np.array([cov for _, cov in slots])
@@ -586,13 +611,13 @@ class TestEstimateStack:
         assert values[EstimatorKind.UNBIASED][4, 2] < 0.0
         assert len(errors[EstimatorKind.SSE]) == len(cases)
         # the sample kind accepts this slot, but the unbiased kind's is redone,
-        # and raises as the one-panel path does
+        # and fails as the one-panel path does: to_merton's r_gmv**2 overflows
         mean, cov = _slot("huge_mean", p, rng)
         redone.clear()
         assert np.all(np.isfinite(_estimate_stack(mean[None], cov[None], n, [sample])[0][sample]))
         assert redone == []
-        with pytest.raises(OverflowError):
-            _estimate_stack(mean[None], cov[None], n, [EstimatorKind.UNBIASED])
+        _, errors = _estimate_stack(mean[None], cov[None], n, [EstimatorKind.UNBIASED])
+        assert type(errors[EstimatorKind.UNBIASED][0]) is InvalidParams
         # this equal-mean slot's slope is -1.4e-17: redone, and clamped to zero
         mean, cov = _slot("equal_mean", p, np.random.default_rng(0))
         clamped, _ = _estimate_stack(mean[None], cov[None], n, [sample])

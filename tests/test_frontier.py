@@ -114,6 +114,27 @@ class TestConversions:
         assert back.v_gmv == pytest.approx(params.v_gmv, rel=1e-14)
         assert back.slope == pytest.approx(params.slope, rel=1e-12)
 
+    def test_round_trip_is_to_rounding(self):
+        # not bit for bit: r_gmv and v_gmv within a relative 1e-15, the slope
+        # within 2e-15 * a, as the to_merton docstring states
+        rng = np.random.default_rng(8)
+        moved = 0
+        for r, v, s in zip(rng.normal(0.0, 0.3, 20_000), rng.uniform(0.01, 2.0, 20_000),
+                           rng.uniform(0.0, 3.0, 20_000)):
+            params = FrontierParams(float(r), float(v), float(s))
+            constants = to_merton(params)
+            back = from_merton(constants)
+            assert abs(back.r_gmv - params.r_gmv) <= 1e-15 * abs(params.r_gmv)
+            assert abs(back.v_gmv - params.v_gmv) <= 1e-15 * params.v_gmv
+            assert abs(back.slope - params.slope) <= 2e-15 * constants.a
+            moved += back != params
+        assert moved > 0
+
+    def test_overflowing_square_is_invalid_params(self):
+        with pytest.raises(InvalidParams, match="overflows"):
+            to_merton(FrontierParams(1e155, 1.0, 0.5))
+        assert to_merton(FrontierParams(1e150, 1e300, 0.5)).a == pytest.approx(0.5 + 1e0)
+
     def test_from_merton_oracle(self):
         params = from_merton(MertonConstants(0.045, 0.15, 1.5))
         assert params.r_gmv == pytest.approx(0.1)

@@ -18,6 +18,7 @@ from hdfrontier import (
     sample_moments,
     standardized_errors,
 )
+from hdfrontier.inference import _half_widths
 
 
 def _consistent_report(p=20, n=80, seed=6):
@@ -131,6 +132,20 @@ class TestConfidenceIntervals:
         report = _consistent_report()
         with pytest.raises(InvalidLevel):
             confidence_intervals(report, level=1.0)
+
+
+class TestHalfWidths:
+    def test_arrays_give_each_element_its_scalar_bits(self):
+        # NumPy squares an array by multiplication, a scalar by pow; the two
+        # differ in the last bit of about one value in a thousand, which moved
+        # about one slope half-width in 8,000 before the array path used pow
+        rng = np.random.default_rng(12)
+        v = rng.uniform(1e-6, 1e-4, 20_000)
+        s = rng.uniform(0.0, 1.0, 20_000)
+        for center in (False, True):
+            stacked = np.column_stack(_half_widths(v, s, 50 / 390, 390, 0.95, center))
+            one = [_half_widths(a, b, 50 / 390, 390, 0.95, center) for a, b in zip(v.tolist(), s.tolist())]
+            assert np.array_equal(stacked, np.array(one, dtype=float))
 
 
 class TestCoverage:

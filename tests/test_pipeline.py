@@ -7,10 +7,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdfrontier import (
+    ConfidenceIntervals,
     EmptyPanel,
     EstimatorKind,
+    HDFrontierError,
     InvalidParams,
     InvalidRange,
     ParseError,
@@ -18,9 +21,11 @@ from hdfrontier import (
     ReturnPanel,
     ReturnsMatrix,
     RollingConfig,
+    WindowEstimate,
     WindowTooShort,
     aggregate_frequency,
     confidence_intervals,
+    estimate,
     estimate_many,
     ingest_csv,
     rolling_estimate,
@@ -29,7 +34,14 @@ from hdfrontier import (
     winsorize,
     write_rolling_csv,
 )
-from hdfrontier.pipeline import ROLLING_CSV_COLUMNS, _modal_day_length, _winsorized
+from hdfrontier.pipeline import (
+    ROLLING_CSV_COLUMNS,
+    _block_size,
+    _bound_ranks,
+    _modal_day_length,
+    _window_bounds,
+    _winsorized,
+)
 
 
 def make_panel(days=8, rows_per_day=30, p=4, seed=0, frequency=5.0, scale=0.01):
@@ -357,6 +369,21 @@ class TestScaleToHorizon:
         assert scaled.params.slope == report.params.slope < 0.0
         assert scaled.notes == report.notes
 
+    def test_round_trip_to_rounding(self):
+        # r_gmv and v_gmv come back within a relative 1e-15, not bit for bit;
+        # the slope is never scaled
+        rng = np.random.default_rng(31)
+        moved = 0
+        for _ in range(300):
+            y = 0.01 * rng.standard_normal((4, 30)) + rng.uniform(-0.01, 0.01, (4, 1))
+            report = estimate(sample_moments(y), "consistent")
+            back = scale_to_horizon(scale_to_horizon(report, 5.0, 60.0), 60.0, 5.0)
+            assert back.params.r_gmv == pytest.approx(report.params.r_gmv, rel=1e-15, abs=0)
+            assert back.params.v_gmv == pytest.approx(report.params.v_gmv, rel=1e-15, abs=0)
+            assert back.params.slope == report.params.slope
+            moved += back.params != report.params
+        assert moved > 0
+
     def test_horizon_validation(self):
         report = self._report()
         with pytest.raises(InvalidParams):
@@ -586,6 +613,28 @@ class TestRollingEstimate:
             assert params == (e[2].r_gmv, e[2].v_gmv, e[2].slope)
             assert g[3] == e[3]
 
+    def test_overflowing_window_loses_only_its_records(self, caplog):
+        # mean near 1e155: r_gmv**2 overflows in to_merton, for the unbiased
+        # kind's own constants and for every kind's horizon-scaled report
+        rng = np.random.default_rng(0)
+        values = 1e-3 * rng.standard_normal((40, 3))
+        values[20:] = 1e155 * (1.0 + 1e-3 * rng.standard_normal((20, 3)))
+        stamps = make_panel(days=1, rows_per_day=40, p=3).timestamps
+        panel = ReturnPanel(stamps, values, ("a", "b", "c"), 5.0)
+        for horizon, kept in ((5.0, ["sample", "unbiased"] * 2 + ["sample"] * 2),
+                              (60.0, ["sample", "unbiased"] * 2)):
+            config = RollingConfig(
+                p=3, n=10, step=10, frequency_minutes=5.0, target_horizon_minutes=horizon,
+                kinds=("sample", "unbiased"),
+            )
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="hdfrontier.pipeline"):
+                windows = rolling_estimate(panel, config)
+            assert [w.kind.value for w in windows] == kept
+            skipped = [r.message for r in caplog.records if "skipped" in r.message]
+            assert len(skipped) == 8 - len(kept)
+            assert all("r_gmv**2 overflows" in message for message in skipped)
+
     def test_winsorization_tames_outliers(self):
         panel = make_panel(days=8, rows_per_day=30, p=4, seed=14)
         spiked = panel.values.copy()
@@ -596,6 +645,137 @@ class TestRollingEstimate:
         v_tight = rolling_estimate(panel, tight, kinds=["sample"])[0].report.params.v_gmv
         v_off = rolling_estimate(panel, off, kinds=["sample"])[0].report.params.v_gmv
         assert v_tight < v_off
+
+
+def _record_bits(window):
+    """Every field of a WindowEstimate, floats as hex so that -0.0 and 0.0 differ."""
+    report, cis = window.report, window.cis
+    floats = (*(getattr(report.params, f) for f in ("r_gmv", "v_gmv", "slope")),
+              report.merton.a, report.merton.b, report.merton.c, report.ratio)
+    if cis is not None:
+        floats += (cis.level, *cis.ci_r, *cis.ci_v, *cis.ci_s)
+    return (window.date, window.end, window.kind, report.kind, report.p, report.n,
+            report.notes, cis is None, tuple(float(x).hex() for x in floats))
+
+
+def _one_window_at_a_time(panel, config):
+    """rolling_estimate as a loop over windows of the public pieces: (records, skip lines)."""
+    panel = aggregate_frequency(panel, round(config.frequency_minutes / panel.frequency_minutes))
+    selected = panel.values[:, list(range(config.p))]  # the pipeline's column copy and layout
+    low, high = config.winsor_quantiles
+    factor = config.target_horizon_minutes / config.frequency_minutes
+    records, skipped = [], []
+    for start in range(0, panel.n_rows - config.n + 1, config.step):
+        stop = start + config.n
+        values = selected[start:stop]
+        lower = np.quantile(values, low, axis=0, method="lower")
+        upper = np.quantile(values, high, axis=0, method="higher")
+        moments = sample_moments(np.clip(values, lower, upper).T)
+        end = panel.timestamps[stop - 1]
+        reports = {}
+        for kind in config.kinds:
+            try:
+                reports[kind] = estimate(moments, kind)
+            except HDFrontierError as exc:
+                skipped.append(f"window ending {end}: {kind.value} skipped: {exc}")
+        for kind, native in reports.items():
+            cis = None
+            if kind is EstimatorKind.CONSISTENT:
+                raw = confidence_intervals(native, level=config.level)
+                cis = ConfidenceIntervals(
+                    raw.level, tuple(x * factor for x in raw.ci_r),
+                    tuple(x * factor for x in raw.ci_v), raw.ci_s,
+                )
+            scaled = scale_to_horizon(native, config.frequency_minutes,
+                                      config.target_horizon_minutes)
+            records.append(WindowEstimate(end.date(), kind, scaled, cis, end))
+    return records, skipped
+
+
+class _Lines(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+class TestRollingBlocks:
+    """Windows estimated a block at a time against one window at a time, bit for bit."""
+
+    @given(
+        p=st.integers(2, 5),
+        excess=st.sampled_from([1, 2, 3, 20, 100]),
+        rte_only=st.booleans(),
+        step=st.sampled_from(["1", "3", "n-1", "n+2"]),
+        quantiles=st.sampled_from([(0.0, 1.0), (0.01, 0.99), (0.25, 0.75)]),
+        constant=st.booleans(),
+        k=st.sampled_from([1, 2]),
+        unit_factor=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_matches_one_window_at_a_time(
+        self, p, excess, rte_only, step, quantiles, constant, k, unit_factor, seed
+    ):
+        # rte alone runs at n <= p; with every kind, n = p + 1 and p + 2
+        # fail some kinds by shape on every window
+        n = max(2, p + 1 - excess) if rte_only else p + excess
+        step = {"1": 1, "3": 3, "n-1": n - 1, "n+2": n + 2}[step]
+        kinds = ("rte",) if rte_only else tuple(EstimatorKind)
+        panel = make_panel(days=8, rows_per_day=30, p=p + 1, seed=seed)
+        if constant:  # asset 0 is 0 for rows 40 to 159: windows inside fail
+            values = panel.values.copy()
+            values[40:160, 0] = 0.0
+            panel = ReturnPanel(panel.timestamps, values, panel.asset_labels, 5.0)
+        minutes = 5.0 * k
+        config = RollingConfig(
+            p=p, n=n, step=step, frequency_minutes=minutes,
+            target_horizon_minutes=minutes if unit_factor else 60.0,
+            winsor_quantiles=quantiles, kinds=kinds,
+        )
+        want, want_lines = _one_window_at_a_time(panel, config)
+        handler = _Lines()
+        logger = logging.getLogger("hdfrontier.pipeline")
+        logger.addHandler(handler)
+        try:
+            got = rolling_estimate(panel, config)
+        finally:
+            logger.removeHandler(handler)
+        assert [_record_bits(w) for w in got] == [_record_bits(w) for w in want]
+        assert handler.lines == want_lines
+        for a, b in zip(got, want):
+            assert a.report.merton == b.report.merton and a.cis == b.cis
+
+    def test_block_size(self):
+        sizes = [_block_size(390, step) for step in (1, 3, 30, 78, 389, 390, 392)]
+        assert sizes == [19, 11, 4, 4, 4, 4, 4]
+
+    @given(
+        rows=st.integers(2, 60),
+        step=st.integers(1, 12),
+        windows=st.integers(1, 8),
+        low=st.floats(0.0, 0.5),
+        width=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_shared_row_bounds_are_the_full_sort_bounds(self, rows, step, windows, low, width, seed):
+        # values on a coarse grid, so that ties are common; windows further
+        # apart than the bounds' ranks allow are sorted one by one
+        quantiles = (low, min(1.0, low + width))
+        ranks = _bound_ranks(rows, quantiles)
+        if ranks is None:
+            return
+        rng = np.random.default_rng(seed)
+        columns = rng.integers(-5, 6, (3, rows + (windows - 1) * step)).astype(float)
+        starts = range(0, (windows - 1) * step + 1, step)
+        lower, upper = _window_bounds(columns, starts, rows, ranks)
+        for j, start in enumerate(starts):
+            ordered = np.sort(columns[:, start:start + rows], axis=1)
+            assert np.array_equal(lower[:, j], ordered[:, ranks[0]])
+            assert np.array_equal(upper[:, j], ordered[:, ranks[1]])
 
 
 class TestRollingConfig:
