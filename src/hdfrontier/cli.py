@@ -30,12 +30,14 @@ import datetime as dt
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import dataclass, field
 from importlib.metadata import PackageNotFoundError, version
 from typing import Callable
 
 import numpy as np
+import scipy
 
 from .errors import CholeskyFailure, EmptyPanel, HDFrontierError, InputValidationError, ParseError
 from .estimators import EstimatorKind, ReturnsMatrix, _estimate_each, sample_moments
@@ -131,9 +133,30 @@ class RunManifest:
     finished: str | None = None
     outputs: list = field(default_factory=list)
     exit_code: int | None = None
+    environment: dict = field(default_factory=dict)
 
     def write(self, path) -> None:
         _write_json(path, dataclasses.asdict(self), sort_keys=True)
+
+    def finish(self, path, code: int) -> None:
+        self.finished = _now()
+        self.exit_code = code
+        self.write(path)
+
+
+def _environment() -> dict:
+    """The interpreter, NumPy, SciPy and BLAS of this process, its thread settings and CPUs."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "thread_variables": {
+            key: value for key, value in os.environ.items() if key.endswith("_NUM_THREADS")
+        },
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def _write_json(path, payload, sort_keys: bool = False) -> None:
@@ -773,6 +796,7 @@ def main(argv=None) -> int:
         seed=seed,
         jobs=jobs,
         started=_now(),
+        environment=_environment(),
     )
     manifest_path = os.path.join(run_dir, "manifest.json")
     manifest.write(manifest_path)
@@ -781,9 +805,11 @@ def main(argv=None) -> int:
     except (_CliError, HDFrontierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = _exit_code(exc)
-    manifest.finished = _now()
-    manifest.exit_code = code
-    manifest.write(manifest_path)
+    except Exception:
+        # anything else ends the interpreter with a traceback and status 1
+        manifest.finish(manifest_path, 1)
+        raise
+    manifest.finish(manifest_path, code)
     print(f"run directory: {run_dir}")
     return code
 

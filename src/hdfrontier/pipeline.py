@@ -343,7 +343,8 @@ def _window_bounds(columns: np.ndarray, starts, n: int, ranks) -> tuple[np.ndarr
     is the ``n - hi``-th largest of the same values.  A rank is a value, so
     these are the bounds that the window's own full sort gives.  One window
     is all shared rows: its bounds are rows ``lo`` and ``hi`` of its sort.
-    Windows further apart are each sorted on their own.
+    Windows further apart are each sorted on their own.  The bounds are
+    copies, so the sorted values are freed on return.
     """
     lo, hi = ranks
     first, last = starts[0], starts[-1]
@@ -353,7 +354,7 @@ def _window_bounds(columns: np.ndarray, starts, n: int, ranks) -> tuple[np.ndarr
         return np.hstack([low for low, _ in bounds]), np.hstack([high for _, high in bounds])
     shared = np.sort(columns[:, last : first + n], axis=1)
     if own == 0:
-        return shared[:, lo, None], shared[:, hi, None]
+        return shared[:, lo, None].copy(), shared[:, hi, None].copy()
     width, top = shared.shape[1], n - hi
     offsets = np.arange(own)
     begins = np.asarray(starts)[:, None]
@@ -363,7 +364,7 @@ def _window_bounds(columns: np.ndarray, starts, n: int, ranks) -> tuple[np.ndarr
     candidates[:, :, lo + 1 : lo + 1 + own] = columns[:, rows]
     candidates[:, :, lo + 1 + own :] = shared[:, None, width - top :]
     candidates.sort(axis=2)
-    return candidates[:, :, lo], candidates[:, :, lo + 1 + own]
+    return candidates[:, :, lo].copy(), candidates[:, :, lo + 1 + own].copy()
 
 
 def _winsorized(values: np.ndarray, quantiles) -> np.ndarray:
@@ -527,22 +528,22 @@ def _block_size(n: int, step: int) -> int:
     return max(_MIN_BLOCK, math.isqrt(n // step))
 
 
-def _block_moments(columns: np.ndarray, starts, n: int, quantiles, clipped: np.ndarray):
+def _block_moments(columns: np.ndarray, starts, n: int, quantiles, clipped, means, covs):
     """Winsorized sample moments of the windows ``columns[:, start:start + n]``.
 
-    Returns ``(B, p)`` means and ``(B, p, p)`` covariances.  The bounds come
-    from :func:`_window_bounds`; each window is clipped into ``clipped``, a
-    reused C-ordered ``(p, n)`` buffer, unless a bound is zero: a zero
-    bound's sign is its sort's choice among equal zeros, and ``np.maximum``
-    and ``np.clip`` keep different zeros on a tie, so such a window is
-    clipped on its own by :func:`_winsorized`.
+    Returns ``(B, p)`` means and ``(B, p, p)`` covariances: the first ``B``
+    rows of ``means`` and ``covs``, buffers that every block reuses.  The
+    bounds come from :func:`_window_bounds`; each window is clipped into
+    ``clipped``, a reused C-ordered ``(p, n)`` buffer, unless a bound is
+    zero: a zero bound's sign is its sort's choice among equal zeros, and
+    ``np.maximum`` and ``np.clip`` keep different zeros on a tie, so such a
+    window is clipped on its own by :func:`_winsorized`.
     """
     ranks = _bound_ranks(n, quantiles)
     if ranks is not None:
         lower, upper = _window_bounds(columns, starts, n, ranks)
         nonzero = (lower != 0.0).all(axis=0) & (upper != 0.0).all(axis=0)
-    means = np.empty((len(starts), columns.shape[0]))
-    covs = np.empty((len(starts), columns.shape[0], columns.shape[0]))
+    means, covs = means[: len(starts)], covs[: len(starts)]
     for j, start in enumerate(starts):
         window = columns[:, start : start + n]
         if ranks is not None and nonzero[j]:
@@ -627,12 +628,14 @@ def rolling_estimate(
     # depend on that layout, which the C-ordered clip buffer keeps
     columns = panel.values[:, columns].T
     starts = range(0, panel.n_rows - n + 1, step)
-    size = _block_size(n, step)
-    clipped = np.empty((p, n))
+    size = min(_block_size(n, step), len(starts))
+    # the block's rows are read before the next block overwrites them:
+    # _estimate_stack returns new arrays, and its per-slot retry keeps no view
+    buffers = np.empty((p, n)), np.empty((size, p)), np.empty((size, p, p))
     results: list[WindowEstimate] = []
     for first in range(0, len(starts), size):
         block = starts[first : first + size]
-        means, covs = _block_moments(columns, block, n, config.winsor_quantiles, clipped)
+        means, covs = _block_moments(columns, block, n, config.winsor_quantiles, *buffers)
         values, errors = _estimate_stack(means, covs, n, kinds)
         if EstimatorKind.CONSISTENT in values:
             consistent = values[EstimatorKind.CONSISTENT]

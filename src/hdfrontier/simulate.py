@@ -17,7 +17,11 @@ The experiment design is fixed by three ingredients:
 Reproducibility contract: every random draw derives from
 ``SeedSequence(seed, spawn_key=(domain, index))`` with fixed domain codes
 (0: population mean, 1: GARCH coefficients, 2: replication data), so results
-are identical for any job count and any execution order.
+are identical for any job count and any execution order.  The engine does
+not build those objects per replication: :func:`_seed_words` runs
+``SeedSequence``'s hash over a whole span of indices at once, and each
+replication's ``PCG64`` state follows from its words (:func:`_pcg64_state`),
+so the streams are the ones ``PCG64(SeedSequence(...))`` gives.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import enum
 import functools
 import logging
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -177,6 +182,113 @@ class ScenarioSpec:
 def _rng_for(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a (domain, index...) slot under one seed."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+# NumPy's SeedSequence (O'Neill's seed_seq hash over a 4-word uint32 pool)
+# and PCG64's set-seed (O'Neill, "PCG", HMC-CS-2014-0905)
+_MASK32 = 0xFFFFFFFF
+_POOL_WORDS = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as little-endian uint32 words, one word for zero."""
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _hashmix(value, constant: int):
+    """``(hash, next constant)``: one ``hashmix`` step, on an int or a uint32 array."""
+    value = value ^ constant
+    constant = constant * _HASH_MULT_A & _MASK32
+    value = value * constant & _MASK32
+    return value ^ value >> 16, constant
+
+
+def _mix(x: int, y):
+    """NumPy's ``mix`` of a pool word ``x`` with a hash ``y`` (an int or a uint32 array)."""
+    result = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _seed_words(seed: int, domain: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(domain, i)).generate_state(4, np.uint64)``
+    for each ``i`` in ``range(start, stop)``, as a ``(stop - start, 4)`` array.
+
+    The entropy is the seed's words (zero-padded to the pool size), the
+    domain's and the index's.  All but the index word are the same for
+    every ``i``, so the pool and hash constant they leave are computed once,
+    on Python ints; the index word is hashed in, and the state words drawn
+    out, in one uint32 pass over the span.  An index of ``2**32`` or more has
+    more than one word; such indices go through ``SeedSequence`` itself.
+    """
+    entropy = _uint32_words(operator.index(seed))  # a NumPy integer too, as SeedSequence takes
+    entropy += [0] * (_POOL_WORDS - len(entropy)) + _uint32_words(domain)
+    constant = _HASH_INIT_A
+    pool = []
+    for word in entropy[:_POOL_WORDS]:
+        value, constant = _hashmix(word, constant)
+        pool.append(value)
+    for source in range(_POOL_WORDS):
+        for target in range(_POOL_WORDS):
+            if source != target:
+                value, constant = _hashmix(pool[source], constant)
+                pool[target] = _mix(pool[target], value)
+    for word in entropy[_POOL_WORDS:]:
+        for target in range(_POOL_WORDS):
+            value, constant = _hashmix(word, constant)
+            pool[target] = _mix(pool[target], value)
+    split = min(stop, max(start, 1 << 32))
+    index = np.arange(start, split, dtype=np.uint32)
+    mixed = []
+    for word in pool:
+        value, constant = _hashmix(index, constant)
+        mixed.append(_mix(word, value))
+    constant = _HASH_INIT_B
+    halves = np.empty((2 * _POOL_WORDS, split - start), dtype=np.uint64)
+    for k, half in enumerate(halves):
+        value = mixed[k % _POOL_WORDS] ^ constant
+        constant = constant * _HASH_MULT_B & _MASK32
+        value *= constant
+        half[:] = value ^ value >> 16
+    words = (halves[0::2] | halves[1::2] << 32).T  # uint64 word j is halves 2j (low), 2j + 1
+    if split < stop:
+        words = np.vstack(
+            [words]
+            + [
+                np.random.SeedSequence(seed, spawn_key=(domain, i)).generate_state(4, np.uint64)
+                for i in range(split, stop)
+            ]
+        )
+    return words
+
+
+def _pcg64_state(words) -> dict:
+    """The ``PCG64.state`` that four seed words give: two LCG steps from zero."""
+    seed0, seed1, inc0, inc1 = words
+    inc = (inc0 << 65 | inc1 << 1 | 1) & _MASK128
+    state = ((inc + (seed0 << 64 | seed1)) * _PCG64_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _reset_streams(generators: list, words):
+    """Yield ``generators[k % len(generators)]`` set to the stream of ``words[k]``.
+
+    A generator is set only when it is asked for, so one generator serves a
+    caller that finishes each slot's draws before it takes the next slot.
+    """
+    for k, row in enumerate(words):
+        rng = generators[k % len(generators)]
+        rng.bit_generator.state = _pcg64_state(row)
+        yield rng
 
 
 def build_population(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -468,10 +580,12 @@ def _replicate_span(spec, kinds, mu, sigma, start, stop) -> tuple[dict, dict]:
 
     The span's one sampler, built here in the worker, fills each
     ``(chunk, p, n)`` buffer with one panel per replication, drawn from that
-    replication's own generator; the chunk is reduced to sample moments in
-    one stacked step, and the estimator core evaluates each kind once over
-    the whole chunk (:func:`estimators._estimate_stack`), with the bits of
-    one replication at a time.  Returns ``(estimates, reasons)``:
+    replication's own stream: the span's seed words are hashed in one pass
+    (:func:`_seed_words`), and a reused generator is set to each
+    replication's ``PCG64`` state before its draws.  The chunk is reduced
+    to sample moments in one stacked step, and the estimator core evaluates
+    each kind once over the whole chunk (:func:`estimators._estimate_stack`),
+    with the bits of one replication at a time.  Returns ``(estimates, reasons)``:
     ``estimates[kind]`` has one ``(r, v, s)`` row per replication, NaN when
     the kind failed, and ``reasons[kind]`` counts failures by class name.
     """
@@ -480,9 +594,14 @@ def _replicate_span(spec, kinds, mu, sigma, start, stop) -> tuple[dict, dict]:
     estimates = {kind: np.full((stop - start, 3), np.nan) for kind in kinds}
     reasons = {kind: Counter() for kind in kinds}
     buffer = np.empty((min(size, stop - start), spec.p, spec.n))
+    words = _seed_words(spec.seed, _DOMAIN_REPLICATION, start, stop)
+    # the CCC-GARCH fill interleaves its slots' draws, so each slot needs a
+    # generator of its own; the other fills draw one slot after another
+    shared = spec.scenario is not Scenario.CCC_GARCH
+    generators = [np.random.default_rng(0) for _ in range(1 if shared else len(buffer))]
     for first in range(start, stop, size):
         x = buffer[: min(size, stop - first)]
-        fill(x, (_rng_for(spec.seed, _DOMAIN_REPLICATION, first + k) for k in range(len(x))))
+        fill(x, _reset_streams(generators, words[first - start : first - start + len(x)].tolist()))
         # held until the next chunk's moments replace them: freed right after
         # the estimators instead, at p=500 the allocator hands the memory back
         # and each replication takes about 1,700 more page faults (10-20% slower)

@@ -1,13 +1,17 @@
 """End-to-end command-line behavior: exit codes, artifacts, reproducibility."""
 
 import csv
+import dataclasses
 import datetime as dt
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+from hdfrontier import cli
 from hdfrontier.cli import main
 
 
@@ -520,6 +524,38 @@ class TestParserAndManifest:
     def test_usage_error_leaves_no_run_dir(self, tmp_path):
         assert run_cli(["frontier", "--outdir", tmp_path]) == 2
         assert not (tmp_path / "frontier").exists()
+
+    def test_manifest_records_the_environment(self, tmp_path):
+        assert run_cli(
+            ["frontier", "--mu", "[0.0, 0.3]", "--sigma", "[1.0, 2.0]",
+             "--outdir", tmp_path]
+        ) == 0
+        manifest = json.loads((only_run_dir(tmp_path, "frontier") / "manifest.json").read_text())
+        environment = manifest["environment"]
+        assert set(environment) == {
+            "python", "numpy", "scipy", "blas", "thread_variables", "cpu_count",
+        }
+        assert (environment["numpy"], environment["scipy"]) == (np.__version__, scipy.__version__)
+        assert environment["blas"]["name"]
+        assert environment["cpu_count"] == os.cpu_count()
+        assert environment["thread_variables"] == {
+            key: value for key, value in os.environ.items() if key.endswith("_NUM_THREADS")
+        }
+
+    def test_unexpected_exception_still_finishes_the_manifest(self, tmp_path, monkeypatch):
+        def broken(config, run_dir, seed, jobs, outputs):
+            outputs.append("frontier.json")
+            raise RuntimeError("disk went away")
+
+        command = dataclasses.replace(cli._COMMANDS["frontier"], handler=broken)
+        monkeypatch.setitem(cli._COMMANDS, "frontier", command)
+        with pytest.raises(RuntimeError, match="disk went away"):
+            run_cli(["frontier", "--mu", "[0.0, 0.3]", "--sigma", "[1.0, 2.0]",
+                     "--outdir", tmp_path])
+        manifest = json.loads((only_run_dir(tmp_path, "frontier") / "manifest.json").read_text())
+        assert manifest["exit_code"] == 1
+        assert manifest["finished"] >= manifest["started"]
+        assert manifest["outputs"] == ["frontier.json"]
 
     def test_prints_run_directory(self, tmp_path, capsys):
         assert run_cli(

@@ -772,6 +772,8 @@ class TestRollingBlocks:
         columns = rng.integers(-5, 6, (3, rows + (windows - 1) * step)).astype(float)
         starts = range(0, (windows - 1) * step + 1, step)
         lower, upper = _window_bounds(columns, starts, rows, ranks)
+        # own memory, not views that keep the sorted values alive
+        assert lower.base is None and upper.base is None
         for j, start in enumerate(starts):
             ordered = np.sort(columns[:, start:start + rows], axis=1)
             assert np.array_equal(lower[:, j], ordered[:, ranks[0]])

@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from hdfrontier import (
     EstimatorKind,
@@ -544,6 +545,85 @@ class TestChunkedEngine:
         assert result.failure_reasons[EstimatorKind.SSE] == {"TooFewObservations": 7}
         assert result.failure_reasons[EstimatorKind.SAMPLE] == {}
         assert result.failures == {EstimatorKind.SAMPLE: 0, EstimatorKind.SSE: 7}
+
+
+def _numpy_state(seed, index):
+    """The PCG64 state NumPy itself builds for a replication slot."""
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, index))).state
+
+
+class TestStreamSeeding:
+    """The engine's one-pass seeding against NumPy's SeedSequence and PCG64.
+
+    A NumPy release that changes either hash makes these fail, not the
+    streams drift silently.
+    """
+
+    # chunk edges of the p=10, n=50 shape (chunks of 218 replications)
+    EDGES = (0, 217, 218, 219, 435, 436)
+    # p=60, n=70 gives chunks of 16 replications
+    P, N = 60, 70
+
+    @given(
+        seed=st.one_of(
+            st.integers(0, 2**32 - 1),
+            st.integers(2**32, 2**64),
+            st.integers(2**64, 2**128),
+            st.integers(2**128, 2**200),
+            st.sampled_from([2**32, 2**64, 2**128, 18446744073709551616000]),
+        ),
+        start=st.sampled_from(EDGES),
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_states_are_numpys(self, seed, start):
+        words = simulate._seed_words(seed, 2, start, 437)
+        assert words.dtype == np.uint64 and words.shape == (437 - start, 4)
+        for index in (*self.EDGES, start, 436):
+            if index < start:
+                continue
+            row = words[index - start]
+            sequence = np.random.SeedSequence(seed, spawn_key=(2, index))
+            assert np.array_equal(row, sequence.generate_state(4, np.uint64))
+            assert simulate._pcg64_state(row.tolist()) == _numpy_state(seed, index)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 7])
+    def test_multiword_index_falls_back(self, seed):
+        # indices from 2**32 have a second word; the span crossing it mixes both paths
+        start = 2**32 - 2
+        words = simulate._seed_words(seed, 2, start, start + 4)
+        for offset, row in enumerate(words.tolist()):
+            assert simulate._pcg64_state(row) == _numpy_state(seed, start + offset)
+        (row,) = simulate._seed_words(seed, 2, 2**40, 2**40 + 1).tolist()
+        assert simulate._pcg64_state(row) == _numpy_state(seed, 2**40)
+
+    def test_numpy_integer_seed(self):
+        expected = simulate._seed_words(2**40 + 3, 2, 0, 5)
+        assert np.array_equal(simulate._seed_words(np.uint64(2**40 + 3), 2, 0, 5), expected)
+        with pytest.raises(TypeError):
+            simulate._seed_words(3.0, 2, 0, 5)
+
+    def test_reset_generators_draw_numpys_streams(self):
+        words = simulate._seed_words(5, 2, 0, 6).tolist()
+        shared = [np.random.default_rng(0)]
+        for index, rng in enumerate(simulate._reset_streams(shared, words)):
+            assert rng is shared[0]
+            expected = _stream(5, 2, index)
+            assert np.array_equal(rng.standard_normal(7), expected.standard_normal(7))
+            assert np.array_equal(rng.standard_t(3, 5), expected.standard_t(3, 5))
+
+    @pytest.mark.parametrize("scenario", ["normal", "t3", "ccc-garch"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_engine_matches_reference_at_a_huge_seed(self, scenario, jobs):
+        spec = ScenarioSpec(
+            scenario=scenario, p=self.P, n=self.N, seed=18446744073709551616000, burn_in=30
+        )
+        reps = _chunk_size(spec.p, spec.n) + 1
+        assert reps == 17
+        result = run_monte_carlo(spec, reps, ALL_KINDS, jobs=jobs)
+        estimates, reasons = _reference_run(spec, reps, ALL_KINDS)
+        for kind in ALL_KINDS:
+            assert np.array_equal(result.estimates[kind], estimates[kind], equal_nan=True)
+        assert result.failure_reasons == reasons
 
 
 @pytest.fixture(scope="module")
