@@ -760,7 +760,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="JSON config file or a previous manifest.json",
         )
         p.add_argument("--seed", type=int, help="RNG seed (default: fresh entropy)")
-        p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+        p.add_argument("--jobs", type=int, help="worker threads (default: all cores)")
         p.add_argument("--outdir", default="runs", help="output root (default: ./runs)")
         for flag, key, kind, text in command.options:
             if kind is bool:

@@ -155,6 +155,8 @@ class RollingConfig:
         if self.n < 2:
             raise InvalidParams(f"need n >= 2 observations, got n={self.n}")
         object.__setattr__(self, "kinds", tuple(EstimatorKind(k) for k in self.kinds))
+        if not self.kinds:
+            raise InvalidParams("need at least one estimator kind")
         needs_n_above_p = [k.value for k in self.kinds if _shape_error(k, self.p, self.n)]
         if self.n <= self.p and needs_n_above_p:
             raise InvalidParams(

@@ -32,6 +32,7 @@ import functools
 import logging
 import math
 import operator
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -145,6 +146,14 @@ class SpectrumSpec:
         ).astype(float)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int`` if it is integral (NumPy integers are), else ``InvalidParams``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Complete description of one simulation configuration."""
@@ -161,6 +170,8 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenario", Scenario(self.scenario))
+        for name in ("p", "n", "seed", "burn_in"):
+            _integer(name, getattr(self, name))
         if self.p < 2:
             raise InvalidParams(f"need p >= 2, got p={self.p}")
         if self.n < 2:
@@ -540,10 +551,20 @@ class MonteCarloResult:
     reps: int
     failure_reasons: dict = field(default_factory=dict)
 
+    def _run_kind(self, kind) -> EstimatorKind:
+        """``kind`` as an :class:`EstimatorKind`, or ``InvalidParams`` if the run left it out."""
+        kind = EstimatorKind(kind)
+        if kind not in self.kinds:
+            raise InvalidParams(f"kind {kind.value!r} is not among the run's kinds")
+        return kind
+
     def losses(self, kind: EstimatorKind) -> np.ndarray:
-        """Quadratic losses (est - truth)**2, shape (reps, 3), NaN rows kept."""
+        """Quadratic losses (est - truth)**2, shape (reps, 3), NaN rows kept.
+
+        Raises ``InvalidParams`` if ``kind`` was not run.
+        """
         target = np.array([self.truth.r_gmv, self.truth.v_gmv, self.truth.slope])
-        return (self.estimates[EstimatorKind(kind)] - target) ** 2
+        return (self.estimates[self._run_kind(kind)] - target) ** 2
 
     def mean_loss(self, kind: EstimatorKind) -> np.ndarray:
         """Mean quadratic loss per parameter, ignoring failed replications.
@@ -575,23 +596,20 @@ def _chunk_size(p: int, n: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * p * (n + p)))
 
 
-def _replicate_span(spec, kinds, mu, sigma, start, stop) -> tuple[dict, dict]:
-    """Replications ``start`` to ``stop - 1``, chunk by chunk.  Top-level for pickling.
+def _replicate_span(spec, kinds, fill, estimates, stopping, start, stop) -> dict:
+    """Replications ``start`` to ``stop - 1``, chunk by chunk, into their rows of ``estimates``.
 
-    The span's one sampler, built here in the worker, fills each
-    ``(chunk, p, n)`` buffer with one panel per replication, drawn from that
-    replication's own stream: the span's seed words are hashed in one pass
-    (:func:`_seed_words`), and a reused generator is set to each
-    replication's ``PCG64`` state before its draws.  The chunk is reduced
-    to sample moments in one stacked step, and the estimator core evaluates
-    each kind once over the whole chunk (:func:`estimators._estimate_stack`),
-    with the bits of one replication at a time.  Returns ``(estimates, reasons)``:
-    ``estimates[kind]`` has one ``(r, v, s)`` row per replication, NaN when
-    the kind failed, and ``reasons[kind]`` counts failures by class name.
+    The run's sampler ``fill`` fills each ``(chunk, p, n)`` buffer with one
+    panel per replication, drawn from that replication's own stream: the
+    span's seed words are hashed in one pass (:func:`_seed_words`), and a
+    reused generator is set to each replication's ``PCG64`` state before its
+    draws.  The chunk is reduced to sample moments in one stacked step, and
+    the estimator core evaluates each kind once over the whole chunk
+    (:func:`estimators._estimate_stack`), with the bits of one replication
+    at a time.  A failed kind leaves its row NaN.  No chunk starts once
+    ``stopping`` is set.  Returns each kind's failures by class name.
     """
     size = _chunk_size(spec.p, spec.n)
-    fill = _sampler(spec.scenario, spec, mu, sigma)
-    estimates = {kind: np.full((stop - start, 3), np.nan) for kind in kinds}
     reasons = {kind: Counter() for kind in kinds}
     buffer = np.empty((min(size, stop - start), spec.p, spec.n))
     words = _seed_words(spec.seed, _DOMAIN_REPLICATION, start, stop)
@@ -600,6 +618,8 @@ def _replicate_span(spec, kinds, mu, sigma, start, stop) -> tuple[dict, dict]:
     shared = spec.scenario is not Scenario.CCC_GARCH
     generators = [np.random.default_rng(0) for _ in range(1 if shared else len(buffer))]
     for first in range(start, stop, size):
+        if stopping.is_set():
+            break
         x = buffer[: min(size, stop - first)]
         fill(x, _reset_streams(generators, words[first - start : first - start + len(x)].tolist()))
         # held until the next chunk's moments replace them: freed right after
@@ -607,11 +627,10 @@ def _replicate_span(spec, kinds, mu, sigma, start, stop) -> tuple[dict, dict]:
         # and each replication takes about 1,700 more page faults (10-20% slower)
         means, covs = _moments(x)
         values, errors = _estimate_stack(means, covs, spec.n, kinds)
-        rows = slice(first - start, first - start + len(x))
         for kind in kinds:
-            estimates[kind][rows] = values[kind][:, :3]
+            estimates[kind][first : first + len(x)] = values[kind][:, :3]
             reasons[kind].update(type(exc).__name__ for exc in errors[kind].values())
-    return estimates, reasons
+    return reasons
 
 
 def run_monte_carlo(
@@ -626,21 +645,23 @@ def run_monte_carlo(
         Number of replications (>= 1).
     kinds : iterable of EstimatorKind or str
     jobs : int
-        Most worker processes to start; results are identical for any value
+        Most worker threads (>= 1); results are identical for any value
         because each replication's generator stream depends only on
         (seed, index), and the chunks only on (p, n).
 
     Notes
     -----
     The replications run in fixed-size chunks of consecutive indices (see
-    :func:`_replicate_span`).  With ``jobs > 1`` the chunks are split into
-    ``min(jobs, chunks)`` contiguous runs, one per spawned worker.
-    Estimator failures in a replication (e.g. a singular sample covariance)
-    are recorded as NaN rows and counted per kind and per exception class,
-    not raised.
+    :func:`_replicate_span`), split into ``min(jobs, chunks)`` contiguous
+    spans, one per thread; a span that raises, or an interrupt, stops the
+    others before their next chunk.  Estimator failures in a replication
+    (e.g. a singular sample covariance) are recorded as NaN rows and counted
+    per kind and per exception class, not raised.
     """
     if reps < 1:
         raise InvalidParams(f"need reps >= 1, got {reps}")
+    if (jobs := _integer("jobs", jobs)) < 1:
+        raise InvalidParams(f"need jobs >= 1, got {jobs}")
     kinds = tuple(EstimatorKind(k) for k in kinds)
     if not kinds:
         raise InvalidParams("need at least one estimator kind")
@@ -649,18 +670,18 @@ def run_monte_carlo(
     size = _chunk_size(spec.p, spec.n)
     chunks = -(-reps // size)
     tasks = min(jobs, chunks)
-    run_span = functools.partial(_replicate_span, spec, kinds, mu, sigma)
-    if tasks > 1:
-        import multiprocessing  # only worker pools need it
-
-        bounds = [min(reps, size * (chunks * task // tasks)) for task in range(tasks + 1)]
-        context = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(tasks, mp_context=context) as pool:
-            parts = list(pool.map(run_span, bounds[:-1], bounds[1:]))
-    else:
-        parts = [run_span(0, reps)]
-    estimates = {kind: np.concatenate([part[0][kind] for part in parts]) for kind in kinds}
-    failure_reasons = {kind: sum((part[1][kind] for part in parts), Counter()) for kind in kinds}
+    bounds = [min(reps, size * (chunks * task // tasks)) for task in range(tasks + 1)]
+    fill = _sampler(spec.scenario, spec, mu, sigma)
+    estimates = {kind: np.full((reps, 3), np.nan) for kind in kinds}
+    stopping = threading.Event()
+    run_span = functools.partial(_replicate_span, spec, kinds, fill, estimates, stopping)
+    with concurrent.futures.ThreadPoolExecutor(tasks) as pool:
+        spans = [pool.submit(run_span, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        try:  # until every span ends, one raises, or this thread is interrupted
+            concurrent.futures.wait(spans, return_when=concurrent.futures.FIRST_EXCEPTION)
+        finally:  # the spans still running stop; result() raises a failed one's error
+            stopping.set()
+    failure_reasons = {kind: sum((span.result()[kind] for span in spans), Counter()) for kind in kinds}
     return MonteCarloResult(
         spec=spec,
         truth=truth,
@@ -707,9 +728,7 @@ def histogram_data(
     """
     if param not in PARAM_LABELS:
         raise InvalidParams(f"param must be one of {PARAM_LABELS}, got {param!r}")
-    kind = EstimatorKind(kind)
-    if kind not in result.kinds:
-        raise InvalidParams(f"kind {kind.value!r} is not among the run's kinds")
+    kind = result._run_kind(kind)
     column = PARAM_LABELS.index(param)
     estimates = result.estimates[kind][:, column]
     estimates = estimates[np.isfinite(estimates)]

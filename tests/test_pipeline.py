@@ -798,6 +798,11 @@ class TestRollingConfig:
             RollingConfig(step=0)
         with pytest.raises(InvalidParams):
             RollingConfig(p=2, n=1, kinds=("rte",))
+        with pytest.raises(InvalidParams, match="at least one estimator kind"):
+            RollingConfig(kinds=())
+        with pytest.raises(InvalidParams, match="at least one estimator kind"):
+            panel = make_panel(days=2, rows_per_day=30, p=4, seed=1)
+            rolling_estimate(panel, RollingConfig(p=4, n=30), kinds=[])
         for minutes in (0.0, -5.0, math.nan, math.inf):
             with pytest.raises(InvalidParams):
                 RollingConfig(frequency_minutes=minutes)

@@ -3,6 +3,13 @@
 import concurrent.futures
 import csv
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import warnings
 from collections import Counter
 
@@ -109,6 +116,13 @@ class TestScenarioSpec:
             ScenarioSpec(scenario="normal", p=5, n=20, seed=-1)
         with pytest.raises(ValueError):
             ScenarioSpec(scenario="bogus", p=5, n=20)
+        fields = {"p": 5, "n": 20, "seed": 1, "burn_in": 10}
+        for name in fields:
+            for value in (2.5, 20.0, "20", None):
+                with pytest.raises(InvalidParams, match=f"{name} must be an integer"):
+                    ScenarioSpec(scenario="normal", **{**fields, name: value})
+        numpy_fields = {name: np.int64(value) for name, value in fields.items()}
+        assert ScenarioSpec(scenario="normal", **numpy_fields).seed == 1
 
 
 class TestPopulation:
@@ -410,6 +424,9 @@ class TestMonteCarlo:
             run_monte_carlo(spec, reps=0, kinds=["sample"])
         with pytest.raises(InvalidParams):
             run_monte_carlo(spec, reps=3, kinds=[])
+        for jobs in (0, -2, 1.5, "2", None):
+            with pytest.raises(InvalidParams, match="jobs"):
+                run_monte_carlo(spec, reps=3, kinds=["sample"], jobs=jobs)
 
 
 def _reference_run(spec, reps, kinds):
@@ -486,41 +503,60 @@ class TestChunkedEngine:
             assert np.array_equal(serial.estimates[kind], parallel.estimates[kind])
         assert serial.failure_reasons == parallel.failure_reasons
 
-    # 6, 3, 1 and 3 chunks
+    @pytest.mark.parametrize(("scenario", "n"), [("normal", P + 1), ("ccc-garch", N)])
+    def test_threads_under_frequent_switching(self, scenario, n):
+        # four threads on two cores, switching every microsecond: a row
+        # written to the wrong place, or a lost failure count (unbiased, sse
+        # and ebe fail in every replication at n = p + 1), would show
+        spec = self.spec(scenario, n=n)
+        reps = 8 * _chunk_size(spec.p, spec.n) + 5
+        serial = run_monte_carlo(spec, reps, ALL_KINDS, jobs=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_monte_carlo(spec, reps, ALL_KINDS, jobs=4)
+        finally:
+            sys.setswitchinterval(interval)
+        for kind in ALL_KINDS:
+            assert np.array_equal(threaded.estimates[kind], serial.estimates[kind], equal_nan=True)
+        assert threaded.failure_reasons == serial.failure_reasons
+
+    # 6, 3, 1 and 3 chunks; no worker starts when jobs is invalid
     @pytest.mark.parametrize(
         ("jobs", "reps", "workers"),
-        [(2, 5 * SIZE + 1, 2), (8, 2 * SIZE + 1, 3), (4, SIZE, 0), (0, 2 * SIZE + 1, 0)],
+        [(2, 5 * SIZE + 1, 2), (8, 2 * SIZE + 1, 3), (4, SIZE, 1), (0, 2 * SIZE + 1, 0)],
     )
     def test_pool_never_exceeds_jobs(self, monkeypatch, jobs, reps, workers):
         started = []
 
-        class Recording:
-            """An in-process stand-in for ProcessPoolExecutor that records its set-up."""
+        class Recording(concurrent.futures.Executor):
+            """An in-thread stand-in for ThreadPoolExecutor that records its set-up."""
 
-            def __init__(self, max_workers, mp_context):
-                started.append((max_workers, mp_context.get_start_method()))
+            def __init__(self, max_workers):
+                started.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                spans.extend(zip(*iterables))
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                spans.append(args[-2:])  # (start, stop)
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
         spans = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         spec = self.spec("normal")
+        if not workers:
+            with pytest.raises(InvalidParams, match="need jobs >= 1"):
+                run_monte_carlo(spec, reps, ["consistent"], jobs=jobs)
+            assert started == spans == []
+            return
         result = run_monte_carlo(spec, reps, ["consistent"], jobs=jobs)
-        assert started == ([(workers, "spawn")] if workers else [])
+        assert started == [workers]
         # one contiguous run of whole chunks per task, covering every replication
         size = _chunk_size(spec.p, spec.n)
-        if workers:
-            assert len(spans) == workers
-            assert spans[0][0] == 0 and spans[-1][1] == reps
-            assert all(a[1] == b[0] and a[1] % size == 0 for a, b in zip(spans, spans[1:]))
+        assert len(spans) == workers
+        assert spans[0][0] == 0 and spans[-1][1] == reps
+        assert all(a[1] == b[0] and a[1] % size == 0 for a, b in zip(spans, spans[1:]))
+        monkeypatch.undo()
         serial = run_monte_carlo(spec, reps, ["consistent"])
         kind = EstimatorKind.CONSISTENT
         assert np.array_equal(result.estimates[kind], serial.estimates[kind])
@@ -528,7 +564,8 @@ class TestChunkedEngine:
     @pytest.mark.parametrize("reps", [1, 41, 2 * SIZE + 1])
     def test_garch_population_state_drawn_once(self, monkeypatch, reps):
         # the coefficients and the correlation factor are per run, not per
-        # replication: one call each whatever the number of chunks
+        # replication or per span: one call each whatever the number of
+        # chunks and threads (at p=20, n=60: 1, 1 and 3 chunks)
         calls = Counter()
         for name in ("garch_state", "_sqrt_factor"):
             def counted(*args, _name=name, _original=getattr(simulate, name)):
@@ -536,8 +573,104 @@ class TestChunkedEngine:
                 return _original(*args)
 
             monkeypatch.setattr(simulate, name, counted)
-        run_monte_carlo(self.spec("ccc-garch"), reps, ["sample"], jobs=1)
-        assert calls == {"garch_state": 1, "_sqrt_factor": 1}
+        for jobs in (1, 2):
+            calls.clear()
+            run_monte_carlo(self.spec("ccc-garch"), reps, ["sample"], jobs=jobs)
+            assert calls == {"garch_state": 1, "_sqrt_factor": 1}
+
+    def test_failing_span_stops_the_others(self, monkeypatch):
+        # two spans of 10 chunks each: whichever span reaches its second chunk
+        # first raises there; the other's later chunks wait for that failure
+        # and then take 0.2 s each, so without a stop between chunks it
+        # would run all 10
+        spec = self.spec("normal")
+        per_span = 10
+        lock = threading.Lock()
+        calls = Counter()
+        failed = threading.Event()
+        original = simulate._estimate_stack
+
+        def failing(*args):
+            with lock:
+                calls[threading.get_ident()] += 1
+                count = calls[threading.get_ident()]
+                fail = count == 2 and not failed.is_set()
+                if fail:
+                    failed.set()
+            if fail:
+                raise RuntimeError("span failed")
+            if count > 1:
+                assert failed.wait(timeout=60)
+                time.sleep(0.2)
+            return original(*args)
+
+        monkeypatch.setattr(simulate, "_estimate_stack", failing)
+        with pytest.raises(RuntimeError, match="span failed"):
+            run_monte_carlo(spec, 2 * per_span * self.SIZE, ["sample"], jobs=2)
+        assert failed.is_set() and len(calls) <= 2
+        assert 2 in calls.values()  # the failed span stopped where it raised
+        assert all(count < per_span for count in calls.values())
+
+    @staticmethod
+    def _script(tmp_path, body):
+        """A Python process running ``body`` as a plain script, stdout piped."""
+        script = tmp_path / "run.py"
+        script.write_text(textwrap.dedent(body))
+        src = os.path.dirname(os.path.dirname(simulate.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.Popen(
+            [sys.executable, str(script)],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_script_without_main_guard(self, tmp_path):
+        # a spawned process pool re-imports such a script in each worker and
+        # breaks; threads start nothing that imports it
+        process = self._script(
+            tmp_path,
+            """
+            from hdfrontier import ScenarioSpec, run_monte_carlo
+
+            result = run_monte_carlo(ScenarioSpec("normal", 10, 50, seed=1), 500, ["sample"], jobs=2)
+            print(result.failures["sample"])
+            """,
+        )
+        out, _ = process.communicate(timeout=120)
+        assert _chunk_size(10, 50) < 500 / 2  # 3 chunks, so 2 threads
+        assert (process.returncode, out) == (0, "0\n")
+
+    def test_interrupt_reaches_the_caller(self, tmp_path):
+        # a run of 20 s or more on two threads, interrupted half a second in:
+        # the spans stop before their next chunk and the caller gets the
+        # KeyboardInterrupt within a second
+        process = self._script(
+            tmp_path,
+            """
+            from hdfrontier import ScenarioSpec, run_monte_carlo
+
+            print("ready", flush=True)
+            try:
+                run_monte_carlo(ScenarioSpec("normal", 10, 50, seed=1), 600_000, ["sample"], jobs=2)
+            except KeyboardInterrupt:
+                print("interrupted", flush=True)
+            else:
+                print("finished", flush=True)
+            """,
+        )
+        try:
+            assert process.stdout.readline() == "ready\n"
+            time.sleep(0.5)
+            sent = time.monotonic()
+            process.send_signal(signal.SIGINT)
+            line = process.stdout.readline()
+            latency = time.monotonic() - sent
+        finally:
+            process.kill()
+            process.communicate()
+        assert line == "interrupted\n"
+        assert latency < 1.0
 
     def test_failure_reasons_by_class(self):
         spec = ScenarioSpec(scenario="normal", p=10, n=12, seed=4)
@@ -677,6 +810,9 @@ class TestHistogram:
     def test_kind_must_have_been_run(self):
         spec = ScenarioSpec(scenario="normal", p=4, n=20, seed=8)
         sample_only = run_monte_carlo(spec, reps=3, kinds=["sample"])
+        for method in (sample_only.losses, sample_only.mean_loss, sample_only.loss_quantiles):
+            with pytest.raises(InvalidParams, match="'consistent' is not among"):
+                method("consistent")
         with pytest.raises(InvalidParams, match="'consistent' is not among"):
             histogram_data(sample_only, "V")
 
