@@ -18,7 +18,12 @@ Each subcommand is one entry of ``_COMMANDS``: its flags, their config keys
 and types, and its defaults are declared there once.  A run's config merges
 the defaults, then ``--config``, then ``--input``, then the flags.
 
+Each subcommand's ``prepare`` raises every usage error and builds the
+library objects its handler runs, all before the run directory is made.
+
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 data error.
+Exit 2 means no run directory was made; once one exists, a run ends with 0,
+1 or 3.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import argparse
 import csv
 import dataclasses
 import datetime as dt
+import functools
 import json
 import math
 import os
@@ -39,7 +45,7 @@ from typing import Callable
 import numpy as np
 import scipy
 
-from .errors import CholeskyFailure, EmptyPanel, HDFrontierError, InputValidationError, ParseError
+from .errors import EmptyPanel, HDFrontierError, ParseError
 from .estimators import EstimatorKind, ReturnsMatrix, _estimate_each, sample_moments
 from .frontier import frontier_curve, from_merton, merton_constants
 from .inference import confidence_intervals
@@ -47,13 +53,14 @@ from .pipeline import RollingConfig, _write_csv, ingest_csv, rolling_estimate, w
 from .rmt import (
     DiagnosticRecord,
     StieltjesPoint,
+    _diag_dimensions,
     demeaned_quadform_diagnostics,
     m_of_z,
     white_quadform_diagnostics,
     x_of_z,
 )
 from .simulate import (
-    Scenario,
+    MIN_HISTOGRAM_REPS,
     ScenarioSpec,
     frontier_comparison,
     histogram_data,
@@ -99,25 +106,7 @@ _DEFAULT_THRESHOLDS = {
 
 
 class _CliError(Exception):
-    """Internal: abort the current command with a specific exit code."""
-
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
-def _usage(message: str) -> _CliError:
-    return _CliError(message, EXIT_USAGE)
-
-
-def _data(message: str) -> _CliError:
-    return _CliError(message, EXIT_DATA)
-
-
-def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, _CliError):
-        return exc.code
-    return EXIT_USAGE if isinstance(exc, InputValidationError) else EXIT_DATA
+    """Internal: abort the current command: a usage error in ``prepare``, a data error after."""
 
 
 @dataclass
@@ -288,30 +277,33 @@ def _check_config_value(key: str, value, kind, nullable: bool) -> None:
     if ok and kind is _winsor:
         ok = len(value) == 2 and all(type(v) in _NUMBER for v in value)
     if not ok:
-        raise _usage(f"config key {key!r} must be {name}, got {value!r}")
+        raise _CliError(f"config key {key!r} must be {name}, got {value!r}")
 
 
-def _parse_kinds(items) -> tuple[EstimatorKind, ...]:
-    kinds = []
-    for item in items:
-        try:
-            kinds.append(EstimatorKind(str(item).strip().lower()))
-        except ValueError:
-            valid = ", ".join(k.value for k in EstimatorKind)
-            raise _usage(f"unknown estimator kind {item!r}; valid: {valid}") from None
+def _parse_kinds(config: dict) -> tuple[EstimatorKind, ...]:
+    """The config's estimator kinds; the config keeps their names, for the manifest."""
+    kinds = tuple(EstimatorKind(str(item).strip().lower()) for item in config["kinds"])
     if not kinds:
-        raise _usage("at least one estimator kind is required")
-    return tuple(kinds)
+        raise _CliError("at least one estimator kind is required")
+    config["kinds"] = [kind.value for kind in kinds]
+    return kinds
 
 
 def _check_names(names, valid, what: str) -> None:
     unknown = [name for name in names if name not in valid]
     if unknown:
-        raise _usage(f"unknown {what} {unknown}; valid: {', '.join(valid)}")
+        raise _CliError(f"unknown {what} {unknown}; valid: {', '.join(valid)}")
 
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
+
+
+def _ingest(path: str):
+    try:
+        return ingest_csv(path)
+    except (ParseError, EmptyPanel, OSError) as exc:
+        raise _CliError(f"cannot ingest {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -319,29 +311,30 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _finish_frontier(config: dict) -> None:
+def _prepare_frontier(config: dict):
     if "mu" not in config or "sigma" not in config:
-        raise _usage(
+        raise _CliError(
             "frontier needs both 'mu' and 'sigma' "
             "(via --input FILE, --config FILE, or --mu/--sigma inline JSON)"
         )
-
-
-def cmd_frontier(config: dict, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
     try:
         mu = np.asarray(config["mu"], dtype=float)
         sigma = np.asarray(config["sigma"], dtype=float)
     except (TypeError, ValueError) as exc:
-        raise _usage(f"mu/sigma are not numeric arrays: {exc}") from None
+        raise _CliError(f"mu/sigma are not numeric arrays: {exc}") from None
     if sigma.ndim == 1:
         sigma = np.diag(sigma)
-    try:
-        constants = merton_constants(mu, sigma)
-        params = from_merton(constants)
-    except (CholeskyFailure, InputValidationError) as exc:
-        # sigma comes from flags or a config file here, so a covariance that
-        # cannot be factorized is a usage problem, not a data problem
-        raise _usage(f"invalid frontier input: {exc}") from None
+    constants = merton_constants(mu, sigma)
+    params = from_merton(constants)
+    curve = None
+    if config["curve"]:
+        v_max = 10.0 * params.v_gmv if config["v_max"] is None else config["v_max"]
+        curve = frontier_curve(params, v_max, int(config["points"]))
+    return constants, params, curve
+
+
+def cmd_frontier(plan, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
+    constants, params, curve = plan
     print(f"r_gmv  = {_fmt(params.r_gmv)}")
     print(f"v_gmv  = {_fmt(params.v_gmv)}")
     print(f"slope  = {_fmt(params.slope)}")
@@ -354,9 +347,7 @@ def cmd_frontier(config: dict, run_dir: str, seed: int, jobs: int, outputs: list
     }
     _write_json(os.path.join(run_dir, "frontier.json"), summary, sort_keys=True)
     outputs.append("frontier.json")
-    if config["curve"]:
-        v_max = 10.0 * params.v_gmv if config["v_max"] is None else config["v_max"]
-        curve = frontier_curve(params, v_max, int(config["points"]))
+    if curve is not None:
         _write_csv(os.path.join(run_dir, "curve.csv"), ("V", "R"), curve)
         outputs.append("curve.csv")
     return EXIT_OK
@@ -369,21 +360,19 @@ def cmd_frontier(config: dict, run_dir: str, seed: int, jobs: int, outputs: list
 
 def _need_input(config: dict) -> None:
     if not config["input"]:
-        raise _usage("a returns CSV is needed via --input (or config field 'input')")
+        raise _CliError("a returns CSV is needed via --input (or config field 'input')")
 
 
-def _finish_estimate(config: dict) -> None:
+def _prepare_estimate(config: dict):
     _need_input(config)
     if not 0.0 < config["level"] < 1.0:
-        raise _usage(f"--level must lie in (0, 1), got {config['level']}")
+        raise _CliError(f"--level must lie in (0, 1), got {config['level']}")
+    return config["input"], _parse_kinds(config), float(config["level"])
 
 
-def cmd_estimate(config: dict, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
-    kinds = _parse_kinds(config["kinds"])
-    try:
-        panel = ingest_csv(config["input"])
-    except (ParseError, EmptyPanel, OSError) as exc:
-        raise _data(f"cannot ingest {config['input']}: {exc}") from None
+def cmd_estimate(plan, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
+    path, kinds, level = plan
+    panel = _ingest(path)
     moments = sample_moments(ReturnsMatrix(panel.values.T, asset_labels=panel.asset_labels))
     reports, errors = _estimate_each(moments, kinds)
     print(f"{'kind':<12}{'r_gmv':>14}{'v_gmv':>14}{'slope':>14}  notes")
@@ -400,7 +389,7 @@ def cmd_estimate(config: dict, run_dir: str, seed: int, jobs: int, outputs: list
             f"{params.slope:>14.6g}  {','.join(report.notes)}"
         )
         if kind is EstimatorKind.CONSISTENT:
-            cis = confidence_intervals(report, level=float(config["level"]))
+            cis = confidence_intervals(report, level=level)
             row["cis"] = {
                 "level": cis.level, "r_gmv": list(cis.ci_r),
                 "v_gmv": list(cis.ci_v), "slope": list(cis.ci_s),
@@ -420,7 +409,7 @@ def cmd_estimate(config: dict, run_dir: str, seed: int, jobs: int, outputs: list
     outputs.append("estimates.json")
     if errors:  # the first failed kind, in request order, sets the exit
         kind, exc = next(iter(errors.items()))
-        raise _data(f"estimator '{kind.value}' failed: {exc}")
+        raise _CliError(f"estimator '{kind.value}' failed: {exc}")
     return EXIT_OK
 
 
@@ -429,46 +418,43 @@ def cmd_estimate(config: dict, run_dir: str, seed: int, jobs: int, outputs: list
 # ---------------------------------------------------------------------------
 
 
-def _finish_simulate(config: dict) -> None:
-    try:
-        config["scenario"] = Scenario(config["scenario"]).value
-    except ValueError:
-        valid = ", ".join(s.value for s in Scenario)
-        raise _usage(f"unknown scenario {config['scenario']!r}; valid: {valid}") from None
+def _prepare_simulate(config: dict):
     p, c, n = config["p"], config["c"], config["n"]
     if n is None:
         if c is not None and not (c > 0 and math.isfinite(p / c)):
-            raise _usage(f"--c must be positive with p / c finite, got {c}")
+            raise _CliError(f"--c must be positive with p / c finite, got {c}")
         n = config["n"] = 2 * p if c is None else round(p / c)
-    if p < 2 or n < 2:
-        raise _usage(f"simulate needs p >= 2 and n >= 2, got p={p}, n={n}")
+    spec = ScenarioSpec(scenario=config["scenario"], p=p, n=n, seed=config["seed"])
     try:  # one replication's panel must fit in physical memory
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
         memory = -1
     if p * n * 8 > (memory if memory > 0 else sys.maxsize):
-        raise _usage(f"a p x n panel beyond physical memory is not addressable, got p={p}, n={n}")
+        raise _CliError(f"a p x n panel beyond physical memory is not addressable, got p={p}, n={n}")
     config["c"] = p / n
-    _check_names(config["outputs"], _SIMULATE_OUTPUTS, "outputs")
-    kinds = _parse_kinds(config["kinds"])
-    if "histograms" in config["outputs"] and EstimatorKind.CONSISTENT not in kinds:
-        raise _usage("--outputs histograms needs the consistent kind in --kinds")
-    if config["reps"] < 1:
-        raise _usage(f"--reps must be >= 1, got {config['reps']}")
+    wanted, reps = config["outputs"], config["reps"]
+    _check_names(wanted, _SIMULATE_OUTPUTS, "outputs")
+    kinds = _parse_kinds(config)
+    if "histograms" in wanted:
+        if EstimatorKind.CONSISTENT not in kinds:
+            raise _CliError("--outputs histograms needs the consistent kind in --kinds")
+        if reps < MIN_HISTOGRAM_REPS:
+            raise _CliError(
+                f"--outputs histograms needs --reps >= {MIN_HISTOGRAM_REPS}, got {reps}"
+            )
+    if reps < 1:
+        raise _CliError(f"--reps must be >= 1, got {reps}")
+    comparison = None
+    if "frontiers" in wanted:
+        comparison = frontier_comparison(spec, kinds, v_max=config["v_max"])
+    return spec, kinds, reps, wanted, comparison
 
 
-def cmd_simulate(config: dict, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
-    spec = ScenarioSpec(
-        scenario=Scenario(config["scenario"]),
-        p=int(config["p"]),
-        n=int(config["n"]),
-        seed=int(config["seed"]),
-    )
-    kinds = _parse_kinds(config["kinds"])
+def cmd_simulate(plan, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
+    spec, kinds, reps, wanted, comparison = plan
     result = None
-    wanted = config["outputs"]
     if "losses" in wanted or "histograms" in wanted:
-        result = run_monte_carlo(spec, int(config["reps"]), kinds, jobs=jobs)
+        result = run_monte_carlo(spec, reps, kinds, jobs=jobs)
         for kind in kinds:
             reasons = ", ".join(
                 f"{name}={count}" for name, count in result.failure_reasons[kind].items()
@@ -487,8 +473,7 @@ def cmd_simulate(config: dict, run_dir: str, seed: int, jobs: int, outputs: list
             names = [f"hist_{param}.csv", f"density_{param}.csv"]
             write_histogram_csv(*(os.path.join(run_dir, name) for name in names), hist)
             outputs.extend(names)
-    if "frontiers" in wanted:
-        comparison = frontier_comparison(spec, kinds, v_max=config.get("v_max"))
+    if comparison is not None:
         write_frontier_csv(os.path.join(run_dir, "frontier.csv"), comparison)
         outputs.append("frontier.csv")
     return EXIT_OK
@@ -499,7 +484,7 @@ def cmd_simulate(config: dict, run_dir: str, seed: int, jobs: int, outputs: list
 # ---------------------------------------------------------------------------
 
 
-def _transform_values(c: float, points: int, seed: int) -> list[tuple[str, float]]:
+def _transform_records(c: float, points: int, seed: int) -> list[DiagnosticRecord]:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst = 0.0
     for _ in range(points):
@@ -518,38 +503,41 @@ def _transform_values(c: float, points: int, seed: int) -> list[tuple[str, float
         m0, _ = m_of_z(StieltjesPoint(0.0, c))
         values.append(("m-at-zero", abs(m0 - 1.0 / (1.0 - c))))
         print(f"m(0+) at c={c:g}: {_fmt(m0.real)}")
-    return values
+    return [
+        DiagnosticRecord(check, points, 0, c, seed, value, math.nan, False)
+        for check, value in values
+    ]
 
 
-def _finish_theory_check(config: dict) -> None:
+def _prepare_theory_check(config: dict):
     thresholds = config["thresholds"]
     if type(thresholds) is not dict or any(type(v) not in _NUMBER for v in thresholds.values()):
-        raise _usage(f"config key 'thresholds' must be an object of numbers, got {thresholds!r}")
-    _check_names(config["checks"], _THEORY_CHECKS, "checks")
-    if not (0.0 < config["c"]):
-        raise _usage(f"c must be positive, got {config['c']}")
-
-
-def cmd_theory_check(config: dict, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
-    thresholds = {**_DEFAULT_THRESHOLDS, **config["thresholds"]}
+        raise _CliError(f"config key 'thresholds' must be an object of numbers, got {thresholds!r}")
+    checks, p, seed, points = config["checks"], config["p"], config["seed"], config["points"]
+    _check_names(checks, _THEORY_CHECKS, "checks")
     c = float(config["c"])
-    p = int(config["p"])
-    check_seed = int(config["seed"])
-    points = int(config["points"])
-    records = []
-    if "transforms" in config["checks"]:
-        records.extend(
-            DiagnosticRecord(check, points, 0, c, check_seed, value, math.nan, False)
-            for check, value in _transform_values(c, points, check_seed)
-        )
+    if not 0.0 < c < math.inf:
+        raise _CliError(f"c must be positive and finite, got {c}")
+    if points < 1:
+        raise _CliError(f"--points must be >= 1, got {points}")
+    runs = []
+    if "transforms" in checks:
+        runs.append(functools.partial(_transform_records, c, points, seed))
     for name, diagnostics in (
         ("lemma2", white_quadform_diagnostics),
         ("lemma3", demeaned_quadform_diagnostics),
     ):
-        if name in config["checks"]:
+        if name in checks:
             if not 0.0 < c < 1.0:
-                raise _usage(f"{name} requires 0 < c < 1, got c={c}")
-            records.extend(diagnostics(c, p, seed=check_seed))
+                raise _CliError(f"{name} requires 0 < c < 1, got c={c}")
+            _diag_dimensions(c, p)
+            runs.append(functools.partial(diagnostics, c, p, seed=seed))
+    return runs, {**_DEFAULT_THRESHOLDS, **thresholds}
+
+
+def cmd_theory_check(plan, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
+    runs, thresholds = plan
+    records = [record for run in runs for record in run()]
     # one pass rule for every check: the measured value is below its threshold
     for i, record in enumerate(records):
         limit = thresholds[record.check]
@@ -569,37 +557,29 @@ def cmd_theory_check(config: dict, run_dir: str, seed: int, jobs: int, outputs: 
 # ---------------------------------------------------------------------------
 
 
-def _finish_pipeline(config: dict) -> None:
+def _prepare_pipeline(config: dict):
     _need_input(config)
     assets = config["assets"]
     if not (assets is None or type(assets) is list and all(type(a) is str for a in assets)):
-        raise _usage(f"config key 'assets' must be a list of strings or null, got {assets!r}")
+        raise _CliError(f"config key 'assets' must be a list of strings or null, got {assets!r}")
+    rolling = RollingConfig(
+        p=config["p"],
+        n=config["n"],
+        step=config["step"],
+        frequency_minutes=float(config["frequency_minutes"]),
+        target_horizon_minutes=float(config["target_horizon_minutes"]),
+        winsor_quantiles=tuple(config["winsor_quantiles"]),
+        kinds=_parse_kinds(config),
+        level=float(config["level"]),
+        assets=assets,
+    )
+    return config["input"], rolling
 
 
-def cmd_pipeline(config: dict, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
-    try:
-        rolling = RollingConfig(
-            p=int(config["p"]),
-            n=int(config["n"]),
-            step=None if config["step"] is None else int(config["step"]),
-            frequency_minutes=float(config["frequency_minutes"]),
-            target_horizon_minutes=float(config["target_horizon_minutes"]),
-            winsor_quantiles=tuple(config["winsor_quantiles"]),
-            kinds=tuple(config["kinds"]),
-            level=float(config["level"]),
-            assets=config["assets"],
-        )
-    except InputValidationError as exc:
-        raise _usage(f"invalid pipeline config: {exc}") from None
-    try:
-        panel = ingest_csv(config["input"])
-        windows = rolling_estimate(panel, rolling)
-    except (ParseError, EmptyPanel, OSError) as exc:
-        raise _data(f"cannot ingest {config['input']}: {exc}") from None
-    except HDFrontierError as exc:
-        raise _data(f"rolling estimation failed: {exc}") from None
-    path = os.path.join(run_dir, "rolling.csv")
-    write_rolling_csv(path, windows, rolling.frequency_minutes)
+def cmd_pipeline(plan, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
+    path, rolling = plan
+    windows = rolling_estimate(_ingest(path), rolling)
+    write_rolling_csv(os.path.join(run_dir, "rolling.csv"), windows, rolling.frequency_minutes)
     outputs.append("rolling.csv")
     n_windows = len({w.end for w in windows})
     print(f"{len(windows)} estimates over {n_windows} windows -> rolling.csv")
@@ -613,9 +593,12 @@ def cmd_pipeline(config: dict, run_dir: str, seed: int, jobs: int, outputs: list
 
 @dataclass(frozen=True)
 class _Command:
-    """One subcommand: handler, config defaults, flags and a final check.
+    """One subcommand: handler, config defaults, flags and its ``prepare``.
 
-    The handler appends each file it writes to ``outputs`` and returns the exit code.
+    ``prepare`` completes the merged config in place, raises every usage
+    error and returns the plan: the library objects the handler runs.  The
+    handler takes the plan, appends each file it writes to ``outputs`` and
+    returns the exit code.
 
     Each option is ``(flag, config key, type, help)``.  The type parses the
     flag's text (``bool`` makes a switch) and fixes what a config file may
@@ -625,10 +608,10 @@ class _Command:
     """
 
     help: str
-    handler: Callable[[dict, str, int, int, list], int]
+    handler: Callable[[object, str, int, int, list], int]
     defaults: dict
     options: tuple
-    finish: Callable[[dict], None]
+    prepare: Callable[[dict], object]
     seeded: bool = False
 
 
@@ -648,7 +631,7 @@ _COMMANDS = {
             ("--v-max", "v_max", float, "curve variance upper end"),
             ("--points", "points", int, "curve grid size (default 65)"),
         ),
-        finish=_finish_frontier,
+        prepare=_prepare_frontier,
     ),
     "estimate": _Command(
         help="estimator reports from a returns CSV",
@@ -659,7 +642,7 @@ _COMMANDS = {
             ("--kinds", "kinds", _comma_list, _KINDS_HELP),
             ("--level", "level", float, "CI level for the consistent kind"),
         ),
-        finish=_finish_estimate,
+        prepare=_prepare_estimate,
     ),
     "simulate": _Command(
         help="Monte Carlo losses/histograms/frontiers",
@@ -678,7 +661,7 @@ _COMMANDS = {
             ("--outputs", "outputs", _comma_list, "comma list: losses,histograms,frontiers"),
             ("--v-max", "v_max", float, "frontier grid upper end"),
         ),
-        finish=_finish_simulate,
+        prepare=_prepare_simulate,
         seeded=True,
     ),
     "theory-check": _Command(
@@ -693,7 +676,7 @@ _COMMANDS = {
             ("--c", "c", float, "concentration ratio (default 0.5)"),
             ("--points", "points", int, "random z points (default 100)"),
         ),
-        finish=_finish_theory_check,
+        prepare=_prepare_theory_check,
         seeded=True,
     ),
     "pipeline": _Command(
@@ -711,13 +694,13 @@ _COMMANDS = {
             ("--level", "level", float, "CI level (default 0.95)"),
             ("--winsor", "winsor_quantiles", _winsor, "winsor quantiles 'low,high'"),
         ),
-        finish=_finish_pipeline,
+        prepare=_prepare_pipeline,
     ),
 }
 
 
-def _resolve_config(command: _Command, args) -> tuple[dict, int]:
-    """Merge the defaults, ``--config``, ``--input`` and the flags, in that order."""
+def _resolve_config(command: _Command, args) -> tuple[dict, int, object]:
+    """Merge the defaults, ``--config``, ``--input`` and the flags, in that order; prepare the plan."""
     config = dict(command.defaults)
     file_seed = None
     if args.config is not None:
@@ -736,14 +719,11 @@ def _resolve_config(command: _Command, args) -> tuple[dict, int]:
         if args.seed is None:
             seed = file_seed if file_seed is not None else config.get("seed", seed)
         if type(seed) is not int:
-            raise _usage(f"config key 'seed' must be an integer, got {seed!r}")
+            raise _CliError(f"config key 'seed' must be an integer, got {seed!r}")
         config["seed"] = seed
     if seed < 0:
-        raise _usage(f"seed must be non-negative, got {seed}")
-    command.finish(config)
-    if "kinds" in command.defaults:
-        config["kinds"] = [k.value for k in _parse_kinds(config["kinds"])]
-    return config, seed
+        raise _CliError(f"seed must be non-negative, got {seed}")
+    return config, seed, command.prepare(config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -783,11 +763,13 @@ def main(argv=None) -> int:
     try:
         jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
         if jobs < 1:
-            raise _usage(f"--jobs must be >= 1, got {jobs}")
-        config, seed = _resolve_config(command, args)
-    except (_CliError, InputValidationError) as exc:
+            raise _CliError(f"--jobs must be >= 1, got {jobs}")
+        config, seed, plan = _resolve_config(command, args)
+    except (_CliError, HDFrontierError) as exc:
+        # prepare reads only flags and config files, so any library error it
+        # meets (a covariance that cannot be factorized, say) is a usage error
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return EXIT_USAGE
 
     run_dir = _make_run_dir(args.outdir, args.subcommand)
     manifest = RunManifest(
@@ -801,10 +783,10 @@ def main(argv=None) -> int:
     manifest_path = os.path.join(run_dir, "manifest.json")
     manifest.write(manifest_path)
     try:
-        code = command.handler(config, run_dir, seed, jobs, manifest.outputs)
+        code = command.handler(plan, run_dir, seed, jobs, manifest.outputs)
     except (_CliError, HDFrontierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = _exit_code(exc)
+        code = EXIT_DATA
     except Exception:
         # anything else ends the interpreter with a traceback and status 1
         manifest.finish(manifest_path, 1)

@@ -201,6 +201,11 @@ class EstimatorKind(str, enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(kind.value for kind in cls)
+        raise InvalidParams(f"unknown estimator kind {value!r}; valid: {valid}")
+
 
 # Each kind's arithmetic after its forms, written once.  These functions run
 # on Python floats (``estimate``) and on ``(B,)`` float64 arrays (the chunk

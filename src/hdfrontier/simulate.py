@@ -66,6 +66,7 @@ __all__ = [
     "HistogramData",
     "FrontierComparison",
     "PARAM_LABELS",
+    "MIN_HISTOGRAM_REPS",
     "build_population",
     "generate_normal",
     "generate_t3",
@@ -86,6 +87,9 @@ logger = logging.getLogger(__name__)
 #: column labels for the three frontier parameters, in report order
 PARAM_LABELS = ("R", "V", "s")
 
+#: the fewest successful replications a histogram is binned from
+MIN_HISTOGRAM_REPS = 100
+
 #: seed-derivation domains (spawn_key prefixes)
 _DOMAIN_POPULATION = 0
 _DOMAIN_GARCH = 1
@@ -101,6 +105,11 @@ class Scenario(str, enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(scenario.value for scenario in cls)
+        raise InvalidParams(f"unknown scenario {value!r}; valid: {valid}")
 
 
 @dataclass(frozen=True)
@@ -722,7 +731,7 @@ def histogram_data(
     Raises
     ------
     TooFewReps
-        If fewer than 100 replications are available.
+        If fewer than ``MIN_HISTOGRAM_REPS`` replications succeeded.
     InvalidParams
         If ``param`` is unknown or ``kind`` was not run.
     """
@@ -732,9 +741,10 @@ def histogram_data(
     column = PARAM_LABELS.index(param)
     estimates = result.estimates[kind][:, column]
     estimates = estimates[np.isfinite(estimates)]
-    if estimates.size < 100:
+    if estimates.size < MIN_HISTOGRAM_REPS:
         raise TooFewReps(
-            f"histograms need >= 100 successful replications, got {estimates.size}"
+            f"histograms need >= {MIN_HISTOGRAM_REPS} successful replications, "
+            f"got {estimates.size}"
         )
     truth = [result.truth.r_gmv, result.truth.v_gmv, result.truth.slope][column]
     spec = result.spec

@@ -26,6 +26,20 @@ def only_run_dir(outdir, subcommand) -> Path:
     return dirs[0]
 
 
+def assert_outcome(outdir, subcommand, code) -> dict | None:
+    """Exit 2 leaves no run directory; any other exit leaves exactly one.
+
+    That one's manifest records the exit code and a finish time; it is returned.
+    """
+    if code == 2:
+        assert not (Path(outdir) / subcommand).exists()
+        return None
+    manifest = json.loads((only_run_dir(outdir, subcommand) / "manifest.json").read_text())
+    assert manifest["exit_code"] == code
+    assert manifest["finished"] is not None
+    return manifest
+
+
 def write_panel(path, days=10, rows_per_day=30, p=4, seed=0):
     rng = np.random.default_rng(seed)
     base = dt.datetime(2024, 1, 1, 9, 30)
@@ -108,8 +122,8 @@ class TestFrontierCommand:
         )
         assert code == 2
         assert "must" in capsys.readouterr().err
-        run_dir = only_run_dir(tmp_path, "frontier")
-        assert not (run_dir / "curve.csv").exists()
+        assert_outcome(tmp_path, "frontier", code)
+        assert not list(tmp_path.rglob("curve.csv"))
 
     def test_missing_inputs_is_usage_error(self, tmp_path, capsys):
         code = run_cli(["frontier", "--outdir", tmp_path])
@@ -166,6 +180,7 @@ class TestEstimateCommand:
         )
         assert code == 3
         assert "n > p" in capsys.readouterr().err
+        assert_outcome(tmp_path, "estimate", code)
 
     def test_failed_kind_spares_the_others(self, tmp_path, capsys):
         panel = write_panel(tmp_path / "panel.csv", days=1, rows_per_day=10, p=20)
@@ -183,8 +198,7 @@ class TestEstimateCommand:
             "message": "sample covariance with p=20, n=10 is singular: "
                        "estimators based on inv(S) require n > p",
         }]
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert (manifest["exit_code"], manifest["outputs"]) == (3, ["estimates.json"])
+        assert assert_outcome(tmp_path, "estimate", code)["outputs"] == ["estimates.json"]
 
     def test_rte_survives_singular_panel(self, tmp_path):
         panel = write_panel(tmp_path / "panel.csv", days=1, rows_per_day=10, p=20)
@@ -198,6 +212,7 @@ class TestEstimateCommand:
             ["estimate", "--input", tmp_path / "nope.csv", "--outdir", tmp_path]
         )
         assert code == 3
+        assert_outcome(tmp_path, "estimate", code)
 
     def test_non_monotone_timestamps_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -207,6 +222,7 @@ class TestEstimateCommand:
         code = run_cli(["estimate", "--input", bad, "--outdir", tmp_path])
         assert code == 3
         assert "line 3" in capsys.readouterr().err
+        assert_outcome(tmp_path, "estimate", code)
 
     def test_missing_input_flag_is_usage_error(self, tmp_path, capsys):
         code = run_cli(["estimate", "--outdir", tmp_path])
@@ -304,14 +320,14 @@ class TestSimulateCommand:
         assert "100" in capsys.readouterr().err
 
     def test_failed_run_lists_what_it_wrote(self, tmp_path, capsys):
+        # every replication fails at n = p, so the histograms fail after losses.csv
         code = run_cli(
-            ["simulate", "--p", "6", "--c", "0.5", "--reps", "50", "--kinds", "consistent",
+            ["simulate", "--p", "6", "--n", "6", "--reps", "100", "--kinds", "consistent",
              "--outputs", "losses,histograms", "--seed", "0", "--outdir", tmp_path]
         )
-        assert code == 2
-        assert "100" in capsys.readouterr().err
-        manifest = json.loads((only_run_dir(tmp_path, "simulate") / "manifest.json").read_text())
-        assert (manifest["exit_code"], manifest["outputs"]) == (2, ["losses.csv"])
+        assert code == 3
+        assert "histograms need >= 100 successful replications, got 0" in capsys.readouterr().err
+        assert assert_outcome(tmp_path, "simulate", code)["outputs"] == ["losses.csv"]
 
     def test_frontiers_keep_the_kinds_that_succeed(self, tmp_path):
         code = run_cli(
@@ -489,6 +505,7 @@ class TestPipelineCommand:
             ["pipeline", "--input", bad, "--p", "2", "--n", "4", "--outdir", tmp_path]
         )
         assert code == 3
+        assert_outcome(tmp_path, "pipeline", code)
 
     def test_short_panel_is_data_error(self, tmp_path, capsys):
         panel = write_panel(tmp_path / "panel.csv", days=1, rows_per_day=10, p=4)
@@ -498,6 +515,7 @@ class TestPipelineCommand:
         )
         assert code == 3
         assert "60" in capsys.readouterr().err
+        assert_outcome(tmp_path, "pipeline", code)
 
 
 class TestParserAndManifest:
@@ -607,6 +625,57 @@ class TestUsageErrors:
             (["simulate"], {"seed": -5}, "seed must be non-negative, got -5"),
             (["estimate", "--input", "x.csv", "--level", "1.5"], None, "--level must lie in (0, 1)"),
             (["estimate", "--input", "x.csv"], {"level": 0}, "--level must lie in (0, 1)"),
+            (
+                ["frontier", "--mu", "[0.0, 0.3]", "--sigma", "[[1.0, 1.0], [1.0, 1.0]]"], None,
+                "covariance is not positive definite",
+            ),
+            (
+                ["frontier", "--mu", "[0.0, 0.3]", "--sigma", "[1.0, 2.0, 3.0]"], None,
+                "covariance is 3x3 but mean has length 2",
+            ),
+            (
+                ["frontier", "--mu", '["a", 0.3]', "--sigma", "[1.0, 2.0]"], None,
+                "mu/sigma are not numeric arrays",
+            ),
+            (
+                ["frontier", "--mu", "[0.0, 0.3]", "--sigma", "[1.0, 2.0]", "--curve",
+                 "--points", "1"], None, "n_points must be at least 2, got 1",
+            ),
+            (
+                ["frontier", "--mu", "[0.0, 0.3]", "--sigma", "[1.0, 2.0]", "--curve",
+                 "--v-max", "nan"], None, "v_max must exceed v_gmv",
+            ),
+            (
+                ["simulate", "--p", "4", "--n", "20", "--outputs", "frontiers", "--v-max", "-1"],
+                None, "v_max must exceed the population v_gmv, got -1.0",
+            ),
+            (
+                ["simulate", "--outputs", "histograms", "--reps", "3"], None,
+                "--outputs histograms needs --reps >= 100, got 3",
+            ),
+            (["theory-check", "--checks", "lemma3", "--c", "1"], None, "lemma3 requires 0 < c < 1"),
+            (["theory-check", "--checks", "lemma2", "--p", "1"], None, "need p >= 2, got 1"),
+            (["theory-check", "--checks", "lemma2", "--c", "inf"], None, "c must be positive"),
+            (["pipeline", "--input", "x.csv", "--step", "0"], None, "step must be >= 1"),
+            (
+                ["pipeline", "--input", "x.csv", "--horizon", "0"], None,
+                "target_horizon_minutes must be positive",
+            ),
+            (
+                ["pipeline", "--input", "x.csv", "--frequency", "-5"], None,
+                "frequency_minutes must be positive, got -5.0",
+            ),
+            (
+                ["pipeline", "--input", "x.csv", "--p", "3", "--n", "3"], None,
+                "need n > p for kinds ['sample', 'consistent'], got n=3, p=3",
+            ),
+            (["pipeline", "--input", "x.csv", "--level", "nan"], None, "level must be in (0, 1)"),
+            (["theory-check", "--points", "0"], None, "--points must be >= 1, got 0"),
+            (["theory-check", "--points", "-3"], None, "--points must be >= 1, got -3"),
+            (
+                ["theory-check", "--checks", "lemma2", "--p", "3", "--c", "0.9"], None,
+                "diagnostics need n > p",
+            ),
         ],
     )
     def test_exit_2_without_run_directory(self, tmp_path, capsys, args, config, message):
@@ -616,6 +685,7 @@ class TestUsageErrors:
             args = [*args, "--config", path]
         assert run_cli([*args, "--outdir", tmp_path / "runs"]) == 2
         assert message in capsys.readouterr().err
+        assert_outcome(tmp_path / "runs", args[0], 2)
         assert not (tmp_path / "runs").exists()
 
     def test_null_is_allowed_where_the_default_is_null(self, tmp_path):
