@@ -26,7 +26,6 @@ from .errors import (
     AsymmetricMatrix,
     BranchAmbiguity,
     CholeskyFailure,
-    DegenerateSlope,
     DimensionMismatch,
     EmptyPanel,
     HDFrontierError,
@@ -55,23 +54,19 @@ from .estimators import (
     EstimatorKind,
     ReturnsMatrix,
     SampleMoments,
-    consistent_frontier,
     estimate,
     estimate_many,
     plugin_frontier,
     precision_ebe,
     precision_rte,
     precision_sse,
-    sample_frontier,
     sample_moments,
-    unbiased_frontier,
 )
 from .frontier import (
     FrontierParams,
     MertonConstants,
     frontier_curve,
     frontier_params,
-    frontier_variance_at,
     from_merton,
     merton_constants,
     to_merton,
@@ -100,12 +95,10 @@ from .rmt import (
     DiagnosticRecord,
     ExactGaussianLaws,
     StieltjesPoint,
-    chi2_ratio_clt_moments,
     demeaned_quadform_diagnostics,
     gaussian_exact_laws,
     m_of_z,
     mp_support,
-    noncentral_f_clt_params,
     sample_noncentral_chisq,
     white_quadform_diagnostics,
     x_of_z,
@@ -121,10 +114,7 @@ from .simulate import (
     build_population,
     frontier_comparison,
     garch_state,
-    generate_ccc_garch,
-    generate_normal,
     generate_returns,
-    generate_t3,
     histogram_data,
     run_monte_carlo,
 )
@@ -149,7 +139,6 @@ __all__ = [
     "TooFewReps",
     "RatioOutOfRange",
     "StationarityViolation",
-    "DegenerateSlope",
     "ZeroTrace",
     "BranchAmbiguity",
     "PoleAtZ",
@@ -165,7 +154,6 @@ __all__ = [
     "frontier_params",
     "from_merton",
     "to_merton",
-    "frontier_variance_at",
     "frontier_curve",
     # estimators
     "ReturnsMatrix",
@@ -173,9 +161,6 @@ __all__ = [
     "EstimatorKind",
     "EstimateReport",
     "sample_moments",
-    "sample_frontier",
-    "consistent_frontier",
-    "unbiased_frontier",
     "precision_sse",
     "precision_ebe",
     "precision_rte",
@@ -197,8 +182,6 @@ __all__ = [
     "mp_support",
     "x_of_z",
     "m_of_z",
-    "chi2_ratio_clt_moments",
-    "noncentral_f_clt_params",
     "gaussian_exact_laws",
     "sample_noncentral_chisq",
     "white_quadform_diagnostics",
@@ -213,9 +196,6 @@ __all__ = [
     "FrontierComparison",
     "build_population",
     "garch_state",
-    "generate_normal",
-    "generate_t3",
-    "generate_ccc_garch",
     "generate_returns",
     "run_monte_carlo",
     "histogram_data",

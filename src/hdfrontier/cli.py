@@ -278,6 +278,11 @@ def _check_config_value(key: str, value, kind, nullable: bool) -> None:
         ok = len(value) == 2 and all(type(v) in _NUMBER for v in value)
     if not ok:
         raise _CliError(f"config key {key!r} must be {name}, got {value!r}")
+    if kind is float and type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            raise _CliError(f"config key {key!r} must be a number within the float range") from None
 
 
 def _parse_kinds(config: dict) -> tuple[EstimatorKind, ...]:
@@ -503,10 +508,7 @@ def _transform_records(c: float, points: int, seed: int) -> list[DiagnosticRecor
         m0, _ = m_of_z(StieltjesPoint(0.0, c))
         values.append(("m-at-zero", abs(m0 - 1.0 / (1.0 - c))))
         print(f"m(0+) at c={c:g}: {_fmt(m0.real)}")
-    return [
-        DiagnosticRecord(check, points, 0, c, seed, value, math.nan, False)
-        for check, value in values
-    ]
+    return [DiagnosticRecord(check, points, 0, c, seed, value) for check, value in values]
 
 
 def _prepare_theory_check(config: dict):

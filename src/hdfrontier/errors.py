@@ -42,10 +42,6 @@ class InvalidParams(InputValidationError):
     """Frontier parameters violate their defining inequalities."""
 
 
-class DegenerateSlope(HDFrontierError):
-    """The frontier has zero slope where a positive slope is required."""
-
-
 class InvalidRange(InputValidationError):
     """A requested grid or range is empty or inverted."""
 

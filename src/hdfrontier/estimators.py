@@ -70,9 +70,6 @@ __all__ = [
     "EstimatorKind",
     "EstimateReport",
     "sample_moments",
-    "sample_frontier",
-    "consistent_frontier",
-    "unbiased_frontier",
     "precision_sse",
     "precision_ebe",
     "precision_rte",
@@ -189,7 +186,26 @@ class SampleMoments:
 
 
 class EstimatorKind(str, enum.Enum):
-    """Names for the supported frontier estimators."""
+    """Names for the supported frontier estimators; :func:`estimate` computes each.
+
+    - ``sample``: the population formulas applied to the sample moments.
+      Consistent only when ``p/n -> 0``; for ``p/n -> c > 0`` the GMV
+      variance is understated by the factor ``1 - c`` and the slope
+      inflated by roughly ``c/(1 - c) + c/(1 - c)**2`` plus a
+      multiplicative distortion.
+    - ``consistent``: the sample Merton constants scaled by ``1 - p/n``.
+      Under Gaussian or heavy-tailed i.i.d. sampling with ``p/n -> c`` in
+      (0, 1) each rescaled constant converges almost surely to its
+      population counterpart.  Against the sample kind, ``r_gmv`` is
+      unchanged, the GMV variance is multiplied by ``1/(1 - p/n)`` and the
+      slope by ``1 - p/n``.  The slope keeps an additive bias of roughly
+      ``p/n``: it converges to ``s + c``, not ``s``, and downstream
+      inference can recenter it.
+    - ``unbiased``: exactly mean-unbiased for Gaussian returns (see
+      :func:`_unbiased`).
+    - ``sse``, ``ebe``, ``rte``: the precision-matrix plug-ins
+      :func:`precision_sse`, :func:`precision_ebe` and :func:`precision_rte`.
+    """
 
     SAMPLE = "sample"          # raw moment plug-in
     CONSISTENT = "consistent"  # Merton constants scaled by (1 - p/n)
@@ -233,7 +249,19 @@ def _ebe_constants(forms, p, n, extras):
 
 
 def _unbiased(r_gmv, v_gmv, slope, p, n):
-    """The unbiased kind's parameters from those of the sample kind."""
+    """The unbiased kind's parameters from those of the sample kind.
+
+    With divisor-``n`` sample moments and ``p < n - 1``:
+
+    - ``r_gmv`` is already unbiased and is left untouched;
+    - ``v_gmv`` is multiplied by ``n / (n - p)``;
+    - the slope becomes ``(n - p - 1)/n * slope_sample - (p - 1)/n``, which
+      can be negative: the report keeps the signed value, so that averages
+      across repetitions stay unbiased, and notes it.
+
+    In the divisor-``n-1`` convention these read ``(n-1)/(n-p) * v`` and
+    ``(n-p-1)/(n-1) * s - (p-1)/n``.
+    """
     return r_gmv, v_gmv * n / (n - p), slope * (n - p - 1) / n - (p - 1) / n
 
 
@@ -371,48 +399,6 @@ def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cov = cov + np.swapaxes(cov, -1, -2)
     cov *= 0.5
     return mean, cov
-
-
-def sample_frontier(moments: SampleMoments) -> EstimateReport:
-    """Raw plug-in: population formulas applied to the sample moments.
-
-    Consistent only when ``p/n -> 0``; for ``p/n -> c > 0`` the GMV variance
-    is understated by the factor ``1 - c`` and the slope inflated by roughly
-    ``c/(1 - c) + c/(1 - c)**2`` plus a multiplicative distortion.
-    """
-    return estimate(moments, EstimatorKind.SAMPLE)
-
-
-def consistent_frontier(moments: SampleMoments) -> EstimateReport:
-    """Ratio-consistent frontier: Merton constants scaled by ``1 - p/n``.
-
-    Under either Gaussian or heavy-tailed i.i.d. sampling with ``p/n -> c``
-    in (0, 1), each rescaled constant converges almost surely to its
-    population counterpart.  Relative to the raw sample frontier this leaves
-    ``r_gmv`` unchanged, multiplies the GMV variance by ``1/(1 - p/n)`` and
-    the slope by ``1 - p/n``.  The slope retains an additive bias of roughly
-    ``p/n`` in finite samples (it converges to ``s + c``, not ``s``, when the
-    centering at ``s`` alone is used); downstream inference can recenter.
-    """
-    return estimate(moments, EstimatorKind.CONSISTENT)
-
-
-def unbiased_frontier(moments: SampleMoments) -> EstimateReport:
-    """Exactly mean-unbiased frontier parameters for Gaussian returns.
-
-    With divisor-``n`` sample moments and ``p < n - 1``:
-
-    - ``r_gmv`` is already unbiased and is left untouched;
-    - ``v_gmv`` is multiplied by ``n / (n - p)``;
-    - the slope becomes ``(n - p - 1)/n * slope_sample - (p - 1)/n``,
-      which can be negative — the report keeps the signed value so that
-      averaging across repetitions stays unbiased, and flags it in
-      ``notes`` when it happens.
-
-    (Equivalently, in the divisor-``n-1`` convention these read
-    ``(n-1)/(n-p) * v`` and ``(n-p-1)/(n-1) * s - (p-1)/n``.)
-    """
-    return estimate(moments, EstimatorKind.UNBIASED)
 
 
 def precision_sse(moments: SampleMoments) -> np.ndarray:

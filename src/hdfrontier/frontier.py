@@ -29,7 +29,6 @@ import scipy.linalg
 from .errors import (
     AsymmetricMatrix,
     CholeskyFailure,
-    DegenerateSlope,
     DimensionMismatch,
     InvalidConstants,
     InvalidParams,
@@ -43,7 +42,6 @@ __all__ = [
     "frontier_params",
     "from_merton",
     "to_merton",
-    "frontier_variance_at",
     "frontier_curve",
 ]
 
@@ -52,6 +50,8 @@ SYMMETRY_RTOL = 1e-10
 
 #: relative tolerance below which a tiny negative slope is clamped to zero
 SLOPE_CLAMP_RTOL = 1e-12
+
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -238,11 +238,12 @@ def _vertex(a, b, c):
 
 def _clamped_slope(slope: float, a: float) -> float:
     if slope < 0.0:
-        if slope > -SLOPE_CLAMP_RTOL * a:
+        # below the smallest normal float, rounding error is absolute, not relative
+        tolerance = max(SLOPE_CLAMP_RTOL * a, _SMALLEST_NORMAL)
+        if slope > -tolerance:
             return 0.0
         raise InvalidConstants(
-            f"slope {slope} is negative beyond rounding tolerance "
-            f"{-SLOPE_CLAMP_RTOL * a:.3e}"
+            f"slope {slope} is negative beyond rounding tolerance {-tolerance:.3e}"
         )
     return slope
 
@@ -279,25 +280,6 @@ def to_merton(params: FrontierParams) -> MertonConstants:
 def frontier_params(mu, sigma) -> FrontierParams:
     """Frontier vertex and curvature straight from (mu, sigma)."""
     return from_merton(merton_constants(mu, sigma))
-
-
-def frontier_variance_at(params: FrontierParams, r: float) -> float:
-    """Smallest attainable variance for target expected return ``r``.
-
-    Solves the frontier equation for V:  V = v_gmv + (r - r_gmv)**2 / slope.
-    With a flat frontier (slope == 0) only r == r_gmv is attainable.
-    """
-    r = float(r)
-    if not np.isfinite(r):
-        raise InvalidParams(f"target return must be finite, got {r}")
-    dev = r - params.r_gmv
-    if params.slope == 0.0:
-        if dev == 0.0:
-            return params.v_gmv
-        raise DegenerateSlope(
-            f"slope is zero: only r == r_gmv ({params.r_gmv}) is attainable"
-        )
-    return params.v_gmv + dev * dev / params.slope
 
 
 def _upper_branch(params: FrontierParams, v: np.ndarray) -> np.ndarray:

@@ -223,9 +223,7 @@ def coverage(
     }
 
 
-def standardized_errors(
-    estimates, truth: FrontierParams, ratio: float | None = None, n: int | None = None
-) -> np.ndarray:
+def standardized_errors(estimates, truth: FrontierParams, ratio: float, n: int) -> np.ndarray:
     """Centre and scale consistent estimates by their limiting law.
 
     Columns of the result are ``sqrt(n) * (est - center) / sd`` with centres
@@ -237,41 +235,22 @@ def standardized_errors(
 
     Parameters
     ----------
-    estimates : EstimateReport or ndarray of shape (reps, 3)
-        A single consistent-estimator report, or an array of consistent
-        estimates with columns ``(r_gmv, v_gmv, slope)``.
+    estimates : array_like, shape (reps, 3)
+        Consistent estimates with columns ``(r_gmv, v_gmv, slope)``.
     truth : FrontierParams
-    ratio : float, optional
-        ``p/n`` of the experiment (also the slope-centring shift).  Taken
-        from the report when one is given.
-    n : int, optional
-        Sample size; taken from the report when one is given.
+    ratio : float
+        ``p/n`` of the experiment (also the slope-centring shift).
+    n : int
+        Sample size.
 
     Returns
     -------
-    ndarray — shape (3,) for a single report, (reps, 3) for an array.
+    ndarray, shape (reps, 3)
     """
-    single = isinstance(estimates, EstimateReport)
-    if single:
-        report = estimates
-        if report.kind is not EstimatorKind.CONSISTENT:
-            raise InvalidReportKind(
-                f"standardized errors are defined for the consistent estimator, "
-                f"got kind={report.kind.value!r}"
-            )
-        ratio = report.ratio if ratio is None else ratio
-        n = report.n if n is None else n
-        estimates = np.array(
-            [[report.params.r_gmv, report.params.v_gmv, report.params.slope]]
-        )
-    else:
-        estimates = np.asarray(estimates, dtype=float)
-        if ratio is None or n is None:
-            raise InvalidParams("ratio and n are required with array input")
+    estimates = np.asarray(estimates, dtype=float)
     if estimates.ndim != 2 or estimates.shape[1] != 3:
         raise InvalidParams(f"estimates must have shape (reps, 3), got {estimates.shape}")
     limits = asymptotic_variances(truth, ratio)
     sds = np.sqrt([limits.var_r, limits.var_v, limits.var_s])
     centers = np.array([truth.r_gmv, truth.v_gmv, truth.slope + ratio])
-    out = np.sqrt(float(n)) * (estimates - centers) / sds
-    return out[0] if single else out
+    return np.sqrt(float(n)) * (estimates - centers) / sds

@@ -29,7 +29,7 @@ import logging
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -557,9 +557,7 @@ def _block_moments(columns: np.ndarray, starts, n: int, quantiles, clipped, mean
     return means, covs
 
 
-def rolling_estimate(
-    panel: ReturnPanel, config: RollingConfig, kinds=None
-) -> list[WindowEstimate]:
+def rolling_estimate(panel: ReturnPanel, config: RollingConfig) -> list[WindowEstimate]:
     """Advance an estimation window through the panel.
 
     The panel is first aggregated so its observation frequency matches
@@ -594,8 +592,6 @@ def rolling_estimate(
         Frequency mismatch that is not an integer aggregation, unknown asset
         labels, or ``n <= p`` with a kind that needs ``n > p``.
     """
-    if kinds is not None:
-        config = replace(config, kinds=kinds)  # validates the override
     kinds = config.kinds
     ratio = config.frequency_minutes / panel.frequency_minutes
     k = round(ratio)

@@ -9,9 +9,7 @@ infrastructure:
 - Monte Carlo diagnostics that measure how far random quadratic forms in
   inverse sample covariances sit from their almost-sure limits, for white
   (uncentred) and de-meaned sample covariances;
-- central and noncentral limit-law parameter oracles (chi-square ratio CLT,
-  noncentral-F CLT) and the exact finite-sample Gaussian laws of the
-  frontier estimators;
+- the exact finite-sample Gaussian laws of the frontier estimators;
 - a Poisson-mixture sampler for the noncentral chi-square.
 
 Conventions: ``c`` is the concentration ratio ``p/n``; the support of the
@@ -30,7 +28,6 @@ import numpy as np
 from .errors import (
     BranchAmbiguity,
     InvalidParams,
-    NotPositiveDefinite,
     PoleAtZ,
     SingularMatrix,
     TooFewObservations,
@@ -46,8 +43,6 @@ __all__ = [
     "m_of_z",
     "white_quadform_diagnostics",
     "demeaned_quadform_diagnostics",
-    "chi2_ratio_clt_moments",
-    "noncentral_f_clt_params",
     "gaussian_exact_laws",
     "sample_noncentral_chisq",
 ]
@@ -190,37 +185,6 @@ def m_of_z(pt: StieltjesPoint) -> tuple[complex, complex | None]:
     return m, companion
 
 
-def chi2_ratio_clt_moments(p: int, n: int) -> tuple[float, float]:
-    """Mean and variance of ``sqrt(n) (Z/(n-p) - 1)`` for ``Z ~ chi2_{n-p}``.
-
-    Exact for every finite ``n > p``: mean 0 and variance ``2n/(n-p)``,
-    which converges to ``2/(1-c)`` as ``p/n -> c``.
-    """
-    if n <= p:
-        raise TooFewObservations(f"need n > p, got n={n}, p={p}")
-    return 0.0, 2.0 * n / (n - p)
-
-
-def noncentral_f_clt_params(p: int, n: int, lam: float) -> tuple[float, float]:
-    """Centering and limiting variance for the scaled noncentral-F statistic.
-
-    The statistic is ``sqrt(n) (F - centering)`` where ``F`` is the ratio of
-    a noncentral chi-square (``p`` degrees of freedom, noncentrality
-    ``n lam``) over its degrees of freedom to an independent central
-    chi-square (``n - p`` degrees) over its own.  With ``c = p/n``:
-
-        centering = 1 + lam/c,
-        variance  = (2/c)(1 + 2 lam/c) + (2/(1-c))(1 + lam/c)**2.
-    """
-    if n <= p:
-        raise TooFewObservations(f"need n > p, got n={n}, p={p}")
-    if lam < 0.0:
-        raise InvalidParams(f"noncentrality must be >= 0, got {lam}")
-    c = p / n
-    shift = lam / c
-    return 1.0 + shift, (2.0 / c) * (1.0 + 2.0 * shift) + (2.0 / (1.0 - c)) * (1.0 + shift) ** 2
-
-
 @dataclass(frozen=True)
 class ExactGaussianLaws:
     """Exact finite-sample laws of the frontier estimates under Gaussian data.
@@ -314,7 +278,8 @@ def sample_noncentral_chisq(df: float, noncentrality: float, size: int, rng) -> 
 
 @dataclass(frozen=True)
 class DiagnosticRecord:
-    """One Monte Carlo diagnostic: a measured deviation against a threshold."""
+    """One diagnostic: a measured deviation, and the threshold and pass flag
+    that the caller's pass rule sets (NaN and False until then)."""
 
     check: str
     p: int
@@ -322,8 +287,8 @@ class DiagnosticRecord:
     c: float
     seed: int
     value: float
-    threshold: float
-    passed: bool
+    threshold: float = math.nan
+    passed: bool = False
 
     def to_dict(self) -> dict:
         """JSON-ready mapping in field order (the pass flag is keyed ``"pass"``)."""
@@ -332,9 +297,8 @@ class DiagnosticRecord:
         return record
 
 
-def _record(check: str, p: int, n: int, seed: int, value: float, threshold: float) -> DiagnosticRecord:
-    value = float(value)
-    return DiagnosticRecord(check, p, n, p / n, seed, value, threshold, value < threshold)
+def _record(check: str, p: int, n: int, seed: int, value: float) -> DiagnosticRecord:
+    return DiagnosticRecord(check, p, n, p / n, seed, float(value))
 
 
 def _diag_dimensions(c: float, p: int) -> int:
@@ -351,20 +315,13 @@ def _diag_dimensions(c: float, p: int) -> int:
     return n
 
 
-def white_quadform_diagnostics(
-    c: float,
-    p: int,
-    seed: int,
-    threshold: float = 0.05,
-    theta=None,
-    xi=None,
-) -> list[DiagnosticRecord]:
+def white_quadform_diagnostics(c: float, p: int, seed: int, xi=None) -> list[DiagnosticRecord]:
     """Measure quadratic forms in an inverse white Wishart against their limits.
 
     Draws ``X`` (``p x n``, i.i.d. standard normal, ``n = round(p/c)``) and
-    forms ``S~ = X X'/n`` (no centring).  With unit vectors ``theta``
-    (default: the normalized all-ones direction) and ``xi`` (default: an
-    independent random direction, drawn *before* ``X``), reports
+    forms ``S~ = X X'/n`` (no centring).  With ``theta`` the normalized
+    all-ones direction and the unit vector ``xi`` (default: an independent
+    random direction, drawn *before* ``X``), reports
 
     - ``white-cross-form``: ``|xi' inv(S~) theta - (1-c)^{-1} xi' theta|``,
     - ``white-mean-form`` : ``|xbar' inv(S~) xbar - c|``,
@@ -374,10 +331,9 @@ def white_quadform_diagnostics(
     realized ratio ``p/n``.  Passing ``xi = theta`` turns the cross form
     into the pure direction form ``|theta' inv(S~) theta - (1-c)^{-1}|``.
 
-    Each record's ``passed`` compares against ``threshold``.  Note the
-    cross form fluctuates like a normalized chi-square and sits near 0.06
-    in the median at ``p = 500``, ``c = 0.5`` — well above the mean and
-    mixed forms, which are an order of magnitude tighter.
+    Note the cross form fluctuates like a normalized chi-square and sits
+    near 0.06 in the median at ``p = 500``, ``c = 0.5`` — well above the
+    mean and mixed forms, which are an order of magnitude tighter.
 
     Raises
     ------
@@ -386,12 +342,7 @@ def white_quadform_diagnostics(
     """
     n = _diag_dimensions(c, p)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if theta is None:
-        theta = np.ones(p) / math.sqrt(p)
-    else:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (p,):
-            raise InvalidParams(f"theta must have shape ({p},), got {theta.shape}")
+    theta = np.ones(p) / math.sqrt(p)
     if xi is None:
         xi = rng.standard_normal(p)
         xi /= np.linalg.norm(xi)
@@ -412,31 +363,23 @@ def white_quadform_diagnostics(
     mean_form = abs(float(xbar @ sol[:, 1]) - ratio)
     mixed = abs(float(xbar @ sol[:, 0])) / math.sqrt(n)
     return [
-        _record("white-cross-form", p, n, seed, cross, threshold),
-        _record("white-mean-form", p, n, seed, mean_form, threshold),
-        _record("white-mixed-form", p, n, seed, mixed, threshold),
+        _record("white-cross-form", p, n, seed, cross),
+        _record("white-mean-form", p, n, seed, mean_form),
+        _record("white-mixed-form", p, n, seed, mixed),
     ]
 
 
-def demeaned_quadform_diagnostics(
-    c: float,
-    p: int,
-    sigma=None,
-    seed: int = 0,
-    threshold: float = 0.05,
-    growth_exponent: float = 1.0,
-) -> list[DiagnosticRecord]:
+def demeaned_quadform_diagnostics(c: float, p: int, seed: int) -> list[DiagnosticRecord]:
     """Measure quadratic forms in the inverse de-meaned sample covariance.
 
-    Draws ``Y`` with independent columns of mean zero and covariance
-    ``sigma`` (default: identity; a 1-D array is taken as a diagonal), forms
-    the divisor-``n`` de-meaned covariance ``S`` and reports, with ``q >= 0``
-    the growth exponent (forms such as ``1' inv(S) 1`` grow like ``p**q``;
-    ``q = 1`` for the all-ones direction) and ``ybar`` the sample mean,
+    Draws ``Y`` (``p x n``, i.i.d. standard normal, ``n = round(p/c)``),
+    forms the divisor-``n`` de-meaned covariance ``S`` and reports, with
+    ``ybar`` the sample mean (the ones and cross forms grow like ``p``, so
+    they are divided by it),
 
-    - ``demeaned-ones-form`` : ``|1' inv(S) 1 - (1-c)^{-1} 1' inv(sigma) 1| / p**q``,
+    - ``demeaned-ones-form`` : ``|1' inv(S) 1 - (1-c)^{-1} p| / p``,
     - ``demeaned-mean-form`` : ``|ybar' inv(S) ybar - c/(1-c)|``,
-    - ``demeaned-cross-form``: ``|ybar' inv(S) 1| / p**q``.
+    - ``demeaned-cross-form``: ``|ybar' inv(S) 1| / p``.
 
     The mean form is noisy: its sampling fluctuation at ``p = 500``,
     ``c = 0.5`` has median near 0.04 with occasional excursions past 0.2,
@@ -447,44 +390,11 @@ def demeaned_quadform_diagnostics(
     ------
     SingularMatrix
         If ``round(p/c) <= p``.
-    InvalidParams
-        If ``growth_exponent`` is negative or not finite.
-    NotPositiveDefinite
-        If ``sigma`` is not positive definite.
     """
     n = _diag_dimensions(c, p)
-    if not (math.isfinite(growth_exponent) and growth_exponent >= 0.0):
-        raise InvalidParams(f"growth exponent must be >= 0, got {growth_exponent}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ones = np.ones(p)
-    if sigma is None:
-        sqrt_diag = ones
-        ones_pop = float(p)  # 1' inv(I) 1
-    else:
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.ndim == 1:
-            if sigma.shape != (p,) or np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
-                raise InvalidParams(
-                    f"diagonal sigma must be {p} positive finite entries"
-                )
-            sqrt_diag = np.sqrt(sigma)
-            ones_pop = float(np.sum(1.0 / sigma))
-        elif sigma.shape == (p, p):
-            try:
-                chol = np.linalg.cholesky(sigma)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(
-                    f"sigma must be positive definite: {exc}"
-                ) from exc
-            sqrt_diag = None
-            ones_pop = float(ones @ np.linalg.solve(sigma, ones))
-        else:
-            raise InvalidParams(f"sigma must be ({p},) or ({p}, {p}), got {sigma.shape}")
-    x = rng.standard_normal((p, n))
-    if sigma is None or sigma.ndim == 1:
-        y = sqrt_diag[:, None] * x
-    else:
-        y = chol @ x
+    y = rng.standard_normal((p, n))
     ybar = y.mean(axis=1)
     centered = y - ybar[:, None]
     cov = centered @ centered.T / n
@@ -493,12 +403,11 @@ def demeaned_quadform_diagnostics(
     except np.linalg.LinAlgError as exc:  # pragma: no cover - a.s. invertible
         raise SingularMatrix(f"de-meaned sample covariance is singular: {exc}") from exc
     ratio = p / n
-    scale = p ** growth_exponent
-    ones_form = abs(float(ones @ sol[:, 0]) - ones_pop / (1.0 - ratio)) / scale
+    ones_form = abs(float(ones @ sol[:, 0]) - p / (1.0 - ratio)) / p
     mean_form = abs(float(ybar @ sol[:, 1]) - ratio / (1.0 - ratio))
-    cross_form = abs(float(ybar @ sol[:, 0])) / scale
+    cross_form = abs(float(ybar @ sol[:, 0])) / p
     return [
-        _record("demeaned-ones-form", p, n, seed, ones_form, threshold),
-        _record("demeaned-mean-form", p, n, seed, mean_form, threshold),
-        _record("demeaned-cross-form", p, n, seed, cross_form, threshold),
+        _record("demeaned-ones-form", p, n, seed, ones_form),
+        _record("demeaned-mean-form", p, n, seed, mean_form),
+        _record("demeaned-cross-form", p, n, seed, cross_form),
     ]

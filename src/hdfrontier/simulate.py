@@ -68,9 +68,6 @@ __all__ = [
     "PARAM_LABELS",
     "MIN_HISTOGRAM_REPS",
     "build_population",
-    "generate_normal",
-    "generate_t3",
-    "generate_ccc_garch",
     "generate_returns",
     "garch_state",
     "run_monte_carlo",
@@ -97,7 +94,15 @@ _DOMAIN_REPLICATION = 2
 
 
 class Scenario(str, enum.Enum):
-    """Data-generating processes for the simulation study."""
+    """Data-generating processes for the simulation study.
+
+    - ``normal``: i.i.d. Gaussian columns with mean ``mu`` and covariance ``sigma``.
+    - ``t3``: i.i.d. t(3) columns scaled by ``sqrt(1/3)``, which makes each
+      entry's variance ``(1/3) * 3/(3-2) = 1``, so every column has
+      covariance ``sigma`` exactly while fourth moments stay infinite.
+    - ``ccc-garch``: a CCC-GARCH(1,1) panel whose unconditional covariance
+      equals ``sigma`` (see :func:`_sampler`).
+    """
 
     NORMAL = "normal"
     STUDENT_T3 = "t3"
@@ -426,6 +431,14 @@ def _sampler(scenario: Scenario, spec: ScenarioSpec, mu: np.ndarray, sigma: np.n
     covariance factor, and for CCC-GARCH the coefficients and the factor of
     their correlation matrix) is computed here, once per sampler.
 
+    Per asset, the CCC-GARCH conditional variance follows
+
+        h[t] = alpha0 + alpha1 * (y[t-1] - mu)**2 + beta1 * h[t-1],
+
+    with cross-sectional dependence only through the constant correlation
+    of the innovations.  The recursion starts at the unconditional
+    variances, and its first ``spec.burn_in`` steps are discarded.
+
     The CCC-GARCH recursion advances all ``B`` slots together, one step at a
     time, over flat ``(B * p,)`` state, with the same elementwise operations
     in the same order as a one-slot recursion, so each panel is bit for bit
@@ -491,55 +504,19 @@ def _sampler(scenario: Scenario, spec: ScenarioSpec, mu: np.ndarray, sigma: np.n
     return fill
 
 
-def _generate(scenario: Scenario, spec, mu, sigma, rng) -> ReturnsMatrix:
-    """One panel of ``scenario``, from replication stream 0 unless ``rng`` is given."""
-    if rng is None:
-        rng = _rng_for(spec.seed, _DOMAIN_REPLICATION, 0)
-    x = np.empty((1, spec.p, spec.n))
-    _sampler(scenario, spec, mu, sigma)(x, [rng])
-    return ReturnsMatrix(x[0])
-
-
-def generate_normal(
-    spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray, rng=None
-) -> ReturnsMatrix:
-    """i.i.d. Gaussian columns with mean ``mu`` and covariance ``sigma``."""
-    return _generate(Scenario.NORMAL, spec, mu, sigma, rng)
-
-
-def generate_t3(
-    spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray, rng=None
-) -> ReturnsMatrix:
-    """i.i.d. t(3) columns scaled so each entry has variance one.
-
-    The scale acts on the variance (factor 1/3), giving
-    ``Var = (1/3) * 3/(3-2) = 1`` per entry, so every column has covariance
-    ``sigma`` exactly — while fourth moments remain infinite.
-    """
-    return _generate(Scenario.STUDENT_T3, spec, mu, sigma, rng)
-
-
-def generate_ccc_garch(
-    spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray, rng=None
-) -> ReturnsMatrix:
-    """CCC-GARCH(1,1) panel whose unconditional covariance equals ``sigma``.
-
-    Per asset, the conditional variance follows
-
-        h[t] = alpha0 + alpha1 * (y[t-1] - mu)**2 + beta1 * h[t-1],
-
-    with cross-sectional dependence only through the constant correlation
-    of the innovations.  The recursion starts at the unconditional
-    variances and a burn-in of ``spec.burn_in`` steps is discarded.
-    """
-    return _generate(Scenario.CCC_GARCH, spec, mu, sigma, rng)
-
-
 def generate_returns(
     spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray, rng=None
 ) -> ReturnsMatrix:
-    """Dispatch to the spec's scenario generator."""
-    return _generate(spec.scenario, spec, mu, sigma, rng)
+    """One panel of the spec's scenario, from replication stream 0 unless ``rng`` is given.
+
+    Its columns have mean ``mu`` and covariance ``sigma`` (for CCC-GARCH,
+    unconditionally); see :class:`Scenario` and :func:`_sampler`.
+    """
+    if rng is None:
+        rng = _rng_for(spec.seed, _DOMAIN_REPLICATION, 0)
+    x = np.empty((1, spec.p, spec.n))
+    _sampler(spec.scenario, spec, mu, sigma)(x, [rng])
+    return ReturnsMatrix(x[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -586,12 +563,12 @@ class MonteCarloResult:
             return np.full(losses.shape[1], np.nan)
         return np.nanmean(losses, axis=0)
 
-    def loss_quantiles(self, kind: EstimatorKind, qs=(0.05, 0.95)) -> np.ndarray:
-        """Loss quantiles per parameter, shape (len(qs), 3); NaN as in :meth:`mean_loss`."""
+    def loss_quantiles(self, kind: EstimatorKind) -> np.ndarray:
+        """The 5% and 95% loss quantiles per parameter, shape (2, 3); NaN as in :meth:`mean_loss`."""
         losses = self.losses(kind)
         if np.isnan(losses).all():
-            return np.full((len(qs), losses.shape[1]), np.nan)
-        return np.nanquantile(losses, qs, axis=0)
+            return np.full((2, losses.shape[1]), np.nan)
+        return np.nanquantile(losses, (0.05, 0.95), axis=0)
 
 
 #: byte cap on one chunk's draws and covariances: 218 replications at
@@ -785,14 +762,14 @@ class FrontierComparison:
 
 
 def frontier_comparison(
-    spec: ScenarioSpec, kinds, v_max: float | None = None, n_points: int = 101
+    spec: ScenarioSpec, kinds, v_max: float | None = None
 ) -> FrontierComparison:
     """Estimate the frontier once and tabulate all curves on one grid.
 
     One dataset is generated (replication stream 0), each requested kind is
     estimated, and every curve — population included, under key
-    ``"population"`` — is evaluated on an even variance grid from the
-    population GMV variance to ``v_max`` (default: 20x that variance).
+    ``"population"`` — is evaluated on an even 101-point variance grid from
+    the population GMV variance to ``v_max`` (default: 20x that variance).
     Grid points left of a curve's own vertex are NaN (the curve does not
     exist there); a negative unbiased slope estimate yields a flat curve at
     its vertex return.  A kind that fails on the dataset gets no curve and
@@ -805,12 +782,10 @@ def frontier_comparison(
         v_max = 20.0 * truth.v_gmv
     if not (math.isfinite(v_max) and v_max > truth.v_gmv):
         raise InvalidRange(f"v_max must exceed the population v_gmv, got {v_max}")
-    if n_points < 2:
-        raise InvalidRange(f"need n_points >= 2, got {n_points}")
     reports, errors = _estimate_each(sample_moments(generate_returns(spec, mu, sigma)), kinds)
     for kind, exc in errors.items():
         logger.warning("frontier overlay: %s skipped: %s", kind.value, exc)
-    grid = np.linspace(truth.v_gmv, v_max, n_points)
+    grid = np.linspace(truth.v_gmv, v_max, 101)
     curves = {"population": _upper_branch(truth, grid)}
     for kind, report in reports.items():
         curves[kind.value] = _upper_branch(report.params, grid)

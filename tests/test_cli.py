@@ -676,6 +676,20 @@ class TestUsageErrors:
                 ["theory-check", "--checks", "lemma2", "--p", "3", "--c", "0.9"], None,
                 "diagnostics need n > p",
             ),
+            # a JSON integer beyond the float range, where a float is expected
+            (["theory-check"], {"c": 10**400}, "'c' must be a number within the float range"),
+            (
+                ["pipeline", "--input", "x.csv"], {"frequency_minutes": 10**400},
+                "'frequency_minutes' must be a number within the float range",
+            ),
+            (
+                ["simulate"], {"v_max": 10**400, "outputs": ["frontiers"]},
+                "'v_max' must be a number within the float range",
+            ),
+            (
+                ["frontier", "--mu", "[0.0, 0.3]", "--sigma", "[1.0, 2.0]"],
+                {"v_max": 10**400, "curve": True}, "'v_max' must be a number within the float range",
+            ),
         ],
     )
     def test_exit_2_without_run_directory(self, tmp_path, capsys, args, config, message):

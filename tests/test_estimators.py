@@ -8,7 +8,6 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from hdfrontier import (
-    EstimateReport,
     EstimatorKind,
     HDFrontierError,
     InvalidParams,
@@ -27,7 +26,6 @@ from hdfrontier import (
     precision_rte,
     precision_sse,
     sample_moments,
-    unbiased_frontier,
 )
 from hdfrontier import estimators, frontier
 from hdfrontier.estimators import (
@@ -35,11 +33,9 @@ from hdfrontier.estimators import (
     _estimate_stack,
     _shape_error,
     _slot_report,
-    consistent_frontier,
-    sample_frontier,
 )
 from hdfrontier.pipeline import RollingConfig
-from hdfrontier.simulate import ScenarioSpec, generate_normal
+from hdfrontier.simulate import ScenarioSpec, generate_returns
 
 ALL_KINDS = tuple(EstimatorKind)
 
@@ -117,7 +113,7 @@ class TestSampleAndConsistent:
         m = _random_moments()
         inv = np.linalg.inv(m.cov)
         a, b, c = _dense_forms(m.mean, inv)
-        report = sample_frontier(m)
+        report = estimate(m, "sample")
         assert report.params.r_gmv == pytest.approx(b / c, rel=1e-10)
         assert report.params.v_gmv == pytest.approx(1.0 / c, rel=1e-10)
         assert report.params.slope == pytest.approx(a - b * b / c, rel=1e-10)
@@ -126,8 +122,8 @@ class TestSampleAndConsistent:
 
     def test_consistent_scales_sample(self):
         m = _random_moments()
-        s = sample_frontier(m).params
-        c = consistent_frontier(m).params
+        s = estimate(m, "sample").params
+        c = estimate(m, "consistent").params
         shrink = 1.0 - m.p / m.n
         assert c.r_gmv == s.r_gmv
         assert c.v_gmv == pytest.approx(s.v_gmv / shrink, rel=1e-12)
@@ -136,8 +132,6 @@ class TestSampleAndConsistent:
     def test_singular_names_requirement(self):
         rng = np.random.default_rng(2)
         m = sample_moments(rng.standard_normal((10, 8)))
-        with pytest.raises(SingularCovariance, match="n > p"):
-            sample_frontier(m)
         for kind in ALL_KINDS:
             if kind is not EstimatorKind.RTE:
                 with pytest.raises(SingularCovariance, match="n > p"):
@@ -159,7 +153,7 @@ class TestSampleAndConsistent:
         mu = np.array([0.0, 0.3])
         sigma = np.diag([1.0, 2.0])
         m = SampleMoments(mean=mu, cov=sigma, n=10**9, p=2)
-        report = consistent_frontier(m)
+        report = estimate(m, "consistent")
         assert report.params.r_gmv == pytest.approx(0.1, rel=1e-8)
         assert report.params.v_gmv == pytest.approx(2.0 / 3.0, rel=1e-8)
         assert report.params.slope == pytest.approx(0.03, rel=1e-6)
@@ -170,10 +164,10 @@ class TestUnbiased:
         # V_u = (n-1)/(n-p) * V^(n-1);  s_u = ((n-p-1)/(n-1)) s^(n-1) - (p-1)/n
         m = _random_moments(p=6, n=20)
         n, p = m.n, m.p
-        base = sample_frontier(m).params
+        base = estimate(m, "sample").params
         v_n1 = base.v_gmv * n / (n - 1)  # divisor-(n-1) version of the estimate
         s_n1 = base.slope * (n - 1) / n
-        report = unbiased_frontier(m)
+        report = estimate(m, "unbiased")
         assert report.params.v_gmv == pytest.approx((n - 1) / (n - p) * v_n1, rel=1e-12)
         assert report.params.slope == pytest.approx(
             (n - p - 1) / (n - 1) * s_n1 - (p - 1) / n, rel=1e-12
@@ -203,7 +197,7 @@ class TestUnbiased:
         s_hat = np.empty(reps)
         for k in range(reps):
             y = sigma.diagonal()[:, None] ** 0.5 * rng.standard_normal((10, 60)) + mu[:, None]
-            report = unbiased_frontier(sample_moments(y))
+            report = estimate(sample_moments(y), "unbiased")
             v_ratio[k] = report.params.v_gmv / truth.v_gmv
             s_hat[k] = report.params.slope
         se_v = v_ratio.std(ddof=1) / np.sqrt(reps)
@@ -213,7 +207,7 @@ class TestUnbiased:
 
     def test_negative_slope_flagged(self):
         m = SampleMoments(mean=np.zeros(4), cov=np.eye(4), n=10, p=4)
-        report = unbiased_frontier(m)
+        report = estimate(m, "unbiased")
         assert report.params.slope == pytest.approx(-3 / 10)
         assert "negative-slope" in report.notes
 
@@ -221,7 +215,7 @@ class TestUnbiased:
         rng = np.random.default_rng(3)
         m = sample_moments(rng.standard_normal((5, 6)))
         with pytest.raises(TooFewObservations):
-            unbiased_frontier(m)
+            estimate(m, "unbiased")
 
 
 class TestPrecisionEstimators:
@@ -347,7 +341,7 @@ class TestEquivariance:
         """Adding a constant d to every return shifts r_gmv by d and nothing else."""
         spec = ScenarioSpec(scenario="normal", p=6, n=40, seed=8)
         mu, sigma = build_population(spec)
-        y = generate_normal(spec, mu, sigma).values
+        y = generate_returns(spec, mu, sigma).values
         d = 0.37
         base = estimate_many(sample_moments(y), ALL_KINDS)
         shifted = estimate_many(sample_moments(y + d), ALL_KINDS)
@@ -369,11 +363,8 @@ SHAPE_RULES = {
     EstimatorKind.RTE: (None, ""),
 }
 
-#: each kind's public entry point besides estimate
-PUBLIC_FUNCTIONS = {
-    EstimatorKind.SAMPLE: sample_frontier,
-    EstimatorKind.CONSISTENT: consistent_frontier,
-    EstimatorKind.UNBIASED: unbiased_frontier,
+#: the precision kinds' public entry points besides estimate
+PRECISION_FUNCTIONS = {
     EstimatorKind.SSE: precision_sse,
     EstimatorKind.EBE: precision_ebe,
     EstimatorKind.RTE: precision_rte,
@@ -397,15 +388,14 @@ class TestShapeRules:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("excess", [-1, 0, 1, 2, 3])
     def test_boundary(self, kind, excess):
-        """estimate, the kind's public function and precision_sse fail as the rules say."""
+        """estimate, a precision kind's own function and precision_sse fail as the rules say."""
         p = 6
         n = p + excess
         m = sample_moments(np.random.default_rng(excess + 10).standard_normal((p, n)))
-        for call, rule_kind in (
-            (lambda m: estimate(m, kind), kind),
-            (PUBLIC_FUNCTIONS[kind], kind),
-            (precision_sse, EstimatorKind.SSE),
-        ):
+        calls = [(lambda m: estimate(m, kind), kind), (precision_sse, EstimatorKind.SSE)]
+        if kind in PRECISION_FUNCTIONS:
+            calls.append((PRECISION_FUNCTIONS[kind], kind))
+        for call, rule_kind in calls:
             expected = _expected_shape_error(rule_kind, p, n)
             if expected is None:
                 call(m)

@@ -6,7 +6,6 @@ import pytest
 from hdfrontier import (
     AsymmetricMatrix,
     CholeskyFailure,
-    DegenerateSlope,
     DimensionMismatch,
     FrontierParams,
     InvalidConstants,
@@ -15,7 +14,6 @@ from hdfrontier import (
     MertonConstants,
     frontier_curve,
     frontier_params,
-    frontier_variance_at,
     from_merton,
     merton_constants,
     to_merton,
@@ -148,6 +146,12 @@ class TestConversions:
         params = from_merton(MertonConstants(a, b, c, validate=False))
         assert params.slope == 0.0
 
+    def test_subnormal_negative_slope_clamped(self):
+        # a = r^2/v is subnormal here, so a - b^2/c rounds to -3.5e-323,
+        # far beyond 1e-12 * a but below the smallest normal float
+        params = FrontierParams(r_gmv=1.3871721900081358e-157, v_gmv=14.0, slope=0.0)
+        assert from_merton(to_merton(params)).slope == 0.0
+
     def test_large_negative_slope_rejected(self):
         with pytest.raises(InvalidConstants):
             from_merton(MertonConstants(0.01, 0.3, 1.7, validate=False))
@@ -159,31 +163,33 @@ class TestConversions:
 
 
 class TestVarianceAt:
+    """The variance at which the frontier reaches a return, read off frontier_curve's rows."""
+
     def test_oracle(self):
         params = frontier_params(MU_2, SIGMA_2)
         # (0.4 - 0.1)^2 / 0.03 + 2/3 = 3 + 2/3
-        assert frontier_variance_at(params, 0.4) == pytest.approx(11.0 / 3.0)
+        v, r = frontier_curve(params, v_max=11.0 / 3.0, n_points=2)[-1]
+        assert v == 11.0 / 3.0
+        assert r == pytest.approx(0.4)
 
     def test_vertex(self):
+        """r_gmv is reached at v_gmv and nowhere else."""
         params = frontier_params(MU_2, SIGMA_2)
-        assert frontier_variance_at(params, params.r_gmv) == params.v_gmv
-
-    def test_symmetry(self):
-        params = frontier_params(MU_2, SIGMA_2)
-        up = frontier_variance_at(params, params.r_gmv + 0.2)
-        down = frontier_variance_at(params, params.r_gmv - 0.2)
-        assert up == pytest.approx(down)
+        curve = frontier_curve(params, v_max=3.0)
+        assert tuple(curve[0]) == (params.v_gmv, params.r_gmv)
+        assert np.all(curve[1:, 1] > params.r_gmv)
 
     def test_degenerate_slope(self):
+        """With a flat frontier every variance reaches only r_gmv."""
         params = FrontierParams(0.1, 1.0, 0.0)
-        assert frontier_variance_at(params, 0.1) == 1.0
-        with pytest.raises(DegenerateSlope):
-            frontier_variance_at(params, 0.2)
+        curve = frontier_curve(params, v_max=4.0, n_points=9)
+        assert np.all(curve[:, 1] == 0.1)
 
     def test_non_finite_target(self):
         params = frontier_params(MU_2, SIGMA_2)
-        with pytest.raises(InvalidParams):
-            frontier_variance_at(params, float("inf"))
+        for v_max in (float("inf"), float("nan")):
+            with pytest.raises(InvalidRange):
+                frontier_curve(params, v_max=v_max)
 
 
 class TestCurve:

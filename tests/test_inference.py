@@ -187,15 +187,6 @@ class TestCoverage:
 
 
 class TestStandardizedErrors:
-    def test_single_report_matches_array_path(self):
-        report = _consistent_report()
-        truth = FrontierParams(r_gmv=0.01, v_gmv=report.params.v_gmv * 0.9, slope=0.2)
-        single = standardized_errors(report, truth)
-        row = [[report.params.r_gmv, report.params.v_gmv, report.params.slope]]
-        arr = standardized_errors(row, truth, ratio=report.ratio, n=report.n)
-        assert single.shape == (3,)
-        assert np.allclose(single, arr[0])
-
     def test_slope_centre_includes_bias_term(self):
         truth = FrontierParams(r_gmv=0.0, v_gmv=1.0, slope=0.2)
         ratio, n = 0.5, 100
@@ -205,13 +196,7 @@ class TestStandardizedErrors:
 
     def test_array_requires_ratio_and_n(self):
         truth = FrontierParams(r_gmv=0.0, v_gmv=1.0, slope=0.2)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(TypeError):
             standardized_errors(np.zeros((4, 3)), truth)
-
-    def test_rejects_non_consistent_report(self):
-        rng = np.random.default_rng(2)
-        y = rng.standard_normal((5, 40))
-        report = estimate(sample_moments(y), EstimatorKind.SAMPLE)
-        truth = FrontierParams(r_gmv=0.0, v_gmv=1.0, slope=0.2)
-        with pytest.raises(InvalidReportKind):
-            standardized_errors(report, truth)
+        with pytest.raises(InvalidParams):
+            standardized_errors(np.zeros(3), truth, ratio=0.5, n=100)

@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -361,10 +362,10 @@ class TestScaleToHorizon:
         assert back.params.v_gmv == pytest.approx(report.params.v_gmv, rel=1e-14)
 
     def test_negative_slope_report_survives(self):
-        from hdfrontier import SampleMoments, unbiased_frontier
+        from hdfrontier import SampleMoments
 
         m = SampleMoments(mean=np.zeros(4), cov=np.eye(4), n=10, p=4)
-        report = unbiased_frontier(m)
+        report = estimate(m, "unbiased")
         scaled = scale_to_horizon(report, 5.0, 60.0)
         assert scaled.params.slope == report.params.slope < 0.0
         assert scaled.notes == report.notes
@@ -426,8 +427,7 @@ class TestRollingEstimate:
 
     def test_step_override(self):
         panel = make_panel(days=8, rows_per_day=30, p=4, seed=10)
-        config = RollingConfig(step=15, **self.CONFIG)
-        windows = rolling_estimate(panel, config, kinds=["sample"])
+        windows = rolling_estimate(panel, RollingConfig(step=15, kinds=("sample",), **self.CONFIG))
         assert len(windows) == 13  # starts 0..180 by 15
 
     def test_first_window_matches_manual_computation(self):
@@ -475,10 +475,11 @@ class TestRollingEstimate:
         panel = make_panel(days=10, rows_per_day=30, p=4, seed=11)
         for minutes, k in ((10.0, 2), (15.0, 3)):
             config = RollingConfig(
-                p=4, n=60 // k, frequency_minutes=minutes, target_horizon_minutes=60.0
+                p=4, n=60 // k, frequency_minutes=minutes, target_horizon_minutes=60.0,
+                kinds=("consistent",),
             )
-            direct = rolling_estimate(panel, config, kinds=["consistent"])
-            pre = rolling_estimate(aggregate_frequency(panel, k), config, kinds=["consistent"])
+            direct = rolling_estimate(panel, config)
+            pre = rolling_estimate(aggregate_frequency(panel, k), config)
             assert len(direct) == len(pre) > 0
             for a, b in zip(direct, pre):
                 assert a.date == b.date
@@ -497,9 +498,9 @@ class TestRollingEstimate:
     def test_asset_selection(self):
         panel = make_panel(days=8, rows_per_day=30, p=5, seed=12)
         config = RollingConfig(
-            p=2, n=60, frequency_minutes=5.0, assets=("A3", "A1"), step=60
+            p=2, n=60, frequency_minutes=5.0, assets=("A3", "A1"), step=60, kinds=("sample",)
         )
-        windows = rolling_estimate(panel, config, kinds=["sample"])
+        windows = rolling_estimate(panel, config)
         manual_values = panel.values[:60][:, [3, 1]]
         segment = winsorize(
             ReturnPanel(panel.timestamps[:60], manual_values, ("A3", "A1"), 5.0),
@@ -564,10 +565,9 @@ class TestRollingEstimate:
         assert windows[0].report.params == scale_to_horizon(native, 5.0, 60.0).params
 
     def test_n_at_most_p_rejected_for_kinds_that_need_n_above_p(self):
-        panel = make_panel(days=4, rows_per_day=30, p=50, seed=19)
         config = RollingConfig(p=50, n=40, frequency_minutes=5.0, kinds=("rte",))
         with pytest.raises(InvalidParams, match=r"\['sample', 'consistent'\]"):
-            rolling_estimate(panel, config, kinds=["sample", "rte", "consistent"])
+            replace(config, kinds=("sample", "rte", "consistent"))
         with pytest.raises(InvalidParams, match="unbiased"):
             RollingConfig(p=50, n=50, kinds=("rte", "unbiased"))
 
@@ -640,10 +640,10 @@ class TestRollingEstimate:
         spiked = panel.values.copy()
         spiked[10, 0] = 40.0
         panel = ReturnPanel(panel.timestamps, spiked, panel.asset_labels, 5.0)
-        tight = RollingConfig(winsor_quantiles=(0.05, 0.95), **self.CONFIG)
-        off = RollingConfig(winsor_quantiles=(0.0, 1.0), **self.CONFIG)
-        v_tight = rolling_estimate(panel, tight, kinds=["sample"])[0].report.params.v_gmv
-        v_off = rolling_estimate(panel, off, kinds=["sample"])[0].report.params.v_gmv
+        tight = RollingConfig(winsor_quantiles=(0.05, 0.95), kinds=("sample",), **self.CONFIG)
+        off = replace(tight, winsor_quantiles=(0.0, 1.0))
+        v_tight = rolling_estimate(panel, tight)[0].report.params.v_gmv
+        v_off = rolling_estimate(panel, off)[0].report.params.v_gmv
         assert v_tight < v_off
 
 
@@ -800,9 +800,6 @@ class TestRollingConfig:
             RollingConfig(p=2, n=1, kinds=("rte",))
         with pytest.raises(InvalidParams, match="at least one estimator kind"):
             RollingConfig(kinds=())
-        with pytest.raises(InvalidParams, match="at least one estimator kind"):
-            panel = make_panel(days=2, rows_per_day=30, p=4, seed=1)
-            rolling_estimate(panel, RollingConfig(p=4, n=30), kinds=[])
         for minutes in (0.0, -5.0, math.nan, math.inf):
             with pytest.raises(InvalidParams):
                 RollingConfig(frequency_minutes=minutes)

@@ -33,10 +33,7 @@ from hdfrontier import (
     frontier_comparison,
     frontier_params,
     garch_state,
-    generate_ccc_garch,
-    generate_normal,
     generate_returns,
-    generate_t3,
     histogram_data,
     run_monte_carlo,
     sample_moments,
@@ -152,22 +149,22 @@ class TestGenerators:
     def test_normal_shape_and_determinism(self):
         spec = ScenarioSpec(scenario="normal", p=8, n=30, seed=5)
         mu, sigma = build_population(spec)
-        a = generate_normal(spec, mu, sigma)
-        b = generate_normal(spec, mu, sigma)
+        a = generate_returns(spec, mu, sigma)
+        b = generate_returns(spec, mu, sigma)
         assert (a.p, a.n) == (8, 30)
         assert np.array_equal(a.values, b.values)
 
     def test_normal_matches_population_moments(self):
         spec = ScenarioSpec(scenario="normal", p=4, n=200_000, seed=1)
         mu, sigma = build_population(spec)
-        y = generate_normal(spec, mu, sigma).values
+        y = generate_returns(spec, mu, sigma).values
         assert np.allclose(y.mean(axis=1), mu, atol=0.02)
         assert np.allclose(y.var(axis=1), sigma.diagonal(), rtol=0.03)
 
     def test_t3_variance_scaled_to_population(self):
         spec = ScenarioSpec(scenario="t3", p=3, n=400_000, seed=4)
         mu, sigma = build_population(spec)
-        y = generate_t3(spec, mu, sigma).values
+        y = generate_returns(spec, mu, sigma).values
         assert np.allclose(y.mean(axis=1), mu, atol=0.02)
         # heavy tails make the variance estimate slow; keep the gate loose
         assert np.allclose(y.var(axis=1), sigma.diagonal(), rtol=0.15)
@@ -179,19 +176,21 @@ class TestGenerators:
     def test_t3_tails_heavier_than_normal(self):
         spec = ScenarioSpec(scenario="t3", p=3, n=400_000, seed=4)
         mu, sigma = build_population(spec)
-        t3 = generate_t3(spec, mu, sigma).values - mu[:, None]
+        t3 = generate_returns(spec, mu, sigma).values - mu[:, None]
         sd = np.sqrt(sigma.diagonal())[:, None]
         exceed = np.mean(np.abs(t3 / sd) > 3.0)
         assert exceed > 2 * (2 * scipy.stats.norm.sf(3.0))
 
     def test_dispatch_matches_direct_calls(self):
-        for name, fn in (("normal", generate_normal), ("t3", generate_t3),
-                         ("ccc-garch", generate_ccc_garch)):
-            spec = ScenarioSpec(scenario=name, p=5, n=20, seed=6, burn_in=50)
+        """generate_returns runs the spec's scenario sampler on replication stream 0."""
+        for scenario in Scenario:
+            spec = ScenarioSpec(scenario=scenario, p=5, n=20, seed=6, burn_in=50)
             mu, sigma = build_population(spec)
-            assert np.array_equal(
-                generate_returns(spec, mu, sigma).values, fn(spec, mu, sigma).values
-            )
+            direct = np.empty((1, 5, 20))
+            simulate._sampler(scenario, spec, mu, sigma)(direct, [_stream(6, 2, 0)])
+            assert np.array_equal(generate_returns(spec, mu, sigma).values, direct[0])
+            other = generate_returns(spec, mu, sigma, _stream(6, 2, 1)).values
+            assert not np.array_equal(other, direct[0])
 
 
 def _stream(seed, *key):
@@ -252,20 +251,20 @@ class TestGeneratorOracle:
         spec, mu, sigma = self.population("normal", diagonal)
         z = _stream(spec.seed, 2, 0).standard_normal((self.P, self.N))
         expected = self.scale_shift(z, mu, sigma, diagonal)
-        assert np.array_equal(generate_normal(spec, mu, sigma).values, expected)
+        assert np.array_equal(generate_returns(spec, mu, sigma).values, expected)
 
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_t3(self, diagonal):
         spec, mu, sigma = self.population("t3", diagonal)
         z = _stream(spec.seed, 2, 0).standard_t(3, size=(self.P, self.N)) * math.sqrt(1 / 3)
         expected = self.scale_shift(z, mu, sigma, diagonal)
-        assert np.array_equal(generate_t3(spec, mu, sigma).values, expected)
+        assert np.array_equal(generate_returns(spec, mu, sigma).values, expected)
 
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_ccc_garch(self, diagonal):
         spec, mu, sigma = self.population("ccc-garch", diagonal)
         expected = _garch_reference(spec, mu, sigma, _stream(spec.seed, 2, 0))
-        assert np.array_equal(generate_ccc_garch(spec, mu, sigma).values, expected)
+        assert np.array_equal(generate_returns(spec, mu, sigma).values, expected)
 
     @pytest.mark.parametrize("diagonal", [True, False])
     @pytest.mark.parametrize(
@@ -333,7 +332,7 @@ class TestGarch:
     def test_unconditional_moments(self):
         spec = ScenarioSpec(scenario="ccc-garch", p=3, n=60_000, seed=9)
         mu, sigma = build_population(spec)
-        y = generate_ccc_garch(spec, mu, sigma).values
+        y = generate_returns(spec, mu, sigma).values
         assert np.allclose(y.mean(axis=1), mu, atol=0.05)
         assert np.allclose(y.var(axis=1), sigma.diagonal(), rtol=0.10)
 
@@ -343,7 +342,7 @@ class TestGarch:
             alpha1_range=(0.09, 0.1), beta1_range=(0.88, 0.89),
         )
         mu, sigma = build_population(spec)
-        y = generate_ccc_garch(spec, mu, sigma).values
+        y = generate_returns(spec, mu, sigma).values
         sq = (y - mu[:, None]) ** 2
         for row in sq:
             lag1 = np.corrcoef(row[:-1], row[1:])[0, 1]
@@ -353,8 +352,8 @@ class TestGarch:
         spec = ScenarioSpec(scenario="ccc-garch", p=4, n=50, seed=11, burn_in=100)
         mu, sigma = build_population(spec)
         assert np.array_equal(
-            generate_ccc_garch(spec, mu, sigma).values,
-            generate_ccc_garch(spec, mu, sigma).values,
+            generate_returns(spec, mu, sigma).values,
+            generate_returns(spec, mu, sigma).values,
         )
 
 
@@ -409,8 +408,8 @@ class TestMonteCarlo:
         manual = (est[:, 1] - result.truth.v_gmv) ** 2
         assert np.allclose(losses[:, 1], manual)
         assert np.allclose(result.mean_loss("sample"), losses.mean(axis=0))
-        quants = result.loss_quantiles("sample", qs=(0.5,))
-        assert quants.shape == (1, 3)
+        quants = result.loss_quantiles("sample")
+        assert np.array_equal(quants, np.quantile(losses, (0.05, 0.95), axis=0))
 
     def test_consistent_beats_sample_on_variance(self):
         spec = ScenarioSpec(scenario="normal", p=40, n=80, seed=6)
@@ -820,8 +819,10 @@ class TestHistogram:
 class TestFrontierComparison:
     def test_grid_and_curves(self):
         spec = ScenarioSpec(scenario="normal", p=10, n=40, seed=9)
-        comp = frontier_comparison(spec, ["sample", "consistent"], n_points=41)
+        comp = frontier_comparison(spec, ["sample", "consistent"])
         assert set(comp.curves) == {"population", "sample", "consistent"}
+        assert comp.grid.shape == (101,)
+        assert all(curve.shape == (101,) for curve in comp.curves.values())
         assert comp.grid[0] == comp.truth.v_gmv
         assert comp.grid[-1] == pytest.approx(20 * comp.truth.v_gmv)
         pop = comp.curves["population"]
@@ -831,7 +832,7 @@ class TestFrontierComparison:
 
     def test_nan_left_of_each_vertex(self):
         spec = ScenarioSpec(scenario="normal", p=10, n=40, seed=9)
-        comp = frontier_comparison(spec, ["rte"], n_points=101)
+        comp = frontier_comparison(spec, ["rte"])
         vertex = comp.reports[EstimatorKind.RTE].params.v_gmv
         curve = comp.curves["rte"]
         assert np.array_equal(np.isnan(curve), comp.grid < vertex)
@@ -840,7 +841,7 @@ class TestFrontierComparison:
         spec = ScenarioSpec(
             scenario="normal", p=20, n=50, seed=1, mean_range=(0.0, 0.0)
         )
-        comp = frontier_comparison(spec, ["unbiased"], n_points=31)
+        comp = frontier_comparison(spec, ["unbiased"])
         report = comp.reports[EstimatorKind.UNBIASED]
         assert report.params.slope < 0.0
         curve = comp.curves["unbiased"]
@@ -850,7 +851,7 @@ class TestFrontierComparison:
     def test_failed_kind_spares_the_others(self, caplog):
         spec = ScenarioSpec(scenario="normal", p=10, n=11, seed=9)
         with caplog.at_level("WARNING", logger="hdfrontier.simulate"):
-            comp = frontier_comparison(spec, ["sample", "unbiased"], n_points=21)
+            comp = frontier_comparison(spec, ["sample", "unbiased"])
         assert list(comp.curves) == ["population", "sample"]
         assert list(comp.reports) == [EstimatorKind.SAMPLE]
         assert np.isfinite(comp.curves["sample"]).any()
@@ -860,8 +861,6 @@ class TestFrontierComparison:
         spec = ScenarioSpec(scenario="normal", p=5, n=25, seed=0)
         with pytest.raises(InvalidRange):
             frontier_comparison(spec, ["sample"], v_max=1e-12)
-        with pytest.raises(InvalidRange):
-            frontier_comparison(spec, ["sample"], n_points=1)
 
 
 class TestCsvOutputs:
@@ -895,12 +894,12 @@ class TestCsvOutputs:
 
     def test_frontier_csv_long_format(self, tmp_path):
         spec = ScenarioSpec(scenario="normal", p=5, n=25, seed=12)
-        comp = frontier_comparison(spec, ["sample"], n_points=21)
+        comp = frontier_comparison(spec, ["sample"])
         path = tmp_path / "frontier.csv"
         write_frontier_csv(path, comp)
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
-        assert len(rows) == 2 * 21
+        assert len(rows) == 2 * 101
         assert {row["kind"] for row in rows} == {"population", "sample"}
 
     def test_numpy_scalars_written_as_floats(self, tmp_path):
