@@ -47,7 +47,7 @@ import scipy
 
 from .errors import EmptyPanel, HDFrontierError, ParseError
 from .estimators import EstimatorKind, ReturnsMatrix, _estimate_each, sample_moments
-from .frontier import frontier_curve, from_merton, merton_constants
+from .frontier import _MAX_POINTS, frontier_curve, from_merton, merton_constants
 from .inference import confidence_intervals
 from .pipeline import RollingConfig, _write_csv, ingest_csv, rolling_estimate, write_rolling_csv
 from .rmt import (
@@ -62,6 +62,7 @@ from .rmt import (
 from .simulate import (
     MIN_HISTOGRAM_REPS,
     ScenarioSpec,
+    _check_reps,
     frontier_comparison,
     histogram_data,
     loss_rows,
@@ -304,6 +305,15 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, or ``sys.maxsize`` where the system does not say."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        memory = -1
+    return memory if memory > 0 else sys.maxsize
+
+
 def _ingest(path: str):
     try:
         return ingest_csv(path)
@@ -334,7 +344,11 @@ def _prepare_frontier(config: dict):
     curve = None
     if config["curve"]:
         v_max = 10.0 * params.v_gmv if config["v_max"] is None else config["v_max"]
-        curve = frontier_curve(params, v_max, int(config["points"]))
+        points = int(config["points"])
+        # a count above _MAX_POINTS is frontier_curve's InvalidRange
+        if points <= _MAX_POINTS and points * 16 > _physical_memory():
+            raise _CliError(f"a curve of {points} points exceeds physical memory")
+        curve = frontier_curve(params, v_max, points)
     return constants, params, curve
 
 
@@ -430,11 +444,9 @@ def _prepare_simulate(config: dict):
             raise _CliError(f"--c must be positive with p / c finite, got {c}")
         n = config["n"] = 2 * p if c is None else round(p / c)
     spec = ScenarioSpec(scenario=config["scenario"], p=p, n=n, seed=config["seed"])
-    try:  # one replication's panel must fit in physical memory
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
-        memory = -1
-    if p * n * 8 > (memory if memory > 0 else sys.maxsize):
+    # one replication's panel, and the run's estimates, must fit in physical memory
+    memory = _physical_memory()
+    if p * n * 8 > memory:
         raise _CliError(f"a p x n panel beyond physical memory is not addressable, got p={p}, n={n}")
     config["c"] = p / n
     wanted, reps = config["outputs"], config["reps"]
@@ -447,8 +459,9 @@ def _prepare_simulate(config: dict):
             raise _CliError(
                 f"--outputs histograms needs --reps >= {MIN_HISTOGRAM_REPS}, got {reps}"
             )
-    if reps < 1:
-        raise _CliError(f"--reps must be >= 1, got {reps}")
+    _check_reps(reps)
+    if reps * 3 * 8 * len(kinds) > memory:
+        raise _CliError(f"the estimates of {reps} replications exceed physical memory")
     comparison = None
     if "frontiers" in wanted:
         comparison = frontier_comparison(spec, kinds, v_max=config["v_max"])

@@ -325,7 +325,7 @@ def _require_shape(kind: EstimatorKind, moments: SampleMoments) -> None:
         raise _shape_error(kind, moments.p, moments.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EstimateReport:
     """One estimator's output, with enough context to interpret it.
 
@@ -385,18 +385,23 @@ def sample_moments(returns) -> SampleMoments:
     return SampleMoments(mean=mean, cov=cov, n=returns.n, p=returns.p)
 
 
-def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _moments(values: np.ndarray, work=(None, None, None)) -> tuple[np.ndarray, np.ndarray]:
     """Mean and divisor-``n`` covariance of each ``(p, n)`` panel in a ``(..., p, n)`` stack.
 
     Stacked panels give the same bits as one panel at a time: the mean and
     the elementwise steps act slice by slice, and ``matmul`` runs the same
-    BLAS product on each slice.
+    BLAS product on each slice.  ``work`` may name ``(centered, product,
+    cov)`` buffers of the shapes of the values, the product and the
+    covariance, which the steps then write into, with the same bits;
+    ``centered`` may be ``values`` itself, which centres it in place.
     """
-    mean = values.mean(axis=-1)
-    centered = values - mean[..., None]
-    cov = centered @ np.swapaxes(centered, -1, -2)
-    cov /= values.shape[-1]
-    cov = cov + np.swapaxes(cov, -1, -2)
+    centered, product, cov = work
+    mean = np.add.reduce(values, axis=-1)  # what ``values.mean(axis=-1)`` computes
+    mean /= values.shape[-1]
+    centered = np.subtract(values, mean[..., None], out=centered)
+    product = np.matmul(centered, centered.mT, out=product)
+    product /= values.shape[-1]
+    cov = np.add(product, product.mT, out=cov)
     cov *= 0.5
     return mean, cov
 
@@ -540,13 +545,17 @@ def _report(kind: EstimatorKind, params: FrontierParams, merton, p: int, n: int)
     corrected parameters (``merton`` may be None), and a note when the slope
     is negative.
     """
-    notes = ()
     if _KINDS[kind].correct is not None:
         merton = to_merton(params)
-        notes = ("negative-slope",) if params.slope < 0 else ()
     return EstimateReport(
-        kind=kind, params=params, merton=merton, p=p, n=n, ratio=p / n, notes=notes
+        kind=kind, params=params, merton=merton, p=p, n=n, ratio=p / n,
+        notes=_notes(kind, params.slope),
     )
+
+
+def _notes(kind: EstimatorKind, slope: float) -> tuple[str, ...]:
+    """The notes of a ``kind`` report with this final slope: a corrected slope may be negative."""
+    return ("negative-slope",) if _KINDS[kind].correct is not None and slope < 0 else ()
 
 
 def _slot_report(kind: EstimatorKind, row: np.ndarray, p: int, n: int) -> EstimateReport:

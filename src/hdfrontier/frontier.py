@@ -54,7 +54,7 @@ SLOPE_CLAMP_RTOL = 1e-12
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MertonConstants:
     """The three scalars (a, b, c) = (mu'Σ⁻¹mu, 1'Σ⁻¹mu, 1'Σ⁻¹1).
 
@@ -87,7 +87,7 @@ class MertonConstants:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrontierParams:
     """Vertex and curvature of the frontier parabola.
 
@@ -289,6 +289,10 @@ def _upper_branch(params: FrontierParams, v: np.ndarray) -> np.ndarray:
     return np.where(gap >= 0.0, params.r_gmv + np.sqrt(np.maximum(slope * gap, 0.0)), np.nan)
 
 
+#: the most grid points whose ``(n_points, 2)`` float array NumPy can address
+_MAX_POINTS = np.iinfo(np.intp).max // 16
+
+
 def frontier_curve(params: FrontierParams, v_max: float, n_points: int = 65) -> np.ndarray:
     """Upper frontier branch sampled on an even variance grid.
 
@@ -310,5 +314,7 @@ def frontier_curve(params: FrontierParams, v_max: float, n_points: int = 65) -> 
         raise InvalidRange(f"v_max must exceed v_gmv = {params.v_gmv}, got {v_max}")
     if n_points < 2:
         raise InvalidRange(f"n_points must be at least 2, got {n_points}")
+    if n_points > _MAX_POINTS:
+        raise InvalidRange(f"n_points must be at most {_MAX_POINTS}, got {n_points}")
     v = np.linspace(params.v_gmv, v_max, n_points)
     return np.column_stack([v, _upper_branch(params, v)])

@@ -51,7 +51,7 @@ class AsymptoticVariances:
     var_s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfidenceIntervals:
     """Two-sided plug-in intervals at a common confidence level."""
 
@@ -175,12 +175,17 @@ def confidence_intervals(
     )
 
 
-def _intervals(level, r, v, s_center, hw_r, hw_v, hw_s) -> ConfidenceIntervals:
-    """Intervals from the centres and the half-widths of :func:`_half_widths`."""
+def _intervals(level, r, v, s_center, hw_r, hw_v, hw_s, factor=1.0) -> ConfidenceIntervals:
+    """Intervals from the centres and the half-widths of :func:`_half_widths`.
+
+    The ``r_gmv`` and ``v_gmv`` endpoints are scaled by ``factor``, as a
+    report's point estimates are scaled to a longer horizon; a factor of one
+    leaves their bits as they are.
+    """
     return ConfidenceIntervals(
         level=level,
-        ci_r=(r - hw_r, r + hw_r),
-        ci_v=(v - hw_v, v + hw_v),
+        ci_r=((r - hw_r) * factor, (r + hw_r) * factor),
+        ci_v=((v - hw_v) * factor, (v + hw_v) * factor),
         ci_s=(s_center - hw_s, s_center + hw_s),
     )
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import logging
 import math
 import warnings
@@ -47,6 +48,7 @@ from .estimators import (
     EstimatorKind,
     _estimate_stack,
     _moments,
+    _notes,
     _shape_error,
     _slot_report,
 )
@@ -199,7 +201,7 @@ class RollingConfig:
         }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class WindowEstimate:
     """One rolling-window result: horizon-scaled report plus optional CIs.
 
@@ -223,6 +225,114 @@ def _parse_timestamp(cell: str, line: int) -> dt.datetime:
         raise ParseError(f"unparseable timestamp {text!r}: {exc}", line=line) from None
 
 
+def _parse_row(row: list, line: int, width: int, previous) -> tuple:
+    """A data row's timestamp, and its values or None when one is missing (empty or not finite).
+
+    Raises ParseError for a wrong field count, an unparseable cell, or a
+    timestamp that does not come after ``previous`` (None for the first row).
+    """
+    if len(row) != width + 1:
+        raise ParseError(f"expected {width + 1} fields, got {len(row)}", line=line)
+    stamp = _parse_timestamp(row[0], line)
+    if previous is not None:
+        try:
+            later = stamp > previous
+        except TypeError:  # one of the two has a time zone and the other not
+            raise ParseError(
+                f"timestamp {stamp.isoformat()} cannot be ordered after {previous.isoformat()}",
+                line=line,
+            ) from None
+        if not later:
+            raise ParseError(f"timestamp {stamp.isoformat()} does not increase", line=line)
+    parsed: list[float] = []
+    missing = False
+    for cell in row[1:]:
+        text = cell.strip()
+        if not text:
+            missing = True
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(f"unparseable number {text!r}", line=line) from None
+        if not math.isfinite(value):
+            missing = True
+        else:
+            parsed.append(value)
+    return stamp, None if missing else parsed
+
+
+def _each_row(handle, width: int) -> tuple:
+    """``(timestamps, values, dropped)`` of the data rows, parsed one row at a time."""
+    timestamps: list[dt.datetime] = []
+    rows: list[list[float]] = []
+    dropped = 0
+    previous = None
+    for line, row in enumerate(csv.reader(handle), start=2):
+        if not row:
+            continue
+        previous, parsed = _parse_row(row, line, width, previous)
+        if parsed is None:
+            dropped += 1
+        else:
+            timestamps.append(previous)
+            rows.append(parsed)
+    return timestamps, np.array(rows), dropped
+
+
+class _Declined(Exception):
+    """A line that only the row-wise parser may decide on."""
+
+
+def _fast_rows(handle, width: int) -> tuple | None:
+    """What :func:`_each_row` gives, through NumPy's C parser; None where it cannot tell.
+
+    A line that holds a quote, is longer than the ``csv`` field limit or has
+    no comma is declined.  A row with an empty cell is parsed on its own by
+    :func:`_parse_row`, which drops it or raises; the value cells of the
+    other rows stream into ``np.loadtxt``, whose float parser strips the
+    same whitespace as ``str.strip`` and gives ``float``'s bits.  Rows with
+    a non-finite value are then dropped.  Any error, a cell that ``float``
+    accepts and NumPy does not (``1_000``, say) included, declines the
+    whole file, so that the row-wise parser raises its own error.
+    """
+    stamps, blank = [], []  # every data row's timestamp cell; the rows parsed on their own
+    limit = csv.field_size_limit()
+
+    def value_cells():
+        for line in handle:
+            line = line.rstrip("\r\n")
+            if not line:
+                continue  # csv reads an empty line as no row
+            stamp, comma, cells = line.partition(",")
+            if '"' in line or len(line) > limit or not comma:
+                raise _Declined
+            stamps.append(stamp)
+            if not cells or ",," in cells or cells[0] == "," or cells[-1] == ",":
+                blank.append(len(stamps) - 1)
+                _parse_row(line.split(","), 0, width, None)
+            else:
+                yield cells
+
+    try:
+        cells = value_cells()
+        first = next(cells, None)
+        if first is None:
+            return None
+        values = np.loadtxt(itertools.chain((first,), cells), delimiter=",", comments=None, ndmin=2)
+        times = [_parse_timestamp(stamp, 0) for stamp in stamps]
+        rows = len(times) - len(blank)
+        if values.shape != (rows, width) or any(b <= a for a, b in zip(times, times[1:])):
+            return None
+    except (_Declined, ValueError, TypeError, ParseError):
+        return None
+    finite = np.isfinite(values).all(axis=1)
+    kept = np.delete(np.arange(len(times)), blank)[finite]
+    if not finite.all():
+        values = values[finite]
+    return [times[i] for i in kept.tolist()], values, len(times) - len(kept)
+
+
 def _mode(values):
     """The most common of ``values``, the smallest among the ties."""
     tally = Counter(values)
@@ -239,6 +349,13 @@ def ingest_csv(source) -> ReturnPanel:
     line number.  The observation frequency is inferred as the most common
     spacing between consecutive same-day timestamps.
 
+    The rows are parsed by NumPy's C parser (``np.loadtxt``), and a row with
+    an empty cell on its own.  A file that this fast path does not accept
+    (a quoted field, a cell that NumPy reads otherwise than ``float``, any
+    malformed row) is read again one row at a time by the ``csv`` module,
+    the only parser that raises :class:`ParseError` for a data row.  Both
+    give the same panel, bit for bit.
+
     Raises
     ------
     ParseError
@@ -248,9 +365,14 @@ def ingest_csv(source) -> ReturnPanel:
     EmptyPanel
         No data rows survive ingestion.
     """
+    panel = _ingest(source, _fast_rows)
+    return panel if panel is not None else _ingest(source, _each_row)
+
+
+def _ingest(source, read_rows) -> ReturnPanel | None:
+    """:func:`ingest_csv` with the data rows read by ``read_rows``; None if it declines."""
     with open(source, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        header = next(csv.reader(handle), None)
         if header is None:
             raise EmptyPanel(f"{source} has no content")
         if len(header) < 2 or header[0].strip().lower() != "timestamp":
@@ -260,47 +382,13 @@ def ingest_csv(source) -> ReturnPanel:
                 line=1,
             )
         labels = tuple(cell.strip() for cell in header[1:])
-        width = len(labels)
-        timestamps: list[dt.datetime] = []
-        rows: list[list[float]] = []
-        dropped = 0
-        previous: dt.datetime | None = None
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width + 1:
-                raise ParseError(
-                    f"expected {width + 1} fields, got {len(row)}", line=line_no
-                )
-            stamp = _parse_timestamp(row[0], line_no)
-            if previous is not None and stamp <= previous:
-                raise ParseError(
-                    f"timestamp {stamp.isoformat()} does not increase", line=line_no
-                )
-            previous = stamp
-            parsed: list[float] = []
-            missing = False
-            for cell in row[1:]:
-                text = cell.strip()
-                if not text:
-                    missing = True
-                    continue
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ParseError(f"unparseable number {text!r}", line=line_no) from None
-                if not math.isfinite(value):
-                    missing = True
-                else:
-                    parsed.append(value)
-            if missing:
-                dropped += 1
-                continue
-            timestamps.append(stamp)
-            rows.append(parsed)
-    if not rows:
+        rows = read_rows(handle, len(labels))
+    if rows is None:
+        return None
+    timestamps, values, dropped = rows
+    if not timestamps:
         raise EmptyPanel(f"{source} contains no complete data rows")
-    if len(rows) < 2:
+    if len(timestamps) < 2:
         raise ParseError("cannot infer sampling frequency from a single row")
     diffs = [
         (b - a).total_seconds() / 60.0
@@ -311,7 +399,7 @@ def ingest_csv(source) -> ReturnPanel:
         diffs = [(b - a).total_seconds() / 60.0 for a, b in zip(timestamps, timestamps[1:])]
     return ReturnPanel(
         timestamps=tuple(timestamps),
-        values=np.array(rows),
+        values=values,
         asset_labels=labels,
         frequency_minutes=_mode(diffs),
         dropped_rows=dropped,
@@ -483,30 +571,21 @@ def scale_to_horizon(
     factor = to_minutes / from_minutes
     if factor == 1.0:
         return report
-    r = report.params.r_gmv * factor
-    v = report.params.v_gmv * factor
-    s = report.params.slope
-    params = FrontierParams(r, v, s, validate=s >= 0.0)
-    return EstimateReport(
-        kind=report.kind,
-        params=params,
-        merton=to_merton(params),
-        p=report.p,
-        n=report.n,
-        ratio=report.ratio,
-        notes=report.notes,
+    params = report.params
+    return _scaled_report(
+        report.kind, params.r_gmv, params.v_gmv, params.slope,
+        report.p, report.n, report.ratio, report.notes, factor,
     )
 
 
-def _scaled_intervals(cis: ConfidenceIntervals, factor: float) -> ConfidenceIntervals:
-    """CIs transform linearly with the point estimates: endpoints scale by f."""
-    if factor == 1.0:
-        return cis
-    return ConfidenceIntervals(
-        level=cis.level,
-        ci_r=(cis.ci_r[0] * factor, cis.ci_r[1] * factor),
-        ci_v=(cis.ci_v[0] * factor, cis.ci_v[1] * factor),
-        ci_s=cis.ci_s,
+def _scaled_report(kind, r_gmv, v_gmv, slope, p, n, ratio, notes, factor) -> EstimateReport:
+    """The report with these fields, its ``r_gmv`` and ``v_gmv`` scaled by ``factor``.
+
+    The scaling of :func:`scale_to_horizon`, for a factor other than one.
+    """
+    params = FrontierParams(r_gmv * factor, v_gmv * factor, slope, validate=slope >= 0.0)
+    return EstimateReport(
+        kind=kind, params=params, merton=to_merton(params), p=p, n=n, ratio=ratio, notes=notes
     )
 
 
@@ -539,7 +618,8 @@ def _block_moments(columns: np.ndarray, starts, n: int, quantiles, clipped, mean
     ``clipped``, a reused C-ordered ``(p, n)`` buffer, unless a bound is
     zero: a zero bound's sign is its sort's choice among equal zeros, and
     ``np.maximum`` and ``np.clip`` keep different zeros on a tie, so such a
-    window is clipped on its own by :func:`_winsorized`.
+    window is clipped on its own by :func:`_winsorized`.  Each window is
+    centred into ``clipped`` and its covariance written into ``covs``.
     """
     ranks = _bound_ranks(n, quantiles)
     if ranks is not None:
@@ -553,7 +633,7 @@ def _block_moments(columns: np.ndarray, starts, n: int, quantiles, clipped, mean
             window = np.minimum(clipped, upper[:, j, None], out=clipped)
         elif ranks is not None:
             window = _winsorized(window.T, quantiles).T
-        means[j], covs[j] = _moments(window)
+        means[j] = _moments(window, (clipped, None, covs[j]))[0]
     return means, covs
 
 
@@ -640,31 +720,32 @@ def rolling_estimate(panel: ReturnPanel, config: RollingConfig) -> list[WindowEs
             half_widths = np.column_stack(
                 _half_widths(consistent[:, 1], consistent[:, 2], p / n, n, config.level, False)
             ).tolist()
+        params = {kind: rows[:, :3].tolist() for kind, rows in values.items()}
         for j, start in enumerate(block):
             end = panel.timestamps[start + n - 1]
+            date = end.date()
             for kind, failed in errors.items():
                 if j in failed:
                     logger.warning("window ending %s: %s skipped: %s", end, kind.value, failed[j])
             for kind, rows in values.items():
                 if j in errors[kind]:
                     continue
-                native = _slot_report(kind, rows[j], p, n)
-                try:
-                    scaled = scale_to_horizon(
-                        native, config.frequency_minutes, config.target_horizon_minutes
-                    )
-                except HDFrontierError as exc:  # the scaled report leaves the float range
-                    logger.warning("window ending %s: %s skipped: %s", end, kind.value, exc)
-                    continue
+                r_gmv, v_gmv, slope = params[kind][j]
+                if factor == 1.0:
+                    report = _slot_report(kind, rows[j], p, n)
+                else:
+                    try:
+                        report = _scaled_report(
+                            kind, r_gmv, v_gmv, slope, p, n, p / n, _notes(kind, slope), factor
+                        )
+                    except HDFrontierError as exc:  # the scaled report leaves the float range
+                        logger.warning("window ending %s: %s skipped: %s", end, kind.value, exc)
+                        continue
                 cis = None
                 if kind is EstimatorKind.CONSISTENT:
-                    params = native.params
-                    cis = _scaled_intervals(
-                        _intervals(config.level, params.r_gmv, params.v_gmv, *half_widths[j]),
-                        factor,
-                    )
+                    cis = _intervals(config.level, r_gmv, v_gmv, *half_widths[j], factor)
                 results.append(
-                    WindowEstimate(date=end.date(), kind=kind, report=scaled, cis=cis, end=end)
+                    WindowEstimate(date=date, kind=kind, report=report, cis=cis, end=end)
                 )
     return results
 
@@ -687,20 +768,44 @@ ROLLING_CSV_COLUMNS = (
 )
 
 
+#: rows joined before each write to the file
+_WRITE_BATCH = 1024
+
+#: the cell types whose ``str`` is what ``csv.writer`` writes for them
+_PLAIN_CELLS = frozenset((str, int, float))
+
+
 def _write_csv(path, header, rows) -> None:
     """Write one CSV table; float cells (NumPy's too) as ``repr(float(x))``.
 
     The shortest round-trip ``repr`` is locale-free and byte-stable, which
     makes reruns byte-identical; ``csv`` alone would format a NumPy scalar
-    its own way.
+    its own way.  A row of plain ``str``, ``int`` and ``float`` cells, whose
+    ``str`` is that ``repr``, is joined with commas unless a cell needs
+    quoting (a comma, a quote or a line break, or one empty cell), and the
+    lines are written a batch at a time; any other row goes through
+    ``csv.writer``, so the bytes are its bytes.
     """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(
-            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
-            for row in rows
-        )
+        batch = []
+        for row in rows:
+            if _PLAIN_CELLS.issuperset(map(type, row)):
+                line = ",".join(map(str, row))
+                quoted = '"' in line or "\r" in line or "\n" in line
+                if line.count(",") == len(row) - 1 and line and not quoted:
+                    batch.append(line + "\r\n")
+                    if len(batch) == _WRITE_BATCH:
+                        handle.writelines(batch)
+                        batch.clear()
+                    continue
+            handle.writelines(batch)
+            batch.clear()
+            writer.writerow(
+                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            )
+        handle.writelines(batch)
 
 
 def write_rolling_csv(path, windows, frequency_minutes: float) -> None:

@@ -595,9 +595,12 @@ def _replicate_span(spec, kinds, fill, estimates, stopping, start, stop) -> dict
     at a time.  A failed kind leaves its row NaN.  No chunk starts once
     ``stopping`` is set.  Returns each kind's failures by class name.
     """
-    size = _chunk_size(spec.p, spec.n)
+    size = min(_chunk_size(spec.p, spec.n), stop - start)
     reasons = {kind: Counter() for kind in kinds}
-    buffer = np.empty((min(size, stop - start), spec.p, spec.n))
+    buffer = np.empty((size, spec.p, spec.n))
+    # each chunk is centred in place, and its product and covariance reuse
+    # two buffers: the estimators keep no view of the covariances
+    products, covariances = np.empty((2, size, spec.p, spec.p))
     words = _seed_words(spec.seed, _DOMAIN_REPLICATION, start, stop)
     # the CCC-GARCH fill interleaves its slots' draws, so each slot needs a
     # generator of its own; the other fills draw one slot after another
@@ -608,15 +611,23 @@ def _replicate_span(spec, kinds, fill, estimates, stopping, start, stop) -> dict
             break
         x = buffer[: min(size, stop - first)]
         fill(x, _reset_streams(generators, words[first - start : first - start + len(x)].tolist()))
-        # held until the next chunk's moments replace them: freed right after
-        # the estimators instead, at p=500 the allocator hands the memory back
-        # and each replication takes about 1,700 more page faults (10-20% slower)
-        means, covs = _moments(x)
+        means, covs = _moments(x, (x, products[: len(x)], covariances[: len(x)]))
         values, errors = _estimate_stack(means, covs, spec.n, kinds)
         for kind in kinds:
             estimates[kind][first : first + len(x)] = values[kind][:, :3]
             reasons[kind].update(type(exc).__name__ for exc in errors[kind].values())
     return reasons
+
+
+#: the most replications whose ``(reps, 3)`` float array of estimates NumPy can address
+_MAX_REPS = np.iinfo(np.intp).max // 24
+
+
+def _check_reps(reps: int) -> None:
+    if reps < 1:
+        raise InvalidParams(f"need reps >= 1, got {reps}")
+    if reps > _MAX_REPS:
+        raise InvalidParams(f"need reps <= {_MAX_REPS}, got {reps}")
 
 
 def run_monte_carlo(
@@ -644,8 +655,7 @@ def run_monte_carlo(
     (e.g. a singular sample covariance) are recorded as NaN rows and counted
     per kind and per exception class, not raised.
     """
-    if reps < 1:
-        raise InvalidParams(f"need reps >= 1, got {reps}")
+    _check_reps(reps)
     if (jobs := _integer("jobs", jobs)) < 1:
         raise InvalidParams(f"need jobs >= 1, got {jobs}")
     kinds = tuple(EstimatorKind(k) for k in kinds)

@@ -690,6 +690,18 @@ class TestUsageErrors:
                 ["frontier", "--mu", "[0.0, 0.3]", "--sigma", "[1.0, 2.0]"],
                 {"v_max": 10**400, "curve": True}, "'v_max' must be a number within the float range",
             ),
+            # an integer too large for an array dimension, or for physical memory
+            (
+                ["frontier", "--mu", "[0.1, 0.2]", "--sigma", "[1.0, 2.0]"],
+                {"points": 10**20, "curve": True}, "n_points must be at most",
+            ),
+            (["simulate"], {"reps": 10**23}, "need reps <= "),
+            (
+                ["frontier", "--mu", "[0.1, 0.2]", "--sigma", "[1.0, 2.0]"],
+                {"points": 10**17, "curve": True}, "a curve of 100000000000000000 points exceeds",
+            ),
+            (["simulate"], {"reps": 10**17}, "the estimates of 100000000000000000 replications"),
+            (["simulate", "--reps", "0"], None, "need reps >= 1, got 0"),
         ],
     )
     def test_exit_2_without_run_directory(self, tmp_path, capsys, args, config, message):

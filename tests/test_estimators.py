@@ -31,6 +31,7 @@ from hdfrontier import estimators, frontier
 from hdfrontier.estimators import (
     _estimate_each,
     _estimate_stack,
+    _moments,
     _shape_error,
     _slot_report,
 )
@@ -106,6 +107,17 @@ class TestSampleMoments:
     def test_accepts_returns_matrix(self):
         y = np.arange(12.0).reshape(3, 4)
         assert np.allclose(sample_moments(ReturnsMatrix(y)).mean, y.mean(axis=1))
+
+    @pytest.mark.parametrize("shape", [(1, 5, 9), (3, 8, 30), (2, 50, 390)])
+    def test_work_buffers_give_the_same_bits(self, shape):
+        # centred in place in the values' own buffer, the product and the
+        # covariance written into given buffers: the bits of fresh arrays
+        x = np.random.default_rng(4).standard_normal(shape) * 1e-3 + 1e-4
+        mean, cov = _moments(x)
+        product, into = np.empty((2, *shape[:-1], shape[1]))
+        got_mean, got_cov = _moments(x, (x, product, into))
+        assert got_cov is into
+        assert got_mean.tobytes() == mean.tobytes() and into.tobytes() == cov.tobytes()
 
 
 class TestSampleAndConsistent:

@@ -221,3 +221,6 @@ class TestCurve:
             frontier_curve(params, v_max=params.v_gmv)
         with pytest.raises(InvalidRange):
             frontier_curve(params, v_max=2.0, n_points=1)
+        # more points than an (n_points, 2) array can address
+        with pytest.raises(InvalidRange, match="n_points must be at most"):
+            frontier_curve(params, v_max=2.0, n_points=10**20)

@@ -35,13 +35,19 @@ from hdfrontier import (
     winsorize,
     write_rolling_csv,
 )
+from hdfrontier import pipeline
 from hdfrontier.pipeline import (
     ROLLING_CSV_COLUMNS,
+    _WRITE_BATCH,
     _block_size,
     _bound_ranks,
+    _each_row,
+    _fast_rows,
+    _ingest,
     _modal_day_length,
     _window_bounds,
     _winsorized,
+    _write_csv,
 )
 
 
@@ -212,6 +218,133 @@ class TestIngestCsv:
         ]
         panel = ingest_csv(write_panel_csv(tmp_path / "tie.csv", rows))
         assert panel.frequency_minutes == 5.0
+
+
+def _panel_fields(panel):
+    values = panel.values
+    return (panel.timestamps, values.shape, values.dtype, values.tobytes(), panel.asset_labels,
+            panel.frequency_minutes, panel.dropped_rows)
+
+
+def _ingest_outcome(path, read_rows):
+    """What ``_ingest`` gives: the panel's fields, an error's class and message, or None."""
+    try:
+        panel = _ingest(path, read_rows)
+    except HDFrontierError as exc:
+        return type(exc), str(exc)
+    return None if panel is None else _panel_fields(panel)
+
+
+#: cells that each path must read alike: blank, whitespace, quoted, non-finite
+#: spellings, an underscore, the line-like \x0b and \x0c, and a comment sign
+_ODD_CELLS = (
+    "", " ", "\t", '"0.125"', '"1,5"', '""', "nan", "NaN", "-inf", "Infinity", "+inf",
+    "1_000", "0.5\x0b", "\x0c-0.25", "#", "0.1#", " 0.75 ", "1e-3", "-0.0", "\x85", "0x10",
+)
+
+_MUTATIONS = (
+    "cell", "cell", "cell", "stamp", "swap", "repeat", "trailing-comma", "drop-cell",
+    "extra-cell", "empty-line", "comment-line", "ending", "aware",
+)
+
+
+@st.composite
+def _mutated_csv(draw):
+    """A small panel CSV with a few mutations, as text with its own line endings."""
+    width = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(1, 7))
+    start = dt.datetime(2024, 1, 2, 9, 30)
+    sep = draw(st.sampled_from(["T", " "]))
+    lines = [["timestamp", *(f"A{j}" for j in range(width))]]
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    for i in range(n_rows):
+        stamp = (start + dt.timedelta(days=i // 4, minutes=5 * i)).isoformat(sep=sep)
+        lines.append([stamp, *(repr(draw(finite)) for _ in range(width))])
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    endings = [ending] * len(lines)
+    mutations = draw(st.lists(
+        st.tuples(st.sampled_from(_MUTATIONS), st.integers(1, 99), st.integers(0, 99)),
+        max_size=4,
+    ))
+    inserted = []
+    for kind, a, b in mutations:
+        row = 1 + a % (len(lines) - 1) if len(lines) > 1 else 0
+        line = lines[row]
+        if kind == "cell" and len(line) > 1:
+            line[1 + b % (len(line) - 1)] = draw(st.sampled_from(_ODD_CELLS))
+        elif kind == "stamp":
+            line[0] = draw(st.sampled_from(["", " " + line[0], f'"{line[0]}"', "2024-13-01"]))
+        elif kind == "swap" and row > 1:
+            lines[row][0], lines[row - 1][0] = lines[row - 1][0], lines[row][0]
+        elif kind == "repeat" and row > 1:
+            line[0] = lines[row - 1][0]
+        elif kind == "trailing-comma":
+            line.append("")
+        elif kind == "drop-cell" and len(line) > 1:
+            line.pop()
+        elif kind == "extra-cell":
+            line.append("0.5")
+        elif kind in ("empty-line", "comment-line"):
+            inserted.append((row, [] if kind == "empty-line" else ["# note"]))
+        elif kind == "ending":
+            endings[row] = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        elif kind == "aware":
+            line[0] = line[0] + "+00:00"
+    for row, line in inserted:
+        lines.insert(row, line)
+        endings.insert(row, ending)
+    text = "".join(",".join(line) + end for line, end in zip(lines, endings))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestIngestPaths:
+    """NumPy's parser and the row-wise parser give the same panel, or the same error."""
+
+    @given(text=_mutated_csv())
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_fast_path_agrees_with_the_row_wise_path(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "mutated.csv"
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+        rows = _ingest_outcome(path, _each_row)
+        assert rows is not None
+        fast = _ingest_outcome(path, _fast_rows)
+        assert fast is None or fast == rows
+        try:
+            panel = ingest_csv(path)
+        except HDFrontierError as exc:
+            assert (type(exc), str(exc)) == rows
+        else:
+            assert _panel_fields(panel) == rows
+
+    @pytest.mark.parametrize("blanks", [0, 3])
+    def test_clean_and_blank_panels_never_fall_back(self, tmp_path, monkeypatch, blanks):
+        panel = make_panel(days=3, rows_per_day=20, p=5, seed=3)
+        rows = [[stamp.isoformat(sep=" "), *map(repr, values)]
+                for stamp, values in zip(panel.timestamps, panel.values.tolist())]
+        for i in range(blanks):
+            rows[7 * i + 2][1 + i] = ""
+        rows[30][2] = "nan"  # a non-finite value drops its row too
+        header = ("timestamp", *panel.asset_labels)
+        path = write_panel_csv(tmp_path / "panel.csv", rows, header=header)
+        want = _ingest_outcome(path, _each_row)
+
+        def refuse(handle, width):
+            raise AssertionError("the row-wise parser ran")
+
+        monkeypatch.setattr(pipeline, "_each_row", refuse)
+        got = ingest_csv(path)
+        assert got.dropped_rows == blanks + 1
+        assert _panel_fields(got) == want
+
+    def test_mixed_time_zones_are_a_parse_error(self, tmp_path):
+        path = write_panel_csv(
+            tmp_path / "tz.csv",
+            [["2024-01-01T09:30:00+00:00", "0.01", "0.0"],
+             ["2024-01-01T09:35:00", "0.01", "0.0"]],
+        )
+        with pytest.raises(ParseError, match="line 3: timestamp .* cannot be ordered after"):
+            ingest_csv(path)
 
 
 class TestWinsorize:
@@ -852,3 +985,58 @@ class TestWriteRollingCsv:
         write_rolling_csv(a, windows, 5.0)
         write_rolling_csv(b, windows, 5.0)
         assert a.read_bytes() == b.read_bytes()
+
+
+def _csv_module_bytes(path, header, rows) -> bytes:
+    """The table as ``csv.writer`` writes it, float cells formatted as ``_write_csv`` states."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            )
+    return path.read_bytes()
+
+
+class TestWriteCsv:
+    """``_write_csv`` writes the bytes of the ``csv`` module, batch after batch."""
+
+    ROWS = [
+        ("plain", 1, 0.1, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 1e300),
+        (np.float64(0.2), np.float64(-0.0), np.float32(0.1), np.int64(7), np.float64("nan")),
+        ("a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", ",", '"'),
+        ("a,b", 1), ('say "hi"', 2.5), ("two\nlines", 3), ("cr\rhere",), ('"',), (",",),
+        ("",), (), ("", ""), (" lead", "trail ", "\t", "\x0b\x0c"), (None, 1.5), (True, False),
+        ("x",), (0,), (-1, 2**70, 3.0), ("é", "€", " "),
+    ]
+
+    def test_bytes_match_the_csv_module(self, tmp_path):
+        header = ("a", "b,c", 'd"e')
+        _write_csv(tmp_path / "got.csv", header, self.ROWS)
+        want = _csv_module_bytes(tmp_path / "want.csv", header, self.ROWS)
+        assert (tmp_path / "got.csv").read_bytes() == want
+
+    def test_batches_keep_the_row_order(self, tmp_path):
+        # quoted and NumPy rows between plain ones, across several batches
+        rows = [(i, 0.5 * i, f"r{i}") if i % 97 else (i, np.float64(i), "q,uoted")
+                for i in range(2 * _WRITE_BATCH + 5)]
+        _write_csv(tmp_path / "got.csv", ("i", "x", "s"), iter(rows))
+        want = _csv_module_bytes(tmp_path / "want.csv", ("i", "x", "s"), rows)
+        assert (tmp_path / "got.csv").read_bytes() == want
+
+    def test_rolling_csv_matches_the_csv_module(self, tmp_path):
+        panel = make_panel(days=5, rows_per_day=30, p=4, seed=21)
+        config = RollingConfig(p=4, n=60, step=5, frequency_minutes=5.0)
+        windows = rolling_estimate(panel, config)
+        write_rolling_csv(tmp_path / "rolling.csv", windows, 5.0)
+        rows = [
+            (w.date.isoformat(), w.kind.value, w.report.params.r_gmv, w.report.params.v_gmv,
+             w.report.params.slope,
+             *((*w.cis.ci_r, *w.cis.ci_v, *w.cis.ci_s) if w.cis is not None else ("",) * 6),
+             w.report.p, w.report.n, 5.0)
+            for w in windows
+        ]
+        want = _csv_module_bytes(tmp_path / "want.csv", ROLLING_CSV_COLUMNS, rows)
+        assert len(windows) > 30
+        assert (tmp_path / "rolling.csv").read_bytes() == want

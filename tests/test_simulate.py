@@ -421,6 +421,9 @@ class TestMonteCarlo:
         spec = ScenarioSpec(scenario="normal", p=5, n=25)
         with pytest.raises(InvalidParams):
             run_monte_carlo(spec, reps=0, kinds=["sample"])
+        # more replications than a (reps, 3) array of estimates can address
+        with pytest.raises(InvalidParams, match="need reps <= "):
+            run_monte_carlo(spec, reps=10**23, kinds=["sample"])
         with pytest.raises(InvalidParams):
             run_monte_carlo(spec, reps=3, kinds=[])
         for jobs in (0, -2, 1.5, "2", None):
