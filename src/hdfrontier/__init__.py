@@ -35,7 +35,6 @@ from .errors import (
     InvalidParams,
     InvalidRange,
     InvalidReportKind,
-    InvalidSpectrum,
     NotPositiveDefinite,
     ParseError,
     PoleAtZ,
@@ -43,7 +42,6 @@ from .errors import (
     RatioOutOfRange,
     SingularCovariance,
     SingularMatrix,
-    StationarityViolation,
     TooFewObservations,
     TooFewReps,
     WindowTooShort,
@@ -105,15 +103,12 @@ from .rmt import (
 )
 from .simulate import (
     FrontierComparison,
-    GarchState,
     HistogramData,
     MonteCarloResult,
     Scenario,
     ScenarioSpec,
-    SpectrumSpec,
     build_population,
     frontier_comparison,
-    garch_state,
     generate_returns,
     histogram_data,
     run_monte_carlo,
@@ -134,11 +129,9 @@ __all__ = [
     "InvalidRange",
     "InvalidLevel",
     "InvalidReportKind",
-    "InvalidSpectrum",
     "TooFewObservations",
     "TooFewReps",
     "RatioOutOfRange",
-    "StationarityViolation",
     "ZeroTrace",
     "BranchAmbiguity",
     "PoleAtZ",
@@ -188,14 +181,11 @@ __all__ = [
     "demeaned_quadform_diagnostics",
     # simulate
     "Scenario",
-    "SpectrumSpec",
     "ScenarioSpec",
-    "GarchState",
     "MonteCarloResult",
     "HistogramData",
     "FrontierComparison",
     "build_population",
-    "garch_state",
     "generate_returns",
     "run_monte_carlo",
     "histogram_data",

@@ -87,6 +87,9 @@ EXIT_DATA = 3
 _SIMULATE_OUTPUTS = ("losses", "histograms", "frontiers")
 _THEORY_CHECKS = ("transforms", "lemma2", "lemma3")
 
+#: the most random z points the transforms check takes: about 10 s, at some 10 us a point
+_MAX_Z_POINTS = 10**6
+
 #: default thresholds for theory-check diagnostics.  The quadratic-form
 #: bounds are frozen from measured sampling quantiles at the default sizes
 #: (c=0.5, p=500): forms whose fluctuation scale is O(1) in the random
@@ -352,7 +355,7 @@ def _prepare_frontier(config: dict):
     return constants, params, curve
 
 
-def cmd_frontier(plan, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
+def cmd_frontier(plan, run_dir: str, jobs: int, outputs: list) -> int:
     constants, params, curve = plan
     print(f"r_gmv  = {_fmt(params.r_gmv)}")
     print(f"v_gmv  = {_fmt(params.v_gmv)}")
@@ -389,7 +392,7 @@ def _prepare_estimate(config: dict):
     return config["input"], _parse_kinds(config), float(config["level"])
 
 
-def cmd_estimate(plan, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
+def cmd_estimate(plan, run_dir: str, jobs: int, outputs: list) -> int:
     path, kinds, level = plan
     panel = _ingest(path)
     moments = sample_moments(ReturnsMatrix(panel.values.T, asset_labels=panel.asset_labels))
@@ -468,7 +471,7 @@ def _prepare_simulate(config: dict):
     return spec, kinds, reps, wanted, comparison
 
 
-def cmd_simulate(plan, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
+def cmd_simulate(plan, run_dir: str, jobs: int, outputs: list) -> int:
     spec, kinds, reps, wanted, comparison = plan
     result = None
     if "losses" in wanted or "histograms" in wanted:
@@ -535,6 +538,8 @@ def _prepare_theory_check(config: dict):
         raise _CliError(f"c must be positive and finite, got {c}")
     if points < 1:
         raise _CliError(f"--points must be >= 1, got {points}")
+    if points > _MAX_Z_POINTS:
+        raise _CliError(f"--points must be <= {_MAX_Z_POINTS}, got {points}")
     runs = []
     if "transforms" in checks:
         runs.append(functools.partial(_transform_records, c, points, seed))
@@ -550,7 +555,7 @@ def _prepare_theory_check(config: dict):
     return runs, {**_DEFAULT_THRESHOLDS, **thresholds}
 
 
-def cmd_theory_check(plan, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
+def cmd_theory_check(plan, run_dir: str, jobs: int, outputs: list) -> int:
     runs, thresholds = plan
     records = [record for run in runs for record in run()]
     # one pass rule for every check: the measured value is below its threshold
@@ -591,7 +596,7 @@ def _prepare_pipeline(config: dict):
     return config["input"], rolling
 
 
-def cmd_pipeline(plan, run_dir: str, seed: int, jobs: int, outputs: list) -> int:
+def cmd_pipeline(plan, run_dir: str, jobs: int, outputs: list) -> int:
     path, rolling = plan
     windows = rolling_estimate(_ingest(path), rolling)
     write_rolling_csv(os.path.join(run_dir, "rolling.csv"), windows, rolling.frequency_minutes)
@@ -611,8 +616,9 @@ class _Command:
     """One subcommand: handler, config defaults, flags and its ``prepare``.
 
     ``prepare`` completes the merged config in place, raises every usage
-    error and returns the plan: the library objects the handler runs.  The
-    handler takes the plan, appends each file it writes to ``outputs`` and
+    error and returns the plan: the library objects the handler runs, a
+    seeded command's seed among them.  The handler takes the plan, the run
+    directory and ``--jobs``, appends each file it writes to ``outputs`` and
     returns the exit code.
 
     Each option is ``(flag, config key, type, help)``.  The type parses the
@@ -623,7 +629,7 @@ class _Command:
     """
 
     help: str
-    handler: Callable[[object, str, int, int, list], int]
+    handler: Callable[[object, str, int, list], int]
     defaults: dict
     options: tuple
     prepare: Callable[[dict], object]
@@ -798,7 +804,7 @@ def main(argv=None) -> int:
     manifest_path = os.path.join(run_dir, "manifest.json")
     manifest.write(manifest_path)
     try:
-        code = command.handler(plan, run_dir, seed, jobs, manifest.outputs)
+        code = command.handler(plan, run_dir, jobs, manifest.outputs)
     except (_CliError, HDFrontierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_DATA

@@ -78,16 +78,8 @@ class SingularMatrix(HDFrontierError):
     """A Monte Carlo diagnostic needs an invertible matrix but n <= p."""
 
 
-class StationarityViolation(InputValidationError):
-    """GARCH coefficients do not satisfy alpha + beta < 1."""
-
-
 class TooFewReps(InputValidationError):
     """Not enough Monte Carlo replications for the requested summary."""
-
-
-class InvalidSpectrum(InputValidationError):
-    """An eigenvalue spectrum specification is inconsistent."""
 
 
 class ParseError(HDFrontierError):

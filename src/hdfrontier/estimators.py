@@ -342,7 +342,8 @@ class EstimateReport:
         Concentration ratio ``p/n``.  Must lie in (0, 1) except for the
         ridge-type estimator, which is defined for any positive ratio.
     notes : tuple of str
-        Free-form quality flags, e.g. ``"negative-slope-clamped-in-merton"``.
+        Quality flags; the only one is ``"negative-slope"``, for a
+        corrected kind's slope estimate below zero.
     """
 
     kind: EstimatorKind

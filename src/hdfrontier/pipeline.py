@@ -359,9 +359,10 @@ def ingest_csv(source) -> ReturnPanel:
     Raises
     ------
     ParseError
-        Structural problems: bad header, wrong field count, unparseable
-        cells, non-monotone timestamps, or a panel too short to infer the
-        sampling frequency.
+        Structural problems: bytes that do not decode, a cell longer than
+        ``csv.field_size_limit()``, bad header, wrong field count,
+        unparseable cells, non-monotone timestamps, or a panel too short to
+        infer the sampling frequency.
     EmptyPanel
         No data rows survive ingestion.
     """
@@ -371,18 +372,21 @@ def ingest_csv(source) -> ReturnPanel:
 
 def _ingest(source, read_rows) -> ReturnPanel | None:
     """:func:`ingest_csv` with the data rows read by ``read_rows``; None if it declines."""
-    with open(source, newline="") as handle:
-        header = next(csv.reader(handle), None)
-        if header is None:
-            raise EmptyPanel(f"{source} has no content")
-        if len(header) < 2 or header[0].strip().lower() != "timestamp":
-            raise ParseError(
-                "header must be 'timestamp' followed by asset labels, "
-                f"got {header!r}",
-                line=1,
-            )
-        labels = tuple(cell.strip() for cell in header[1:])
-        rows = read_rows(handle, len(labels))
+    try:
+        with open(source, newline="") as handle:
+            header = next(csv.reader(handle), None)
+            if header is None:
+                raise EmptyPanel(f"{source} has no content")
+            if len(header) < 2 or header[0].strip().lower() != "timestamp":
+                raise ParseError(
+                    "header must be 'timestamp' followed by asset labels, "
+                    f"got {header!r}",
+                    line=1,
+                )
+            labels = tuple(cell.strip() for cell in header[1:])
+            rows = read_rows(handle, len(labels))
+    except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not text, an over-long cell
+        raise ParseError(f"unreadable CSV text: {exc}") from None
     if rows is None:
         return None
     timestamps, values, dropped = rows

@@ -84,6 +84,16 @@ def _discriminant(z: complex, c: float) -> complex:
     return z * z - 2.0 * (1.0 + c) * z + (1.0 - c) ** 2
 
 
+def _off_support(z: float, c: float) -> None:
+    """Raise ``BranchAmbiguity`` if the real ``z`` lies on the support of the law of ``c``."""
+    lo, hi = mp_support(c)
+    if lo <= z <= hi:
+        raise BranchAmbiguity(
+            f"z = {z} lies on the support [{lo:.6g}, {hi:.6g}]; "
+            f"the transform needs a one-sided limit there"
+        )
+
+
 def x_of_z(pt: StieltjesPoint) -> complex:
     """The root of ``x**2 - (1 - c + z)x + z = 0`` mapping C+ to C+.
 
@@ -106,12 +116,7 @@ def x_of_z(pt: StieltjesPoint) -> complex:
         return x_of_z(StieltjesPoint(z.conjugate(), c)).conjugate()
     disc = _discriminant(z, c)
     if z.imag == 0.0:
-        lo, hi = mp_support(c)
-        if lo <= z.real <= hi:
-            raise BranchAmbiguity(
-                f"z = {z.real} lies on the support [{lo:.6g}, {hi:.6g}]; "
-                f"the transform needs a one-sided limit there"
-            )
+        _off_support(z.real, c)
         return complex(0.5 * (1.0 - c + z.real + math.sqrt(disc.real)))
     w = cmath.sqrt(disc)
     x = 0.5 * (1.0 - c + z + w)
@@ -156,12 +161,7 @@ def m_of_z(pt: StieltjesPoint) -> tuple[complex, complex | None]:
         m, companion = m_of_z(StieltjesPoint(z.conjugate(), c))
         return m.conjugate(), None if companion is None else companion.conjugate()
     if z.imag == 0.0:
-        lo, hi = mp_support(c)
-        if lo <= z.real <= hi:
-            raise BranchAmbiguity(
-                f"z = {z.real} lies on the support [{lo:.6g}, {hi:.6g}]; "
-                f"the transform needs a one-sided limit there"
-            )
+        _off_support(z.real, c)
         delta = 1e-9 * (1.0 + abs(z.real))
         m_lifted, _ = m_of_z(StieltjesPoint(complex(z.real, delta), c))
         m = complex(m_lifted.real)

@@ -2,13 +2,14 @@
 
 The experiment design is fixed by three ingredients:
 
-- a **population**: diagonal covariance whose spectrum is given by a
-  :class:`SpectrumSpec` (default: 20% eigenvalues at 0.5, 40% at 1, 40% at
-  5) and a mean vector drawn once per (spec, seed) from a uniform law;
+- a **population**: diagonal covariance with the paper's spectrum (20% of
+  the eigenvalues at 0.5, 40% at 1 and 40% at 5) and a mean vector drawn
+  once per (spec, seed) from ``Uniform(-0.2, 0.2)``;
 - a **scenario**: i.i.d. Gaussian columns, i.i.d. heavy-tailed t(3) columns
   (scaled to unit entry variance, so fourth moments do not exist), or a
   CCC-GARCH(1,1) process whose unconditional covariance equals the
-  population covariance;
+  population covariance, with ``alpha1 ~ Uniform(0, 0.1)`` and
+  ``beta1 ~ Uniform(0.8, 0.89)`` per asset and a 500-step burn-in;
 - an **engine** that runs independent replications in fixed-size chunks,
   re-estimating the frontier with any set of estimator kinds, and
   aggregates quadratic losses, histogram data for the standardized errors,
@@ -38,13 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidParams,
-    InvalidRange,
-    InvalidSpectrum,
-    StationarityViolation,
-    TooFewReps,
-)
+from .errors import InvalidParams, InvalidRange, TooFewReps
 from .estimators import (
     EstimatorKind,
     ReturnsMatrix,
@@ -59,9 +54,7 @@ from .pipeline import _write_csv
 
 __all__ = [
     "Scenario",
-    "SpectrumSpec",
     "ScenarioSpec",
-    "GarchState",
     "MonteCarloResult",
     "HistogramData",
     "FrontierComparison",
@@ -69,7 +62,6 @@ __all__ = [
     "MIN_HISTOGRAM_REPS",
     "build_population",
     "generate_returns",
-    "garch_state",
     "run_monte_carlo",
     "histogram_data",
     "frontier_comparison",
@@ -91,6 +83,15 @@ MIN_HISTOGRAM_REPS = 100
 _DOMAIN_POPULATION = 0
 _DOMAIN_GARCH = 1
 _DOMAIN_REPLICATION = 2
+
+#: the paper's simulation design: the population spectrum as (fraction,
+#: eigenvalue) groups, the law of the mean, the laws of the CCC-GARCH
+#: coefficients and the recursion steps discarded before a panel starts
+_SPECTRUM = ((0.2, 0.5), (0.4, 1.0), (0.4, 5.0))
+_MEAN_RANGE = (-0.2, 0.2)
+_ALPHA1_RANGE = (0.0, 0.1)
+_BETA1_RANGE = (0.8, 0.89)
+_BURN_IN = 500
 
 
 class Scenario(str, enum.Enum):
@@ -117,47 +118,15 @@ class Scenario(str, enum.Enum):
         raise InvalidParams(f"unknown scenario {value!r}; valid: {valid}")
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
-    """Population spectrum as (fraction, eigenvalue) groups.
+def _eigenvalues(p: int) -> np.ndarray:
+    """The length-``p`` population spectrum, grouped as in ``_SPECTRUM``.
 
-    Multiplicities use round-half-up of ``fraction * p`` per group with the
-    remainder assigned to the last group, so they always sum to ``p``.
+    Each group but the last has ``fraction * p`` eigenvalues, rounded half
+    up; the last takes the remainder, which is never negative for ``p >= 2``.
     """
-
-    groups: tuple[tuple[float, float], ...] = ((0.2, 0.5), (0.4, 1.0), (0.4, 5.0))
-
-    def __post_init__(self) -> None:
-        groups = tuple((float(f), float(v)) for f, v in self.groups)
-        if not groups:
-            raise InvalidSpectrum("spectrum needs at least one group")
-        fractions = [f for f, _ in groups]
-        values = [v for _, v in groups]
-        if any(not math.isfinite(f) or f <= 0.0 for f in fractions):
-            raise InvalidSpectrum(f"fractions must be positive, got {fractions}")
-        if abs(sum(fractions) - 1.0) > 1e-9:
-            raise InvalidSpectrum(f"fractions must sum to 1, got {sum(fractions)}")
-        if any(not math.isfinite(v) or v <= 0.0 for v in values):
-            raise InvalidSpectrum(f"eigenvalues must be positive, got {values}")
-        object.__setattr__(self, "groups", groups)
-
-    def multiplicities(self, p: int) -> tuple[int, ...]:
-        """Group sizes for dimension ``p`` (remainder into the last group)."""
-        if p < 1:
-            raise InvalidSpectrum(f"need p >= 1, got {p}")
-        counts = [int(math.floor(f * p + 0.5)) for f, _ in self.groups[:-1]]
-        counts.append(p - sum(counts))
-        if counts[-1] < 0:
-            raise InvalidSpectrum(
-                f"rounded multiplicities {counts} are infeasible for p={p}"
-            )
-        return tuple(counts)
-
-    def eigenvalues(self, p: int) -> np.ndarray:
-        """The length-``p`` eigenvalue vector (grouped, ascending groups as given)."""
-        return np.repeat(
-            [v for _, v in self.groups], self.multiplicities(p)
-        ).astype(float)
+    counts = [math.floor(fraction * p + 0.5) for fraction, _ in _SPECTRUM[:-1]]
+    counts.append(p - sum(counts))
+    return np.repeat([value for _, value in _SPECTRUM], counts)
 
 
 def _integer(name: str, value) -> int:
@@ -170,21 +139,16 @@ def _integer(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Complete description of one simulation configuration."""
+    """One simulation configuration; the rest of the design is the paper's (see the module)."""
 
     scenario: Scenario
     p: int
     n: int
     seed: int = 0
-    spectrum: SpectrumSpec = field(default_factory=SpectrumSpec)
-    mean_range: tuple[float, float] = (-0.2, 0.2)
-    alpha1_range: tuple[float, float] = (0.0, 0.1)
-    beta1_range: tuple[float, float] = (0.8, 0.89)
-    burn_in: int = 500
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenario", Scenario(self.scenario))
-        for name in ("p", "n", "seed", "burn_in"):
+        for name in ("p", "n", "seed"):
             _integer(name, getattr(self, name))
         if self.p < 2:
             raise InvalidParams(f"need p >= 2, got p={self.p}")
@@ -192,12 +156,6 @@ class ScenarioSpec:
             raise InvalidParams(f"need n >= 2, got n={self.n}")
         if self.seed < 0:
             raise InvalidParams(f"seed must be non-negative, got {self.seed}")
-        for name in ("mean_range", "alpha1_range", "beta1_range"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise InvalidRange(f"{name} must be a finite (low, high) pair, got {(lo, hi)}")
-        if self.burn_in < 0:
-            raise InvalidParams(f"burn_in must be >= 0, got {self.burn_in}")
 
     @property
     def ratio(self) -> float:
@@ -319,16 +277,15 @@ def _reset_streams(generators: list, words):
 def build_population(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     """Population mean and covariance for a spec.
 
-    The covariance is diagonal with the spectrum's eigenvalues (any
-    rotation would induce the same sampling laws for the rotation-invariant
+    The covariance is diagonal with the paper's eigenvalues (any rotation
+    would induce the same sampling laws for the rotation-invariant
     scenarios, so the eigenbasis is used directly).  The mean is drawn once
-    from ``Uniform(mean_range)`` using the population seed domain — the
+    from ``Uniform(-0.2, 0.2)`` using the population seed domain — the
     same (mu, sigma) for every replication of the spec.
     """
-    eigs = spec.spectrum.eigenvalues(spec.p)
     rng = _rng_for(spec.seed, _DOMAIN_POPULATION)
-    mu = rng.uniform(spec.mean_range[0], spec.mean_range[1], size=spec.p)
-    return mu, np.diag(eigs)
+    mu = rng.uniform(*_MEAN_RANGE, size=spec.p)
+    return mu, np.diag(_eigenvalues(spec.p))
 
 
 def _sqrt_factor(sigma: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -352,72 +309,6 @@ def _draw_t3(rng: np.random.Generator, out: np.ndarray) -> None:
     np.multiply(rng.standard_t(3, size=out.shape), _T3_SCALE, out=out)
 
 
-@dataclass(frozen=True, eq=False)
-class GarchState:
-    """Coefficients and state of a CCC-GARCH(1,1) system.
-
-    All vectors have length ``p``.  Stationarity requires
-    ``alpha1 + beta1 < 1`` elementwise; ``alpha0`` is then pinned by the
-    target unconditional variances ``h_bar = alpha0 / (1 - alpha1 - beta1)``.
-    """
-
-    h: np.ndarray
-    alpha0: np.ndarray
-    alpha1: np.ndarray
-    beta1: np.ndarray
-    corr: np.ndarray
-
-    def __post_init__(self) -> None:
-        h = np.asarray(self.h, dtype=float)
-        a0 = np.asarray(self.alpha0, dtype=float)
-        a1 = np.asarray(self.alpha1, dtype=float)
-        b1 = np.asarray(self.beta1, dtype=float)
-        corr = np.asarray(self.corr, dtype=float)
-        p = h.shape[0]
-        for name, arr in (("h", h), ("alpha0", a0), ("alpha1", a1), ("beta1", b1)):
-            if arr.shape != (p,) or not np.all(np.isfinite(arr)):
-                raise InvalidParams(f"{name} must be a finite length-{p} vector")
-        if np.any(a1 < 0.0) or np.any(b1 < 0.0):
-            raise InvalidParams("alpha1 and beta1 must be nonnegative")
-        # check stationarity before alpha0's sign: a variance-targeted alpha0
-        # goes nonpositive exactly when the coefficients are nonstationary,
-        # and the coefficient violation is the actionable diagnosis
-        if np.any(a1 + b1 >= 1.0):
-            worst = float(np.max(a1 + b1))
-            raise StationarityViolation(
-                f"alpha1 + beta1 must be < 1 elementwise, max is {worst}"
-            )
-        if np.any(h <= 0.0) or np.any(a0 <= 0.0):
-            raise InvalidParams("conditional variances and alpha0 must be positive")
-        if corr.shape != (p, p) or not np.allclose(np.diag(corr), 1.0, atol=1e-12):
-            raise InvalidParams("corr must be p x p with unit diagonal")
-        for name, arr in (("h", h), ("alpha0", a0), ("alpha1", a1), ("beta1", b1), ("corr", corr)):
-            object.__setattr__(self, name, arr)
-
-
-def garch_state(spec: ScenarioSpec, sigma: np.ndarray) -> GarchState:
-    """Draw the CCC-GARCH coefficient vectors for a spec.
-
-    ``alpha1 ~ Uniform(alpha1_range)`` and ``beta1 ~ Uniform(beta1_range)``
-    come from the dedicated coefficient seed domain, so they are fixed
-    across replications of the same spec.  ``alpha0`` is set to
-    ``diag(sigma) * (1 - alpha1 - beta1)``, making the unconditional
-    variance of each asset equal its population variance; the correlation
-    matrix is ``sigma`` rescaled to unit diagonal.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    rng = _rng_for(spec.seed, _DOMAIN_GARCH)
-    alpha1 = rng.uniform(spec.alpha1_range[0], spec.alpha1_range[1], size=spec.p)
-    beta1 = rng.uniform(spec.beta1_range[0], spec.beta1_range[1], size=spec.p)
-    variances = np.diag(sigma)
-    if np.any(variances <= 0.0):
-        raise InvalidParams("sigma must have positive diagonal")
-    scale = np.sqrt(variances)
-    corr = sigma / np.outer(scale, scale)
-    alpha0 = variances * (1.0 - alpha1 - beta1)
-    return GarchState(h=variances.copy(), alpha0=alpha0, alpha1=alpha1, beta1=beta1, corr=corr)
-
-
 #: steps of CCC-GARCH shocks each replication draws at a time: consecutive
 #: blocks give the same stream as one draw, and the buffers stay small
 _GARCH_BLOCK = 50
@@ -436,8 +327,12 @@ def _sampler(scenario: Scenario, spec: ScenarioSpec, mu: np.ndarray, sigma: np.n
         h[t] = alpha0 + alpha1 * (y[t-1] - mu)**2 + beta1 * h[t-1],
 
     with cross-sectional dependence only through the constant correlation
-    of the innovations.  The recursion starts at the unconditional
-    variances, and its first ``spec.burn_in`` steps are discarded.
+    of the innovations, ``sigma`` rescaled to unit diagonal.  ``alpha1``
+    and then ``beta1`` are drawn from the coefficient seed domain, so they
+    are fixed across replications of the spec, and ``alpha0`` is
+    ``diag(sigma) * (1 - alpha1 - beta1)``: each asset's unconditional
+    variance is its population variance.  The recursion starts there, and
+    its first ``_BURN_IN`` steps are discarded.
 
     The CCC-GARCH recursion advances all ``B`` slots together, one step at a
     time, over flat ``(B * p,)`` state, with the same elementwise operations
@@ -462,17 +357,23 @@ def _sampler(scenario: Scenario, spec: ScenarioSpec, mu: np.ndarray, sigma: np.n
 
         return fill
 
-    state = garch_state(spec, sigma)
-    factor, diagonal = _sqrt_factor(state.corr)
-    p, n, burn_in = spec.p, spec.n, spec.burn_in
+    sigma = np.asarray(sigma, dtype=float)
+    variances = np.diag(sigma)
+    if not np.all(variances > 0.0):
+        raise InvalidParams("sigma must have positive diagonal")
+    coefficients = _rng_for(spec.seed, _DOMAIN_GARCH)
+    alpha1 = coefficients.uniform(*_ALPHA1_RANGE, size=spec.p)
+    beta1 = coefficients.uniform(*_BETA1_RANGE, size=spec.p)
+    alpha0 = variances * (1.0 - alpha1 - beta1)
+    scale = np.sqrt(variances)
+    factor, diagonal = _sqrt_factor(sigma / np.outer(scale, scale))
+    p, n, burn_in = spec.p, spec.n, _BURN_IN
     total = burn_in + n
 
     def fill(x: np.ndarray, rngs) -> None:
         rngs = list(rngs)
         size = len(x)
-        alpha0, alpha1, beta1, h = (
-            np.tile(v, size) for v in (state.alpha0, state.alpha1, state.beta1, state.h)
-        )
+        a0, a1, b1, h = (np.tile(v, size) for v in (alpha0, alpha1, beta1, variances))
         work = np.empty(size * p)
         burned = np.empty(size * p)  # the centered returns of a burn-in step
         kept = np.empty((n, size * p))  # time-major: row t is step burn_in + t of every slot
@@ -495,9 +396,9 @@ def _sampler(scenario: Scenario, spec: ScenarioSpec, mu: np.ndarray, sigma: np.n
                 np.multiply(work, eps, centered)
                 # h = alpha0 + alpha1 * centered**2 + beta1 * h, in that order
                 np.square(centered, work)
-                np.multiply(alpha1, work, work)
-                np.add(alpha0, work, work)
-                np.multiply(beta1, h, h)
+                np.multiply(a1, work, work)
+                np.add(a0, work, work)
+                np.multiply(b1, h, h)
                 np.add(work, h, h)
         np.add(kept.reshape(n, size, p).transpose(1, 2, 0), mu[:, None], out=x)
 

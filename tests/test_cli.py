@@ -229,6 +229,21 @@ class TestEstimateCommand:
         assert code == 2
         assert "--input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["estimate", "pipeline"])
+    @pytest.mark.parametrize("unreadable", ["latin-1-header", "over-long-cell"])
+    def test_unreadable_file_is_data_error(self, tmp_path, capsys, subcommand, unreadable):
+        path = tmp_path / "panel.csv"
+        if unreadable == "latin-1-header":
+            path.write_bytes(b"timestamp,caf\xe9\n2024-01-01T09:30:00,0.1\n")
+        else:
+            path.write_text("timestamp,A\n2024-01-01T09:30:00," + "1" * (csv.field_size_limit() + 1))
+        code = run_cli([subcommand, "--input", path, "--outdir", tmp_path])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot ingest {path}: unreadable CSV text: ")
+        assert "Traceback" not in err
+        assert_outcome(tmp_path, subcommand, code)
+
 
 class TestSimulateCommand:
     def test_all_outputs(self, tmp_path, capsys):
@@ -561,7 +576,7 @@ class TestParserAndManifest:
         }
 
     def test_unexpected_exception_still_finishes_the_manifest(self, tmp_path, monkeypatch):
-        def broken(config, run_dir, seed, jobs, outputs):
+        def broken(plan, run_dir, jobs, outputs):
             outputs.append("frontier.json")
             raise RuntimeError("disk went away")
 
@@ -702,6 +717,10 @@ class TestUsageErrors:
             ),
             (["simulate"], {"reps": 10**17}, "the estimates of 100000000000000000 replications"),
             (["simulate", "--reps", "0"], None, "need reps >= 1, got 0"),
+            (
+                ["theory-check", "--checks", "transforms", "--points", "100000000000000000000"],
+                None, "--points must be <= 1000000, got 100000000000000000000",
+            ),
         ],
     )
     def test_exit_2_without_run_directory(self, tmp_path, capsys, args, config, message):

@@ -346,6 +346,29 @@ class TestIngestPaths:
         with pytest.raises(ParseError, match="line 3: timestamp .* cannot be ordered after"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize(
+        ("content", "message"),
+        [
+            # a Latin-1 header, which UTF-8 cannot decode
+            (b"timestamp,caf\xe9\n2024-01-01T09:30:00,0.1\n", "can't decode byte 0xe9"),
+            # a cell one character past the csv module's field limit
+            (
+                b"timestamp,A\n2024-01-01T09:30:00,0.1\n2024-01-01T09:35:00,"
+                + b"1" * (csv.field_size_limit() + 1) + b"\n",
+                "field larger than field limit",
+            ),
+        ],
+        ids=["latin-1-header", "over-long-cell"],
+    )
+    def test_unreadable_text_is_a_parse_error(self, tmp_path, content, message):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(content)
+        rows = _ingest_outcome(path, _each_row)
+        assert rows[0] is ParseError and message in rows[1]
+        assert _ingest_outcome(path, _fast_rows) in (None, rows)
+        with pytest.raises(ParseError, match=f"unreadable CSV text: .*{message}"):
+            ingest_csv(path)
+
 
 class TestWinsorize:
     def test_clamps_to_order_statistics(self):

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import math
 import os
 import signal
@@ -22,17 +23,13 @@ from hdfrontier import (
     EstimatorKind,
     InvalidParams,
     InvalidRange,
-    InvalidSpectrum,
     MonteCarloResult,
     Scenario,
     ScenarioSpec,
-    SpectrumSpec,
-    StationarityViolation,
     TooFewReps,
     build_population,
     frontier_comparison,
     frontier_params,
-    garch_state,
     generate_returns,
     histogram_data,
     run_monte_carlo,
@@ -41,7 +38,6 @@ from hdfrontier import (
 from hdfrontier import simulate
 from hdfrontier.estimators import _estimate_each
 from hdfrontier.simulate import (
-    GarchState,
     _chunk_size,
     loss_rows,
     write_frontier_csv,
@@ -53,45 +49,38 @@ ALL_KINDS = tuple(EstimatorKind)
 
 
 class TestSpectrumSpec:
+    """The paper's population spectrum: 20% of the eigenvalues at 0.5, 40% at 1 and 40% at 5."""
+
+    @staticmethod
+    def multiplicities(p):
+        eigs = simulate._eigenvalues(p)
+        return tuple(int(np.count_nonzero(eigs == value)) for value in (0.5, 1.0, 5.0))
+
     def test_default_multiplicities(self):
-        spec = SpectrumSpec()
-        assert spec.multiplicities(7) == (1, 3, 3)
-        assert spec.multiplicities(10) == (2, 4, 4)
-        assert spec.multiplicities(5) == (1, 2, 2)
+        assert self.multiplicities(7) == (1, 3, 3)
+        assert self.multiplicities(10) == (2, 4, 4)
+        assert self.multiplicities(5) == (1, 2, 2)
 
     @pytest.mark.parametrize("p", list(range(2, 41)))
     def test_multiplicities_sum_to_p(self, p):
-        assert sum(SpectrumSpec().multiplicities(p)) == p
+        assert sum(self.multiplicities(p)) == simulate._eigenvalues(p).size == p
 
     def test_eigenvalues_grouped(self):
-        eigs = SpectrumSpec().eigenvalues(10)
+        eigs = simulate._eigenvalues(10)
+        assert eigs.dtype == np.float64
         assert eigs.tolist() == [0.5] * 2 + [1.0] * 4 + [5.0] * 4
 
-    def test_single_group(self):
-        spec = SpectrumSpec(groups=((1.0, 2.5),))
-        assert spec.eigenvalues(6).tolist() == [2.5] * 6
-
-    def test_validation(self):
-        with pytest.raises(InvalidSpectrum):
-            SpectrumSpec(groups=())
-        with pytest.raises(InvalidSpectrum):
-            SpectrumSpec(groups=((0.5, 1.0), (0.6, 2.0)))  # fractions sum past 1
-        with pytest.raises(InvalidSpectrum):
-            SpectrumSpec(groups=((1.0, -1.0),))
-        with pytest.raises(InvalidSpectrum):
-            SpectrumSpec().multiplicities(0)
-
     def test_infeasible_rounding(self):
-        # first groups round up past p, leaving the last with negative count
-        spec = SpectrumSpec(groups=((0.3, 1.0), (0.3, 2.0), (0.3, 3.0), (0.1, 4.0)))
-        with pytest.raises(InvalidSpectrum):
-            spec.multiplicities(2)
+        # the first two groups, rounded half up, never leave the last a
+        # negative count (np.repeat would raise): a ScenarioSpec's p is at least 2
+        for p in range(2, 10_001):
+            assert simulate._eigenvalues(p).size == p
+        assert self.multiplicities(10_000) == (2000, 4000, 4000)
 
     def test_zero_multiplicity_is_allowed(self):
-        # a group may round to zero; the eigenvalue vector still has length p
-        spec = SpectrumSpec(groups=((0.45, 1.0), (0.45, 2.0), (0.1, 3.0)))
-        assert spec.multiplicities(2) == (1, 1, 0)
-        assert spec.eigenvalues(2).tolist() == [1.0, 2.0]
+        # at p=2 the 0.5 group rounds to zero; the eigenvalue vector still has length p
+        assert self.multiplicities(2) == (0, 1, 1)
+        assert simulate._eigenvalues(2).tolist() == [1.0, 5.0]
 
 
 class TestScenarioSpec:
@@ -105,21 +94,23 @@ class TestScenarioSpec:
             ScenarioSpec(scenario="normal", p=1, n=10)
         with pytest.raises(InvalidParams):
             ScenarioSpec(scenario="normal", p=5, n=1)
-        with pytest.raises(InvalidRange):
-            ScenarioSpec(scenario="normal", p=5, n=20, mean_range=(0.3, -0.3))
-        with pytest.raises(InvalidParams):
-            ScenarioSpec(scenario="normal", p=5, n=20, burn_in=-1)
         with pytest.raises(InvalidParams, match="seed must be non-negative"):
             ScenarioSpec(scenario="normal", p=5, n=20, seed=-1)
         with pytest.raises(ValueError):
             ScenarioSpec(scenario="bogus", p=5, n=20)
-        fields = {"p": 5, "n": 20, "seed": 1, "burn_in": 10}
+        fields = {"p": 5, "n": 20, "seed": 1}
         for name in fields:
             for value in (2.5, 20.0, "20", None):
                 with pytest.raises(InvalidParams, match=f"{name} must be an integer"):
                     ScenarioSpec(scenario="normal", **{**fields, name: value})
         numpy_fields = {name: np.int64(value) for name, value in fields.items()}
         assert ScenarioSpec(scenario="normal", **numpy_fields).seed == 1
+
+    def test_the_rest_of_the_design_is_fixed(self):
+        names = [field.name for field in dataclasses.fields(ScenarioSpec)]
+        assert names == ["scenario", "p", "n", "seed"]
+        with pytest.raises(TypeError):
+            ScenarioSpec(scenario="ccc-garch", p=5, n=20, burn_in=0)
 
 
 class TestPopulation:
@@ -140,9 +131,10 @@ class TestPopulation:
         assert not np.array_equal(mu1, mu3)
 
     def test_mean_range_respected(self):
-        spec = ScenarioSpec(scenario="normal", p=50, n=100, mean_range=(0.1, 0.11))
+        # Uniform(-0.2, 0.2), from the population stream (spawn key (0,))
+        spec = ScenarioSpec(scenario="normal", p=50, n=100, seed=4)
         mu, _ = build_population(spec)
-        assert np.all((mu >= 0.1) & (mu <= 0.11))
+        assert np.array_equal(mu, _stream(4, 0).uniform(-0.2, 0.2, size=50))
 
 
 class TestGenerators:
@@ -184,7 +176,7 @@ class TestGenerators:
     def test_dispatch_matches_direct_calls(self):
         """generate_returns runs the spec's scenario sampler on replication stream 0."""
         for scenario in Scenario:
-            spec = ScenarioSpec(scenario=scenario, p=5, n=20, seed=6, burn_in=50)
+            spec = ScenarioSpec(scenario=scenario, p=5, n=20, seed=6)
             mu, sigma = build_population(spec)
             direct = np.empty((1, 5, 20))
             simulate._sampler(scenario, spec, mu, sigma)(direct, [_stream(6, 2, 0)])
@@ -204,23 +196,25 @@ def _non_diagonal(p):
 
 
 def _garch_reference(spec, mu, sigma, rng):
-    """The CCC-GARCH(1,1) recursion written out step by step: coefficients
-    from the coefficient stream (spawn key ``(1,)``), shocks from ``rng``."""
+    """The CCC-GARCH(1,1) recursion written out step by step: the paper's
+    coefficient laws on the coefficient stream (spawn key ``(1,)``), its
+    500-step burn-in, shocks from ``rng``."""
     coefficients = _stream(spec.seed, 1)
-    alpha1 = coefficients.uniform(*spec.alpha1_range, size=spec.p)
-    beta1 = coefficients.uniform(*spec.beta1_range, size=spec.p)
+    alpha1 = coefficients.uniform(0.0, 0.1, size=spec.p)
+    beta1 = coefficients.uniform(0.8, 0.89, size=spec.p)
+    burn_in = 500
     variances = np.diag(sigma)
     alpha0 = variances * (1.0 - alpha1 - beta1)
     scale = np.sqrt(variances)
     chol = np.linalg.cholesky(sigma / np.outer(scale, scale))
     h = variances
     expected = np.empty((spec.p, spec.n))
-    for t in range(spec.burn_in + spec.n):
+    for t in range(burn_in + spec.n):
         shock = rng.standard_normal(spec.p)  # one draw of p per step
         eps = chol @ shock  # also for diagonal sigma, whose corr diagonal is 1 to an ulp
         centered = np.sqrt(h) * eps
-        if t >= spec.burn_in:
-            expected[:, t - spec.burn_in] = centered + mu
+        if t >= burn_in:
+            expected[:, t - burn_in] = centered + mu
         h = alpha0 + alpha1 * centered**2 + beta1 * h
     return expected
 
@@ -236,7 +230,7 @@ class TestGeneratorOracle:
     P, N = 6, 25
 
     def population(self, scenario, diagonal):
-        spec = ScenarioSpec(scenario=scenario, p=self.P, n=self.N, seed=17, burn_in=40)
+        spec = ScenarioSpec(scenario=scenario, p=self.P, n=self.N, seed=17)
         mu, sigma = build_population(spec)
         return spec, mu, sigma if diagonal else _non_diagonal(self.P)
 
@@ -268,17 +262,17 @@ class TestGeneratorOracle:
 
     @pytest.mark.parametrize("diagonal", [True, False])
     @pytest.mark.parametrize(
-        ("burn_in", "n"),
+        "n",
         [
-            (0, 25),  # no burn-in: the first step is kept
-            (simulate._GARCH_BLOCK + 23, 25),  # burn-in ends inside a draw block
-            (9, simulate._GARCH_BLOCK // 2 - 3),  # every step in one partial block
+            # the 500-step burn-in fills whole draw blocks, so the kept steps start one
+            simulate._GARCH_BLOCK // 2 - 3,  # every kept step in one partial block
+            simulate._GARCH_BLOCK + 23,  # a whole block, then a partial one
         ],
     )
-    def test_batched_ccc_garch_fill(self, diagonal, burn_in, n):
+    def test_batched_ccc_garch_fill(self, diagonal, n):
         # a (B, p, n) fill advances B replications together; each slot must
         # be the panel its generator gives alone, and the written-out one
-        spec = ScenarioSpec(scenario="ccc-garch", p=self.P, n=n, seed=17, burn_in=burn_in)
+        spec = ScenarioSpec(scenario="ccc-garch", p=self.P, n=n, seed=17)
         mu, sigma = build_population(spec)
         if not diagonal:
             sigma = _non_diagonal(self.P)
@@ -294,40 +288,12 @@ class TestGeneratorOracle:
 
 
 class TestGarch:
-    def test_state_starts_at_unconditional_variance(self):
-        spec = ScenarioSpec(scenario="ccc-garch", p=6, n=20, seed=7)
-        _, sigma = build_population(spec)
-        state = garch_state(spec, sigma)
-        assert np.allclose(state.h, sigma.diagonal())
-        assert np.allclose(
-            state.alpha0, sigma.diagonal() * (1 - state.alpha1 - state.beta1)
-        )
-        assert np.all((state.alpha1 >= 0.0) & (state.alpha1 <= 0.1))
-        assert np.all((state.beta1 >= 0.8) & (state.beta1 <= 0.89))
-        # diagonal population covariance means an identity correlation target
-        assert np.allclose(state.corr, np.eye(6))
-
-    def test_nonstationary_coefficients_rejected(self):
-        spec = ScenarioSpec(
-            scenario="ccc-garch", p=4, n=20, seed=0, alpha1_range=(0.95, 0.95)
-        )
-        _, sigma = build_population(spec)
-        with pytest.raises(StationarityViolation):
-            garch_state(spec, sigma)
-
     def test_state_validation(self):
-        eye = np.eye(2)
-        with pytest.raises(InvalidParams):
-            GarchState(
-                h=np.array([1.0, -1.0]), alpha0=np.ones(2),
-                alpha1=np.zeros(2), beta1=np.zeros(2), corr=eye,
-            )
-        bad_corr = np.array([[1.0, 0.0], [0.0, 2.0]])
-        with pytest.raises(InvalidParams):
-            GarchState(
-                h=np.ones(2), alpha0=np.ones(2),
-                alpha1=np.zeros(2), beta1=np.zeros(2), corr=bad_corr,
-            )
+        # the recursion starts at a user sigma's diagonal, which must be positive
+        spec = ScenarioSpec(scenario="ccc-garch", p=2, n=20, seed=0)
+        for diagonal in ([1.0, 0.0], [1.0, -1.0], [1.0, np.nan]):
+            with pytest.raises(InvalidParams, match="sigma must have positive diagonal"):
+                generate_returns(spec, np.zeros(2), np.diag(diagonal))
 
     def test_unconditional_moments(self):
         spec = ScenarioSpec(scenario="ccc-garch", p=3, n=60_000, seed=9)
@@ -337,19 +303,23 @@ class TestGarch:
         assert np.allclose(y.var(axis=1), sigma.diagonal(), rtol=0.10)
 
     def test_volatility_clustering(self):
-        spec = ScenarioSpec(
-            scenario="ccc-garch", p=2, n=40_000, seed=10,
-            alpha1_range=(0.09, 0.1), beta1_range=(0.88, 0.89),
-        )
+        # the lag-1 autocorrelation of squared GARCH(1,1) returns is
+        # a (1 - a b - b^2) / (1 - 2 a b - b^2) when 3 a^2 + 2 a b + b^2 < 1
+        # (Bollerslev 1988), here for the coefficients the paper's laws draw
+        spec = ScenarioSpec(scenario="ccc-garch", p=8, n=40_000, seed=10)
+        coefficients = _stream(spec.seed, 1)
+        a = coefficients.uniform(0.0, 0.1, size=spec.p)
+        b = coefficients.uniform(0.8, 0.89, size=spec.p)
+        assert np.all(3 * a**2 + 2 * a * b + b**2 < 1.0)
+        implied = a * (1 - a * b - b**2) / (1 - 2 * a * b - b**2)
         mu, sigma = build_population(spec)
-        y = generate_returns(spec, mu, sigma).values
-        sq = (y - mu[:, None]) ** 2
-        for row in sq:
-            lag1 = np.corrcoef(row[:-1], row[1:])[0, 1]
-            assert lag1 > 0.02
+        sq = (generate_returns(spec, mu, sigma).values - mu[:, None]) ** 2
+        lag1 = np.array([np.corrcoef(row[:-1], row[1:])[0, 1] for row in sq])
+        assert np.all(np.abs(lag1 - implied) < 0.03)
+        assert abs(lag1.mean() - implied.mean()) < 0.01
 
     def test_reproducible(self):
-        spec = ScenarioSpec(scenario="ccc-garch", p=4, n=50, seed=11, burn_in=100)
+        spec = ScenarioSpec(scenario="ccc-garch", p=4, n=50, seed=11)
         mu, sigma = build_population(spec)
         assert np.array_equal(
             generate_returns(spec, mu, sigma).values,
@@ -457,7 +427,7 @@ class TestChunkedEngine:
     SIZE = 81
 
     def spec(self, scenario, seed=21, n=None):
-        return ScenarioSpec(scenario=scenario, p=self.P, n=n or self.N, seed=seed, burn_in=30)
+        return ScenarioSpec(scenario=scenario, p=self.P, n=n or self.N, seed=seed)
 
     def test_chunk_size_depends_on_shape_only(self):
         assert _chunk_size(self.P, self.N) == self.SIZE == 81
@@ -566,19 +536,20 @@ class TestChunkedEngine:
     @pytest.mark.parametrize("reps", [1, 41, 2 * SIZE + 1])
     def test_garch_population_state_drawn_once(self, monkeypatch, reps):
         # the coefficients and the correlation factor are per run, not per
-        # replication or per span: one call each whatever the number of
+        # replication or per span: one factorization whatever the number of
         # chunks and threads (at p=20, n=60: 1, 1 and 3 chunks)
-        calls = Counter()
-        for name in ("garch_state", "_sqrt_factor"):
-            def counted(*args, _name=name, _original=getattr(simulate, name)):
-                calls[_name] += 1
-                return _original(*args)
+        calls = []
+        original = simulate._sqrt_factor
 
-            monkeypatch.setattr(simulate, name, counted)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(simulate, "_sqrt_factor", counted)
         for jobs in (1, 2):
             calls.clear()
             run_monte_carlo(self.spec("ccc-garch"), reps, ["sample"], jobs=jobs)
-            assert calls == {"garch_state": 1, "_sqrt_factor": 1}
+            assert len(calls) == 1
 
     def test_failing_span_stops_the_others(self, monkeypatch):
         # two spans of 10 chunks each: whichever span reaches its second chunk
@@ -749,9 +720,7 @@ class TestStreamSeeding:
     @pytest.mark.parametrize("scenario", ["normal", "t3", "ccc-garch"])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_engine_matches_reference_at_a_huge_seed(self, scenario, jobs):
-        spec = ScenarioSpec(
-            scenario=scenario, p=self.P, n=self.N, seed=18446744073709551616000, burn_in=30
-        )
+        spec = ScenarioSpec(scenario=scenario, p=self.P, n=self.N, seed=18446744073709551616000)
         reps = _chunk_size(spec.p, spec.n) + 1
         assert reps == 17
         result = run_monte_carlo(spec, reps, ALL_KINDS, jobs=jobs)
@@ -840,10 +809,14 @@ class TestFrontierComparison:
         curve = comp.curves["rte"]
         assert np.array_equal(np.isnan(curve), comp.grid < vertex)
 
-    def test_negative_slope_draws_flat_curve(self):
-        spec = ScenarioSpec(
-            scenario="normal", p=20, n=50, seed=1, mean_range=(0.0, 0.0)
-        )
+    def test_negative_slope_draws_flat_curve(self, monkeypatch):
+        # a zero-mean population: its true slope is 0, and this dataset's
+        # unbiased estimate falls below it
+        def zero_mean(spec):
+            return np.zeros(spec.p), np.diag(simulate._eigenvalues(spec.p))
+
+        monkeypatch.setattr(simulate, "build_population", zero_mean)
+        spec = ScenarioSpec(scenario="normal", p=20, n=50, seed=1)
         comp = frontier_comparison(spec, ["unbiased"])
         report = comp.reports[EstimatorKind.UNBIASED]
         assert report.params.slope < 0.0

@@ -23,6 +23,11 @@ REMOVED = (
     "noncentral_f_clt_params",
     "frontier_variance_at",
     "DegenerateSlope",
+    "SpectrumSpec",
+    "GarchState",
+    "garch_state",
+    "InvalidSpectrum",
+    "StationarityViolation",
 )
 
 
