@@ -557,16 +557,17 @@ def _prepare_theory_check(config: dict):
 
 def cmd_theory_check(plan, run_dir: str, jobs: int, outputs: list) -> int:
     runs, thresholds = plan
-    records = [record for run in runs for record in run()]
+    rows = []
     # one pass rule for every check: the measured value is below its threshold
-    for i, record in enumerate(records):
-        limit = thresholds[record.check]
-        records[i] = dataclasses.replace(record, threshold=limit, passed=record.value < limit)
-    all_passed = all(record.passed for record in records)
-    for record in records:
-        status = "pass" if record.passed else "FAIL"
-        print(f"[{status}] {record.check}: value={record.value:.3e} threshold={record.threshold:g}")
-    payload = {"passed": all_passed, "checks": [record.to_dict() for record in records]}
+    for run in runs:
+        for record in run():
+            limit = thresholds[record.check]
+            rows.append({**dataclasses.asdict(record), "threshold": limit, "pass": record.value < limit})
+    for row in rows:
+        status = "pass" if row["pass"] else "FAIL"
+        print(f"[{status}] {row['check']}: value={row['value']:.3e} threshold={row['threshold']:g}")
+    all_passed = all(row["pass"] for row in rows)
+    payload = {"passed": all_passed, "checks": rows}
     _write_json(os.path.join(run_dir, "diagnostics.json"), payload)
     outputs.append("diagnostics.json")
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,7 +135,8 @@ def m_of_z(pt: StieltjesPoint) -> tuple[complex, complex | None]:
     transform of a measure on the real line).  The two roots of the
     ``x``-quadratic multiply to ``z``, and ``m = 1/(x~ - z)`` holds for the
     companion root ``x~ = z / x(z)`` — not for :func:`x_of_z` itself, whose
-    branch is pinned by its upper-half-plane mapping property instead.
+    branch is pinned by its upper-half-plane mapping property instead; off
+    the real axis ``m`` is computed that way, from :func:`x_of_z`.
 
     Real ``z`` off the support is evaluated through a small upper-half-plane
     lift (``delta = 1e-9 (1 + |z|)``) and returned with zero imaginary
@@ -166,21 +167,7 @@ def m_of_z(pt: StieltjesPoint) -> tuple[complex, complex | None]:
         m_lifted, _ = m_of_z(StieltjesPoint(complex(z.real, delta), c))
         m = complex(m_lifted.real)
     else:
-        # stable quadratic solve: larger-magnitude root first, mate via product
-        bq = z - 1.0 + c
-        w = cmath.sqrt(_discriminant(z, c))
-        if abs(bq + w) >= abs(bq - w):
-            q = -0.5 * (bq + w)
-        else:
-            q = -0.5 * (bq - w)
-        roots = (q / (c * z), 1.0 / q)
-        positive = [r for r in roots if r.imag > 0.0]
-        if len(positive) != 1:
-            raise BranchAmbiguity(
-                f"expected exactly one root with positive imaginary part at "
-                f"z = {z}, got {len(positive)}"
-            )
-        m = positive[0]
+        m = 1.0 / (z / x_of_z(pt) - z)
     companion = -(1.0 - c) / z + c * m
     return m, companion
 
@@ -278,8 +265,7 @@ def sample_noncentral_chisq(df: float, noncentrality: float, size: int, rng) -> 
 
 @dataclass(frozen=True)
 class DiagnosticRecord:
-    """One diagnostic: a measured deviation, and the threshold and pass flag
-    that the caller's pass rule sets (NaN and False until then)."""
+    """One diagnostic: a measured deviation; the caller's pass rule judges it."""
 
     check: str
     p: int
@@ -287,14 +273,6 @@ class DiagnosticRecord:
     c: float
     seed: int
     value: float
-    threshold: float = math.nan
-    passed: bool = False
-
-    def to_dict(self) -> dict:
-        """JSON-ready mapping in field order (the pass flag is keyed ``"pass"``)."""
-        record = asdict(self)
-        record["pass"] = record.pop("passed")
-        return record
 
 
 def _record(check: str, p: int, n: int, seed: int, value: float) -> DiagnosticRecord:

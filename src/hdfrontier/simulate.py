@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams, InvalidRange, TooFewReps
+from .errors import DimensionMismatch, InvalidParams, InvalidRange, TooFewReps
 from .estimators import (
     EstimatorKind,
     ReturnsMatrix,
@@ -288,15 +288,6 @@ def build_population(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     return mu, np.diag(_eigenvalues(spec.p))
 
 
-def _sqrt_factor(sigma: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(factor, is_diagonal): elementwise sqrt for diagonal sigma, else Cholesky."""
-    sigma = np.asarray(sigma, dtype=float)
-    # the off-diagonal part is zero exactly when it adds no nonzero entries
-    if np.count_nonzero(sigma) == np.count_nonzero(np.diagonal(sigma)):
-        return np.sqrt(np.diag(sigma)), True
-    return np.linalg.cholesky(sigma), False
-
-
 def _draw_normal(rng: np.random.Generator, out: np.ndarray) -> None:
     rng.standard_normal(out=out)
 
@@ -314,20 +305,22 @@ def _draw_t3(rng: np.random.Generator, out: np.ndarray) -> None:
 _GARCH_BLOCK = 50
 
 
-def _sampler(scenario: Scenario, spec: ScenarioSpec, mu: np.ndarray, sigma: np.ndarray):
-    """``fill(x, rngs)``: one finished ``(p, n)`` panel of ``scenario`` per slot of ``x``.
+def _sampler(spec: ScenarioSpec, mu, sigma):
+    """``fill(x, rngs)``: one finished ``(p, n)`` panel of the spec's scenario per slot of ``x``.
 
     Slot ``i`` of the ``(B, p, n)`` stack ``x`` draws from the ``i``-th
-    generator of ``rngs``.  What depends on the population only (the
-    covariance factor, and for CCC-GARCH the coefficients and the factor of
-    their correlation matrix) is computed here, once per sampler.
+    generator of ``rngs``.  The population is checked as
+    :func:`generate_returns` states, and what depends on it only (the
+    scale, and for CCC-GARCH the coefficients) is computed here, once.
 
     Per asset, the CCC-GARCH conditional variance follows
 
         h[t] = alpha0 + alpha1 * (y[t-1] - mu)**2 + beta1 * h[t-1],
 
-    with cross-sectional dependence only through the constant correlation
-    of the innovations, ``sigma`` rescaled to unit diagonal.  ``alpha1``
+    with innovations whose constant correlation is ``sigma`` rescaled to
+    unit diagonal: the identity, so the assets are independent.  Its
+    square-root factor, ``sqrt(variances / scale**2)``, is 1 only to an ulp;
+    the shocks are still multiplied by it, which fixes their bits.  ``alpha1``
     and then ``beta1`` are drawn from the coefficient seed domain, so they
     are fixed across replications of the spec, and ``alpha0`` is
     ``diag(sigma) * (1 - alpha1 - beta1)``: each asset's unconditional
@@ -339,35 +332,41 @@ def _sampler(scenario: Scenario, spec: ScenarioSpec, mu: np.ndarray, sigma: np.n
     in the same order as a one-slot recursion, so each panel is bit for bit
     the one its generator gives alone.  Each slot draws its shocks in blocks
     of ``_GARCH_BLOCK`` steps, step ``t``'s ``p`` normals after step
-    ``t - 1``'s; a non-diagonal correlation factor is applied per slot and
-    per step, as one matrix-vector product.
+    ``t - 1``'s.
     """
-    if scenario is not Scenario.CCC_GARCH:
-        draw = _draw_normal if scenario is Scenario.NORMAL else _draw_t3
-        factor, diagonal = _sqrt_factor(sigma)
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    p = spec.p
+    if mu.shape != (p,) or sigma.shape != (p, p):
+        raise DimensionMismatch(
+            f"need mu of shape ({p},) and sigma of shape ({p}, {p}), got {mu.shape} and {sigma.shape}"
+        )
+    variances = np.diag(sigma)
+    if not np.all(variances > 0.0):
+        raise InvalidParams("sigma must have positive diagonal")
+    # with a positive diagonal, sigma is diagonal exactly when it has p nonzero entries
+    if np.count_nonzero(sigma) != p:
+        raise InvalidParams("sigma must be diagonal, as the simulation design's covariance is")
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(variances))):
+        raise InvalidParams("mu and sigma must be finite")
+    scale = np.sqrt(variances)
+    if spec.scenario is not Scenario.CCC_GARCH:
+        draw = _draw_normal if spec.scenario is Scenario.NORMAL else _draw_t3
 
         def fill(x: np.ndarray, rngs) -> None:
             for slot, rng in zip(x, rngs):
                 draw(rng, slot)
-            if diagonal:
-                x *= factor[:, None]
-            else:
-                x[...] = factor @ x
+            x *= scale[:, None]
             x += mu[:, None]
 
         return fill
 
-    sigma = np.asarray(sigma, dtype=float)
-    variances = np.diag(sigma)
-    if not np.all(variances > 0.0):
-        raise InvalidParams("sigma must have positive diagonal")
     coefficients = _rng_for(spec.seed, _DOMAIN_GARCH)
     alpha1 = coefficients.uniform(*_ALPHA1_RANGE, size=spec.p)
     beta1 = coefficients.uniform(*_BETA1_RANGE, size=spec.p)
     alpha0 = variances * (1.0 - alpha1 - beta1)
-    scale = np.sqrt(variances)
-    factor, diagonal = _sqrt_factor(sigma / np.outer(scale, scale))
-    p, n, burn_in = spec.p, spec.n, _BURN_IN
+    factor = np.sqrt(variances / (scale * scale))
+    n, burn_in = spec.n, _BURN_IN
     total = burn_in + n
 
     def fill(x: np.ndarray, rngs) -> None:
@@ -383,12 +382,7 @@ def _sampler(scenario: Scenario, spec: ScenarioSpec, mu: np.ndarray, sigma: np.n
             steps = min(_GARCH_BLOCK, total - start)
             for block, rng in zip(draws, rngs):
                 rng.standard_normal(out=block[:steps])
-            if diagonal:
-                np.multiply(draws[:, :steps].transpose(1, 0, 2), factor, out=shocks[:steps])
-            else:
-                for i in range(steps):
-                    for slot in range(size):
-                        np.matmul(factor, draws[slot, i], out=shocks[i, slot])
+            np.multiply(draws[:, :steps].transpose(1, 0, 2), factor, out=shocks[:steps])
             for t, eps in enumerate(shocks[:steps].reshape(steps, size * p), start):
                 centered = kept[t - burn_in] if t >= burn_in else burned
                 # positional outputs: the ufuncs' fastest calling path
@@ -411,12 +405,19 @@ def generate_returns(
     """One panel of the spec's scenario, from replication stream 0 unless ``rng`` is given.
 
     Its columns have mean ``mu`` and covariance ``sigma`` (for CCC-GARCH,
-    unconditionally); see :class:`Scenario` and :func:`_sampler`.
+    unconditionally); see :class:`Scenario` and :func:`_sampler`.  The
+    population is the simulation design's: ``mu`` finite of shape ``(p,)``
+    and ``sigma`` a finite diagonal ``(p, p)`` matrix with a positive
+    diagonal, as :func:`build_population` returns.
+
+    Raises ``DimensionMismatch`` if ``mu`` or ``sigma`` does not have
+    ``spec.p`` assets, and ``InvalidParams`` if ``sigma`` is not diagonal,
+    has a variance that is not positive, or either is not finite.
     """
     if rng is None:
         rng = _rng_for(spec.seed, _DOMAIN_REPLICATION, 0)
     x = np.empty((1, spec.p, spec.n))
-    _sampler(spec.scenario, spec, mu, sigma)(x, [rng])
+    _sampler(spec, mu, sigma)(x, [rng])
     return ReturnsMatrix(x[0])
 
 
@@ -568,7 +569,7 @@ def run_monte_carlo(
     chunks = -(-reps // size)
     tasks = min(jobs, chunks)
     bounds = [min(reps, size * (chunks * task // tasks)) for task in range(tasks + 1)]
-    fill = _sampler(spec.scenario, spec, mu, sigma)
+    fill = _sampler(spec, mu, sigma)
     estimates = {kind: np.full((reps, 3), np.nan) for kind in kinds}
     stopping = threading.Event()
     run_span = functools.partial(_replicate_span, spec, kinds, fill, estimates, stopping)

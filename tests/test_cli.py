@@ -396,6 +396,8 @@ class TestTheoryCheckCommand:
         checks = {row["check"] for row in payload["checks"]}
         assert checks == {"x-residual-max", "x-test-point", "m-at-zero"}
         for row in payload["checks"]:
+            # the record's fields, then the pass rule's
+            assert list(row) == ["check", "p", "n", "c", "seed", "value", "threshold", "pass"]
             assert row["pass"] is True
             assert row["value"] < row["threshold"]
 

@@ -20,6 +20,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from hdfrontier import (
+    DimensionMismatch,
     EstimatorKind,
     InvalidParams,
     InvalidRange,
@@ -179,7 +180,7 @@ class TestGenerators:
             spec = ScenarioSpec(scenario=scenario, p=5, n=20, seed=6)
             mu, sigma = build_population(spec)
             direct = np.empty((1, 5, 20))
-            simulate._sampler(scenario, spec, mu, sigma)(direct, [_stream(6, 2, 0)])
+            simulate._sampler(spec, mu, sigma)(direct, [_stream(6, 2, 0)])
             assert np.array_equal(generate_returns(spec, mu, sigma).values, direct[0])
             other = generate_returns(spec, mu, sigma, _stream(6, 2, 1)).values
             assert not np.array_equal(other, direct[0])
@@ -187,12 +188,6 @@ class TestGenerators:
 
 def _stream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-def _non_diagonal(p):
-    """A dense positive definite covariance with unequal variances."""
-    a = _stream(99).standard_normal((p, p))
-    return a @ a.T / p + np.diag(np.linspace(0.5, 2.0, p))
 
 
 def _garch_reference(spec, mu, sigma, rng):
@@ -211,7 +206,7 @@ def _garch_reference(spec, mu, sigma, rng):
     expected = np.empty((spec.p, spec.n))
     for t in range(burn_in + spec.n):
         shock = rng.standard_normal(spec.p)  # one draw of p per step
-        eps = chol @ shock  # also for diagonal sigma, whose corr diagonal is 1 to an ulp
+        eps = chol @ shock  # the identity's factor, whose diagonal is 1 only to an ulp
         centered = np.sqrt(h) * eps
         if t >= burn_in:
             expected[:, t - burn_in] = centered + mu
@@ -229,38 +224,31 @@ class TestGeneratorOracle:
 
     P, N = 6, 25
 
-    def population(self, scenario, diagonal):
+    def population(self, scenario):
         spec = ScenarioSpec(scenario=scenario, p=self.P, n=self.N, seed=17)
-        mu, sigma = build_population(spec)
-        return spec, mu, sigma if diagonal else _non_diagonal(self.P)
+        return spec, *build_population(spec)
 
     @staticmethod
-    def scale_shift(z, mu, sigma, diagonal):
-        if diagonal:
-            return np.sqrt(np.diag(sigma))[:, None] * z + mu[:, None]
-        return np.linalg.cholesky(sigma) @ z + mu[:, None]
+    def scale_shift(z, mu, sigma):
+        return np.sqrt(np.diag(sigma))[:, None] * z + mu[:, None]
 
-    @pytest.mark.parametrize("diagonal", [True, False])
-    def test_normal(self, diagonal):
-        spec, mu, sigma = self.population("normal", diagonal)
+    def test_normal(self):
+        spec, mu, sigma = self.population("normal")
         z = _stream(spec.seed, 2, 0).standard_normal((self.P, self.N))
-        expected = self.scale_shift(z, mu, sigma, diagonal)
+        expected = self.scale_shift(z, mu, sigma)
         assert np.array_equal(generate_returns(spec, mu, sigma).values, expected)
 
-    @pytest.mark.parametrize("diagonal", [True, False])
-    def test_t3(self, diagonal):
-        spec, mu, sigma = self.population("t3", diagonal)
+    def test_t3(self):
+        spec, mu, sigma = self.population("t3")
         z = _stream(spec.seed, 2, 0).standard_t(3, size=(self.P, self.N)) * math.sqrt(1 / 3)
-        expected = self.scale_shift(z, mu, sigma, diagonal)
+        expected = self.scale_shift(z, mu, sigma)
         assert np.array_equal(generate_returns(spec, mu, sigma).values, expected)
 
-    @pytest.mark.parametrize("diagonal", [True, False])
-    def test_ccc_garch(self, diagonal):
-        spec, mu, sigma = self.population("ccc-garch", diagonal)
+    def test_ccc_garch(self):
+        spec, mu, sigma = self.population("ccc-garch")
         expected = _garch_reference(spec, mu, sigma, _stream(spec.seed, 2, 0))
         assert np.array_equal(generate_returns(spec, mu, sigma).values, expected)
 
-    @pytest.mark.parametrize("diagonal", [True, False])
     @pytest.mark.parametrize(
         "n",
         [
@@ -269,14 +257,12 @@ class TestGeneratorOracle:
             simulate._GARCH_BLOCK + 23,  # a whole block, then a partial one
         ],
     )
-    def test_batched_ccc_garch_fill(self, diagonal, n):
+    def test_batched_ccc_garch_fill(self, n):
         # a (B, p, n) fill advances B replications together; each slot must
         # be the panel its generator gives alone, and the written-out one
         spec = ScenarioSpec(scenario="ccc-garch", p=self.P, n=n, seed=17)
         mu, sigma = build_population(spec)
-        if not diagonal:
-            sigma = _non_diagonal(self.P)
-        fill = simulate._sampler(Scenario.CCC_GARCH, spec, mu, sigma)
+        fill = simulate._sampler(spec, mu, sigma)
         slots = 3
         batch = np.empty((slots, self.P, n))
         fill(batch, (_stream(spec.seed, 2, k) for k in range(slots)))
@@ -287,13 +273,50 @@ class TestGeneratorOracle:
             assert np.array_equal(batch[k], _garch_reference(spec, mu, sigma, _stream(spec.seed, 2, k)))
 
 
+class TestPopulationCheck:
+    """``generate_returns`` takes the simulation design's population: a finite
+    ``mu`` of shape ``(p,)`` and a finite diagonal ``(p, p)`` ``sigma`` with a
+    positive diagonal, whatever the scenario."""
+
+    @staticmethod
+    def population(scenario):
+        spec = ScenarioSpec(scenario=scenario, p=4, n=10, seed=0)
+        return spec, *build_population(spec)
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_wrong_size(self, scenario):
+        spec, mu, sigma = self.population(scenario)
+        for bad_mu, bad_sigma in ((mu[:3], sigma), (mu, sigma[:3, :3]), (mu, sigma[0])):
+            with pytest.raises(DimensionMismatch, match=r"need mu of shape \(4,\)"):
+                generate_returns(spec, bad_mu, bad_sigma)
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_dense_sigma(self, scenario):
+        spec, mu, sigma = self.population(scenario)
+        for i, j in ((0, 1), (3, 2)):
+            dense = sigma.copy()
+            dense[i, j] = 0.1
+            with pytest.raises(InvalidParams, match="sigma must be diagonal"):
+                generate_returns(spec, mu, dense)
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_not_finite(self, scenario):
+        spec, mu, sigma = self.population(scenario)
+        with pytest.raises(InvalidParams, match="must be finite"):
+            generate_returns(spec, np.array([0.0, np.inf, 0.0, 0.0]), sigma)
+        with pytest.raises(InvalidParams, match="must be finite"):
+            generate_returns(spec, mu, np.diag([1.0, np.inf, 1.0, 1.0]))
+
+
 class TestGarch:
     def test_state_validation(self):
-        # the recursion starts at a user sigma's diagonal, which must be positive
-        spec = ScenarioSpec(scenario="ccc-garch", p=2, n=20, seed=0)
-        for diagonal in ([1.0, 0.0], [1.0, -1.0], [1.0, np.nan]):
-            with pytest.raises(InvalidParams, match="sigma must have positive diagonal"):
-                generate_returns(spec, np.zeros(2), np.diag(diagonal))
+        # the recursion starts at sigma's diagonal, which must be positive;
+        # every scenario's sampler checks it
+        for scenario in Scenario:
+            spec = ScenarioSpec(scenario=scenario, p=2, n=20, seed=0)
+            for diagonal in ([1.0, 0.0], [1.0, -1.0], [1.0, np.nan]):
+                with pytest.raises(InvalidParams, match="sigma must have positive diagonal"):
+                    generate_returns(spec, np.zeros(2), np.diag(diagonal))
 
     def test_unconditional_moments(self):
         spec = ScenarioSpec(scenario="ccc-garch", p=3, n=60_000, seed=9)
@@ -535,21 +558,21 @@ class TestChunkedEngine:
 
     @pytest.mark.parametrize("reps", [1, 41, 2 * SIZE + 1])
     def test_garch_population_state_drawn_once(self, monkeypatch, reps):
-        # the coefficients and the correlation factor are per run, not per
-        # replication or per span: one factorization whatever the number of
-        # chunks and threads (at p=20, n=60: 1, 1 and 3 chunks)
+        # the coefficients are per run, not per replication or per span: one
+        # draw whatever the number of chunks and threads (at p=20, n=60: 1,
+        # 1 and 3 chunks)
         calls = []
-        original = simulate._sqrt_factor
+        original = simulate._rng_for
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(seed, *key):
+            calls.append(key)
+            return original(seed, *key)
 
-        monkeypatch.setattr(simulate, "_sqrt_factor", counted)
+        monkeypatch.setattr(simulate, "_rng_for", counted)
         for jobs in (1, 2):
             calls.clear()
             run_monte_carlo(self.spec("ccc-garch"), reps, ["sample"], jobs=jobs)
-            assert len(calls) == 1
+            assert calls.count((simulate._DOMAIN_GARCH,)) == 1
 
     def test_failing_span_stops_the_others(self, monkeypatch):
         # two spans of 10 chunks each: whichever span reaches its second chunk

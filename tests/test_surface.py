@@ -10,6 +10,7 @@ import hdfrontier
 
 SOURCES = sorted(Path(hdfrontier.__file__).parent.glob("*.py"))
 MODULES = [f"hdfrontier.{path.stem}" for path in SOURCES if path.stem not in ("__init__", "__main__")]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 #: names removed from the package; README lists what replaces each
 REMOVED = (
@@ -64,6 +65,6 @@ def _unused_imports(path: Path) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert not _unused_imports(path)
