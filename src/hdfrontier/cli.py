@@ -509,11 +509,13 @@ def _transform_records(c: float, points: int, seed: int) -> list[DiagnosticRecor
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst = 0.0
     for _ in range(points):
-        # keep Im z away from the real axis: the fixed-point residual
-        # divides by x(z)(x(z) - z), both of which vanish only at z = 0
+        # the relative residual of the defining quadratic x^2 - (1 - c + z)x + z,
+        # against the size of its terms: well conditioned for every c
         z = complex(rng.uniform(-3.0, 5.0), rng.uniform(0.05, 3.0))
         x = x_of_z(StieltjesPoint(z, c))
-        worst = max(worst, abs((1.0 - x) / x - c / (x - z)))
+        linear = 1.0 - c + z
+        scale = abs(x) ** 2 + abs(linear) * abs(x) + abs(z)
+        worst = max(worst, abs(x * x - linear * x + z) / scale)
     z0 = complex(1.0 + c, 2.0 * math.sqrt(c))
     x0 = x_of_z(StieltjesPoint(z0, c))
     values = [
@@ -550,7 +552,9 @@ def _prepare_theory_check(config: dict):
         if name in checks:
             if not 0.0 < c < 1.0:
                 raise _CliError(f"{name} requires 0 < c < 1, got c={c}")
-            _diag_dimensions(c, p)
+            n = _diag_dimensions(c, p)
+            if p * n * 8 > _physical_memory():
+                raise _CliError(f"{name} draws a {p} x {n} panel beyond physical memory")
             runs.append(functools.partial(diagnostics, c, p, seed=seed))
     return runs, {**_DEFAULT_THRESHOLDS, **thresholds}
 

@@ -29,8 +29,8 @@ Three families live here:
    chunk slot that is not plainly valid is recomputed through the
    one-panel path, which owns the error classes.
 
-All estimators report frontier parameters, the underlying Merton constants,
-and the concentration ratio ``p/n`` in a uniform :class:`EstimateReport`.
+All estimators report the three frontier parameters, with the panel
+dimensions behind them, in a uniform :class:`EstimateReport`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import enum
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -61,7 +61,6 @@ from .frontier import (
     _quadratic_forms,
     _vertex,
     from_merton,
-    to_merton,
 )
 
 __all__ = [
@@ -276,8 +275,7 @@ class _Rule:
     ridged : it reads the forms of ``(n - 1) S + tr(S) I``, not those of S
     extras : it reads ``(mean·mean, sum(mean), tr S)``
     correct : maps the vertex parameters of its constants to its own, which
-        may have a negative slope; its report's constants are then
-        ``to_merton`` of the corrected parameters
+        may have a negative slope
     """
 
     need: float
@@ -327,40 +325,41 @@ def _require_shape(kind: EstimatorKind, moments: SampleMoments) -> None:
 
 @dataclass(frozen=True, slots=True)
 class EstimateReport:
-    """One estimator's output, with enough context to interpret it.
+    """One estimator's output: the frontier parameters and the panel behind them.
 
     Attributes
     ----------
     kind : EstimatorKind
     params : FrontierParams
-        Estimated vertex and curvature.
-    merton : MertonConstants
-        The (a, b, c) triple the parameters derive from.
+        Estimated vertex and curvature; ``to_merton(report.params)`` gives
+        the Merton constants they correspond to.
     p, n : int
-        Panel dimensions behind the estimate.
-    ratio : float
-        Concentration ratio ``p/n``.  Must lie in (0, 1) except for the
-        ridge-type estimator, which is defined for any positive ratio.
-    notes : tuple of str
-        Quality flags; the only one is ``"negative-slope"``, for a
-        corrected kind's slope estimate below zero.
+        Panel dimensions behind the estimate.  Their ratio must lie in
+        (0, 1) except for the ridge-type estimator, which is defined for any
+        positive ratio.
     """
 
     kind: EstimatorKind
     params: FrontierParams
-    merton: MertonConstants
     p: int
     n: int
-    ratio: float
-    notes: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if _KINDS[self.kind].need > 0 and not 0.0 < self.ratio < 1.0:
-            raise RatioOutOfRange(
-                f"{self.kind.value} estimates require p/n in (0, 1), got {self.ratio}"
-            )
-        if self.ratio <= 0.0:
-            raise RatioOutOfRange(f"p/n must be positive, got {self.ratio}")
+        ratio = self.ratio
+        if _KINDS[self.kind].need > 0 and not 0.0 < ratio < 1.0:
+            raise RatioOutOfRange(f"{self.kind.value} estimates require p/n in (0, 1), got {ratio}")
+        if ratio <= 0.0:
+            raise RatioOutOfRange(f"p/n must be positive, got {ratio}")
+
+    @property
+    def ratio(self) -> float:
+        """Concentration ratio ``p/n``."""
+        return self.p / self.n
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """Quality flags: ``"negative-slope"`` for a corrected kind's slope below zero."""
+        return ("negative-slope",) if _KINDS[self.kind].correct and self.params.slope < 0 else ()
 
 
 def sample_moments(returns) -> SampleMoments:
@@ -487,15 +486,7 @@ def plugin_frontier(precision, mean, kind: EstimatorKind, n: int) -> EstimateRep
     ones = np.ones(mean.size)
     pm = precision @ mean
     merton = MertonConstants(float(mean @ pm), float(ones @ pm), float(ones @ precision @ ones))
-    p = mean.size
-    return EstimateReport(
-        kind=kind,
-        params=from_merton(merton),
-        merton=merton,
-        p=p,
-        n=int(n),
-        ratio=p / int(n),
-    )
+    return EstimateReport(kind, from_merton(merton), mean.size, int(n))
 
 
 def _ridged(cov, trace, n):
@@ -529,41 +520,12 @@ def estimate(moments: SampleMoments, kind: EstimatorKind) -> EstimateReport:
     kind = EstimatorKind(kind)
     _require_shape(kind, moments)
     p, n = moments.p, moments.n
-    merton = MertonConstants(*_kind_constants(kind, moments))
-    params = from_merton(merton)
+    params = from_merton(MertonConstants(*_kind_constants(kind, moments)))
     correct = _KINDS[kind].correct
     if correct is not None:
         corrected = correct(params.r_gmv, params.v_gmv, params.slope, p, n)
         params = FrontierParams(*corrected, validate=False)
-    return _report(kind, params, merton, p, n)
-
-
-def _report(kind: EstimatorKind, params: FrontierParams, merton, p: int, n: int) -> EstimateReport:
-    """A kind's report from its final parameters.
-
-    ``merton`` is the kind's constants, which its report carries unless its
-    rule has a correction step: then the report carries ``to_merton`` of the
-    corrected parameters (``merton`` may be None), and a note when the slope
-    is negative.
-    """
-    if _KINDS[kind].correct is not None:
-        merton = to_merton(params)
-    return EstimateReport(
-        kind=kind, params=params, merton=merton, p=p, n=n, ratio=p / n,
-        notes=_notes(kind, params.slope),
-    )
-
-
-def _notes(kind: EstimatorKind, slope: float) -> tuple[str, ...]:
-    """The notes of a ``kind`` report with this final slope: a corrected slope may be negative."""
-    return ("negative-slope",) if _KINDS[kind].correct is not None and slope < 0 else ()
-
-
-def _slot_report(kind: EstimatorKind, row: np.ndarray, p: int, n: int) -> EstimateReport:
-    """What :func:`estimate` gives one slot of :func:`_estimate_stack`, from its row of values."""
-    r_gmv, v_gmv, slope, a, b, c = row.tolist()
-    merton = None if _KINDS[kind].correct is not None else MertonConstants(a, b, c)
-    return _report(kind, FrontierParams(r_gmv, v_gmv, slope, validate=False), merton, p, n)
+    return EstimateReport(kind, params, p, n)
 
 
 def estimate_many(
@@ -630,8 +592,7 @@ class _MomentStack:
 
 
 #: the chunk core accepts a slot only if its values lie within this bound, far
-#: inside the float range, so that what the one-panel path derives from them
-#: (to_merton's constants, the Cauchy-Schwarz check) cannot overflow either
+#: inside the float range: a slot near its edge is redone by the one-panel path
 _ACCEPT_BOUND = 1e300
 
 
@@ -644,13 +605,10 @@ def _estimate_stack(means: np.ndarray, covs: np.ndarray, n: int, kinds) -> tuple
     """Each kind over ``(B, p)`` means and ``(B, p, p)`` covariances of ``n`` observations.
 
     Returns ``(values, errors)``: ``values[kind]`` holds one row
-    ``(r_gmv, v_gmv, slope, a, b, c)`` per slot, the parameters and Merton
-    constants of its report (the constants NaN for a kind with a correction
-    step, whose report derives them from its parameters; see
-    :func:`_slot_report`), and NaN where the kind failed; ``errors[kind]``
-    maps each failed slot to its exception.  Each slot gets what
-    :func:`_estimate_each` gives its own moments, bit for bit, and raises
-    what it raises.
+    ``(r_gmv, v_gmv, slope)`` per slot, the parameters of its report, and
+    NaN where the kind failed; ``errors[kind]`` maps each failed slot to its
+    exception.  Each slot gets the parameters that :func:`_estimate_each`
+    gives its own moments, bit for bit, and raises what it raises.
 
     A shape failure (:func:`_shape_error`) holds for the whole stack.  Other
     kinds are computed for all slots at once by :func:`_kind_constants` and
@@ -658,13 +616,14 @@ def _estimate_stack(means: np.ndarray, covs: np.ndarray, n: int, kinds) -> tuple
     accepted only where its values pass every check of ``MertonConstants``,
     ``FrontierParams`` and the slope clamp with room to spare: bounded,
     ``c > 0``, ``v > 0``, ``a >= 0`` and a slope that needs no clamp (which
-    implies Cauchy-Schwarz).  Every other slot, a failed read included, is
-    recomputed by :func:`_estimate_each` on its own moments, so the error
-    classes and messages are stated in one place.
+    implies Cauchy-Schwarz), and, for a kind with a correction step,
+    corrected parameters that are bounded too.  Every other slot, a failed
+    read included, is recomputed by :func:`_estimate_each` on its own
+    moments, so the error classes and messages are stated in one place.
     """
     size, p = means.shape
     stack = _MomentStack(means, covs, n)
-    values = {kind: np.full((size, 6), np.nan) for kind in kinds}
+    values = {kind: np.full((size, 3), np.nan) for kind in kinds}
     errors = {kind: {} for kind in kinds}
     accepted = {}
     with np.errstate(all="ignore"):  # a rejected slot may divide by zero or overflow
@@ -680,14 +639,8 @@ def _estimate_stack(means: np.ndarray, covs: np.ndarray, n: int, kinds) -> tuple
             correct = _KINDS[kind].correct
             if correct is not None:
                 r_gmv, v_gmv, slope = correct(r_gmv, v_gmv, slope, p, n)
-                # to_merton squares r_gmv with Python's ``**``, which raises
-                # InvalidParams on overflow instead of giving inf, and divides by v_gmv
-                square = r_gmv * r_gmv
-                ok &= _bounded(v_gmv, square, square / v_gmv, square / (v_gmv * v_gmv))
-                rows = np.column_stack([r_gmv, v_gmv, slope])
-            else:
-                rows = np.column_stack([r_gmv, v_gmv, slope, a, b, c])
-            values[kind][ok, : rows.shape[1]] = rows[ok]
+                ok &= _bounded(r_gmv, v_gmv, slope)
+            values[kind][ok] = np.column_stack([r_gmv, v_gmv, slope])[ok]
             accepted[kind] = ok
     pending = np.zeros(size, dtype=bool)
     for ok in accepted.values():
@@ -696,9 +649,8 @@ def _estimate_stack(means: np.ndarray, covs: np.ndarray, n: int, kinds) -> tuple
         moments = SampleMoments(mean=means[slot], cov=covs[slot], n=n, p=p)
         reports, failed = _estimate_each(moments, [k for k, ok in accepted.items() if not ok[slot]])
         for kind, report in reports.items():
-            params, merton = report.params, report.merton
-            constants = (np.nan,) * 3 if _KINDS[kind].correct else (merton.a, merton.b, merton.c)
-            values[kind][slot] = (params.r_gmv, params.v_gmv, params.slope, *constants)
+            params = report.params
+            values[kind][slot] = (params.r_gmv, params.v_gmv, params.slope)
         for kind, exc in failed.items():
             errors[kind][slot] = exc
     return values, errors

@@ -28,6 +28,7 @@ import datetime as dt
 import itertools
 import logging
 import math
+import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -48,11 +49,9 @@ from .estimators import (
     EstimatorKind,
     _estimate_stack,
     _moments,
-    _notes,
     _shape_error,
-    _slot_report,
 )
-from .frontier import FrontierParams, to_merton
+from .frontier import FrontierParams
 from .inference import ConfidenceIntervals, _half_widths, _intervals
 
 __all__ = [
@@ -108,7 +107,11 @@ class ReturnPanel:
             )
         if len(labels) != values.shape[1]:
             raise InvalidParams(f"{len(labels)} labels for {values.shape[1]} columns")
-        if any(b <= a for a, b in zip(timestamps, timestamps[1:])):
+        try:
+            decreasing = any(b <= a for a, b in zip(timestamps, timestamps[1:]))
+        except TypeError as exc:  # naive and timezone-aware times, say
+            raise InvalidParams(f"timestamps cannot be ordered: {exc}") from None
+        if decreasing:
             raise InvalidParams("timestamps must be strictly increasing")
         if not (math.isfinite(self.frequency_minutes) and self.frequency_minutes > 0):
             raise InvalidParams(
@@ -128,6 +131,14 @@ class ReturnPanel:
     @property
     def n_assets(self) -> int:
         return self.values.shape[1]
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int`` if it is integral (NumPy integers are), else ``InvalidParams``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -152,6 +163,10 @@ class RollingConfig:
     assets: tuple | None = None
 
     def __post_init__(self) -> None:
+        _integer("p", self.p)
+        _integer("n", self.n)
+        if self.step is not None:
+            _integer("step", self.step)
         if self.p < 2:
             raise InvalidParams(f"need p >= 2, got p={self.p}")
         if self.n < 2:
@@ -562,11 +577,9 @@ def scale_to_horizon(
     returns has slope ``f * slope``, so the returned ``r_gmv`` and ``v_gmv``
     are horizon-scaled while ``slope`` is not, and the three do not lie on
     one frontier.  ``rolling.csv`` carries them as they are: its ``slope``
-    column is per period of ``frequency_minutes``.  The Merton constants are
-    recomputed from the returned parameters, so the report is internally
-    consistent.  The round trip a → b → a gives back ``r_gmv`` and ``v_gmv``
-    to rounding (within a relative 1e-15), not bit for bit, and ``slope``
-    exactly.
+    column is per period of ``frequency_minutes``.  The round trip
+    a → b → a gives back ``r_gmv`` and ``v_gmv`` to rounding (within a
+    relative 1e-15), not bit for bit, and ``slope`` exactly.
     """
     if not (from_minutes > 0 and to_minutes > 0):
         raise InvalidParams(
@@ -575,22 +588,9 @@ def scale_to_horizon(
     factor = to_minutes / from_minutes
     if factor == 1.0:
         return report
-    params = report.params
-    return _scaled_report(
-        report.kind, params.r_gmv, params.v_gmv, params.slope,
-        report.p, report.n, report.ratio, report.notes, factor,
-    )
-
-
-def _scaled_report(kind, r_gmv, v_gmv, slope, p, n, ratio, notes, factor) -> EstimateReport:
-    """The report with these fields, its ``r_gmv`` and ``v_gmv`` scaled by ``factor``.
-
-    The scaling of :func:`scale_to_horizon`, for a factor other than one.
-    """
-    params = FrontierParams(r_gmv * factor, v_gmv * factor, slope, validate=slope >= 0.0)
-    return EstimateReport(
-        kind=kind, params=params, merton=to_merton(params), p=p, n=n, ratio=ratio, notes=notes
-    )
+    r_gmv, v_gmv, slope = report.params.r_gmv, report.params.v_gmv, report.params.slope
+    scaled = FrontierParams(r_gmv * factor, v_gmv * factor, slope, validate=False)
+    return EstimateReport(report.kind, scaled, report.p, report.n)
 
 
 def _modal_day_length(panel: ReturnPanel) -> int:
@@ -724,27 +724,23 @@ def rolling_estimate(panel: ReturnPanel, config: RollingConfig) -> list[WindowEs
             half_widths = np.column_stack(
                 _half_widths(consistent[:, 1], consistent[:, 2], p / n, n, config.level, False)
             ).tolist()
-        params = {kind: rows[:, :3].tolist() for kind, rows in values.items()}
+        params = {kind: rows.tolist() for kind, rows in values.items()}
         for j, start in enumerate(block):
             end = panel.timestamps[start + n - 1]
             date = end.date()
             for kind, failed in errors.items():
                 if j in failed:
                     logger.warning("window ending %s: %s skipped: %s", end, kind.value, failed[j])
-            for kind, rows in values.items():
+            for kind, rows in params.items():
                 if j in errors[kind]:
                     continue
-                r_gmv, v_gmv, slope = params[kind][j]
-                if factor == 1.0:
-                    report = _slot_report(kind, rows[j], p, n)
-                else:
-                    try:
-                        report = _scaled_report(
-                            kind, r_gmv, v_gmv, slope, p, n, p / n, _notes(kind, slope), factor
-                        )
-                    except HDFrontierError as exc:  # the scaled report leaves the float range
-                        logger.warning("window ending %s: %s skipped: %s", end, kind.value, exc)
-                        continue
+                r_gmv, v_gmv, slope = rows[j]
+                try:
+                    scaled = FrontierParams(r_gmv * factor, v_gmv * factor, slope, validate=False)
+                except HDFrontierError as exc:  # the scaled parameters leave the float range
+                    logger.warning("window ending %s: %s skipped: %s", end, kind.value, exc)
+                    continue
+                report = EstimateReport(kind, scaled, p, n)
                 cis = None
                 if kind is EstimatorKind.CONSISTENT:
                     cis = _intervals(config.level, r_gmv, v_gmv, *half_widths[j], factor)

@@ -50,7 +50,7 @@ from .estimators import (
 )
 from .frontier import FrontierParams, _upper_branch, frontier_params
 from .inference import asymptotic_variances
-from .pipeline import _write_csv
+from .pipeline import _integer, _write_csv
 
 __all__ = [
     "Scenario",
@@ -127,14 +127,6 @@ def _eigenvalues(p: int) -> np.ndarray:
     counts = [math.floor(fraction * p + 0.5) for fraction, _ in _SPECTRUM[:-1]]
     counts.append(p - sum(counts))
     return np.repeat([value for _, value in _SPECTRUM], counts)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int`` if it is integral (NumPy integers are), else ``InvalidParams``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -516,7 +508,7 @@ def _replicate_span(spec, kinds, fill, estimates, stopping, start, stop) -> dict
         means, covs = _moments(x, (x, products[: len(x)], covariances[: len(x)]))
         values, errors = _estimate_stack(means, covs, spec.n, kinds)
         for kind in kinds:
-            estimates[kind][first : first + len(x)] = values[kind][:, :3]
+            estimates[kind][first : first + len(x)] = values[kind]
             reasons[kind].update(type(exc).__name__ for exc in errors[kind].values())
     return reasons
 

@@ -448,6 +448,17 @@ class TestTheoryCheckCommand:
         checks = {row["check"] for row in payload["checks"]}
         assert "m-at-zero" not in checks  # the limit does not exist at c >= 1
 
+    @pytest.mark.parametrize("c", ["1e-6", "1e-17"])
+    def test_x_residual_holds_at_small_c(self, tmp_path, c):
+        # the relative residual of the quadratic stays near machine precision as c -> 0
+        code = run_cli(["theory-check", "--checks", "transforms", "--c", c, "--outdir", tmp_path])
+        payload = json.loads(
+            (only_run_dir(tmp_path, "theory-check") / "diagnostics.json").read_text()
+        )
+        assert code == (0 if payload["passed"] else 1)
+        residual = next(row for row in payload["checks"] if row["check"] == "x-residual-max")
+        assert residual["pass"] is True and residual["value"] < 1e-15
+
     def test_unknown_check_rejected(self, tmp_path, capsys):
         code = run_cli(
             ["theory-check", "--checks", "lemma9", "--outdir", tmp_path]
@@ -722,6 +733,10 @@ class TestUsageErrors:
             (
                 ["theory-check", "--checks", "transforms", "--points", "100000000000000000000"],
                 None, "--points must be <= 1000000, got 100000000000000000000",
+            ),
+            (
+                ["theory-check", "--checks", "lemma2", "--p", "3000000000", "--c", "0.5"], None,
+                "lemma2 draws a 3000000000 x 6000000000 panel beyond physical memory",
             ),
         ],
     )

@@ -1,5 +1,6 @@
 """Sample moments and the estimator family."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from hdfrontier import (
     build_population,
     estimate,
     estimate_many,
-    merton_constants,
+    frontier_params,
     plugin_frontier,
     precision_ebe,
     precision_rte,
@@ -33,7 +34,6 @@ from hdfrontier.estimators import (
     _estimate_stack,
     _moments,
     _shape_error,
-    _slot_report,
 )
 from hdfrontier.pipeline import RollingConfig
 from hdfrontier.simulate import ScenarioSpec, generate_returns
@@ -158,7 +158,15 @@ class TestSampleAndConsistent:
             sigma = half @ half.T / n
             sigma = 0.5 * (sigma + sigma.T)
             moments = SampleMoments(mean=mu, cov=sigma, n=n, p=p)
-            assert estimate(moments, "sample").merton == merton_constants(mu, sigma)
+            assert estimate(moments, "sample").params == frontier_params(mu, sigma)
+
+    def test_report_holds_what_is_estimated(self):
+        m = SampleMoments(mean=np.zeros(4), cov=np.eye(4), n=10, p=4)
+        names = [f.name for f in dataclasses.fields(estimators.EstimateReport)]
+        assert names == ["kind", "params", "p", "n"]
+        reports = estimate_many(m, ["sample", "unbiased", "rte"])
+        assert [r.ratio for r in reports.values()] == [0.4] * 3
+        assert [r.notes for r in reports.values()] == [(), ("negative-slope",), ()]
 
     def test_population_moments_recover_population(self):
         # plugging exact moments in: corrections vanish as n grows
@@ -200,8 +208,6 @@ class TestUnbiased:
         # Gaussian sampling, fixed population: E V_u = V and E s_u = s
         spec = ScenarioSpec(scenario="normal", p=10, n=60, seed=0)
         mu, sigma = build_population(spec)
-        from hdfrontier import frontier_params
-
         truth = frontier_params(mu, sigma)
         reps = 10_000
         rng = np.random.default_rng(np.random.SeedSequence(123))
@@ -494,7 +500,7 @@ SLOT_CASES = (
     "tiny",            # covariance near 1e-305: forms beyond the core's bound
     "huge",            # covariance near 5e307: the unbiased variance can overflow
     "opposed",         # identity covariance, mean +-1e160: a overflows while b = 0
-    "huge_mean",       # covariance near 1e250, mean near 1e200: r_gmv**2 overflows
+    "huge_mean",       # covariance near 1e250, mean near 1e200: r_gmv near 1e200
 )
 
 
@@ -542,13 +548,14 @@ class TestExtremeMoments:
             with pytest.raises(HDFrontierError):
                 estimate(m, "rte")
 
-    def test_overflowing_unbiased_constants_are_invalid_params(self):
+    def test_r_gmv_whose_square_overflows_estimates(self):
+        # r_gmv near 1e200: only ebe fails, on its own mean·mean overflowing
         m = SampleMoments(mean=np.array([1e200, 1.1e200]), cov=1e250 * np.eye(2), n=10, p=2)
-        with pytest.raises(InvalidParams, match="overflows"):
-            estimate(m, "unbiased")
         reports, errors = _estimate_each(m, ALL_KINDS)
-        assert EstimatorKind.SAMPLE in reports
-        assert type(errors[EstimatorKind.UNBIASED]) is InvalidParams
+        assert list(errors) == [EstimatorKind.EBE]
+        unbiased = reports[EstimatorKind.UNBIASED].params
+        assert unbiased.r_gmv == reports[EstimatorKind.SAMPLE].params.r_gmv == 1.05e200
+        assert unbiased.v_gmv == pytest.approx(6.25e249, rel=1e-15)
 
 
 class TestEstimateStack:
@@ -575,19 +582,16 @@ class TestEstimateStack:
         for row, (reports, failed) in enumerate(each):
             for kind in ALL_KINDS:
                 if kind in reports:
-                    report = reports[kind]
-                    params, merton = report.params, report.merton
-                    constants = (merton.a, merton.b, merton.c)
-                    if kind is EstimatorKind.UNBIASED:  # derived from the parameters
-                        constants = (np.nan,) * 3
-                    want = [params.r_gmv, params.v_gmv, params.slope, *constants]
+                    params = reports[kind].params
+                    want = [params.r_gmv, params.v_gmv, params.slope]
                     assert row not in errors[kind]
-                    assert _slot_report(kind, values[kind][row], p, n) == report
                 else:
-                    want = np.full(6, np.nan)
+                    want = [np.nan] * 3
                     got = errors[kind][row]
                     assert (type(got), str(got)) == (type(failed[kind]), str(failed[kind]))
-                assert np.array_equal(values[kind][row], want, equal_nan=True), (kind, cases[row])
+                # as hex, so that -0.0 and 0.0 differ
+                bits = [float(x).hex() for x in values[kind][row]]
+                assert bits == [float(x).hex() for x in want], (kind, cases[row])
 
     def test_covers_every_path(self, monkeypatch):
         """The hand-built cases reach the accepted rows, the clamp, and each failure."""
@@ -612,14 +616,13 @@ class TestEstimateStack:
         assert type(errors[EstimatorKind.RTE][5]) is ZeroTrace
         assert values[EstimatorKind.UNBIASED][4, 2] < 0.0
         assert len(errors[EstimatorKind.SSE]) == len(cases)
-        # the sample kind accepts this slot, but the unbiased kind's is redone,
-        # and fails as the one-panel path does: to_merton's r_gmv**2 overflows
+        # r_gmv near 1e200, whose square overflows: both kinds accept the slot
         mean, cov = _slot("huge_mean", p, rng)
         redone.clear()
-        assert np.all(np.isfinite(_estimate_stack(mean[None], cov[None], n, [sample])[0][sample]))
-        assert redone == []
-        _, errors = _estimate_stack(mean[None], cov[None], n, [EstimatorKind.UNBIASED])
-        assert type(errors[EstimatorKind.UNBIASED][0]) is InvalidParams
+        unbiased = EstimatorKind.UNBIASED
+        values, errors = _estimate_stack(mean[None], cov[None], n, [sample, unbiased])
+        assert redone == [] and errors == {sample: {}, unbiased: {}}
+        assert np.all(np.isfinite(values[unbiased])) and values[unbiased][0, 0] > 1e154
         # this equal-mean slot's slope is -1.4e-17: redone, and clamped to zero
         mean, cov = _slot("equal_mean", p, np.random.default_rng(0))
         clamped, _ = _estimate_stack(mean[None], cov[None], n, [sample])

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from hdfrontier import (
     ConfidenceIntervals,
     EmptyPanel,
+    EstimateReport,
     EstimatorKind,
+    FrontierParams,
     HDFrontierError,
     InvalidParams,
     InvalidRange,
@@ -97,6 +99,9 @@ class TestReturnPanel:
             ReturnPanel(stamps, good, ("a", "b"), 0.0)
         with pytest.raises(InvalidParams):
             ReturnPanel(stamps, good, ("a", "b"), 5.0, dropped_rows=-1)
+        aware = stamps[1].replace(tzinfo=dt.timezone.utc)
+        with pytest.raises(InvalidParams, match="timestamps cannot be ordered"):
+            ReturnPanel((stamps[0], aware), good, ("a", "b"), 5.0)
 
 
 class TestIngestCsv:
@@ -115,6 +120,21 @@ class TestIngestCsv:
         assert panel.dropped_rows == 0
         assert panel.values.tolist() == [[0.01, -0.02], [0.005, 0.0], [-0.001, 0.002]]
         assert panel.timestamps[0] == dt.datetime(2024, 1, 1, 9, 30)
+
+    @pytest.mark.parametrize(
+        "stamps, first",
+        [
+            (("2024-01-02T09:30:00Z", "2024-01-02T09:35:00Z"),
+             dt.datetime(2024, 1, 2, 9, 30, tzinfo=dt.timezone.utc)),
+            (("20240102T093000", "20240102T093500"), dt.datetime(2024, 1, 2, 9, 30)),
+        ],
+    )
+    def test_python_311_timestamp_forms(self, tmp_path, stamps, first):
+        # datetime.fromisoformat reads a "Z" suffix and the basic format from Python 3.11 on
+        path = write_panel_csv(tmp_path / "panel.csv", [[stamp, "0.01", "0.0"] for stamp in stamps])
+        panel = ingest_csv(path)
+        assert panel.timestamps[0] == first
+        assert panel.frequency_minutes == 5.0
 
     def test_missing_and_non_finite_cells_drop_rows(self, tmp_path):
         path = write_panel_csv(
@@ -500,12 +520,13 @@ class TestScaleToHorizon:
         assert scaled.kind is report.kind
         assert (scaled.p, scaled.n) == (report.p, report.n)
 
-    def test_merton_constants_recomputed(self):
-        scaled = scale_to_horizon(self._report(), 5.0, 30.0)
-        r, v, s = scaled.params.r_gmv, scaled.params.v_gmv, scaled.params.slope
-        assert scaled.merton.c == pytest.approx(1 / v, rel=1e-12)
-        assert scaled.merton.b == pytest.approx(r / v, rel=1e-12)
-        assert scaled.merton.a == pytest.approx(s + r * r / v, rel=1e-12)
+    def test_scaled_report_is_built_from_scaled_params(self):
+        report = self._report()
+        r, v, s = report.params.r_gmv, report.params.v_gmv, report.params.slope
+        scaled = scale_to_horizon(report, 5.0, 30.0)
+        params = FrontierParams(r * 6.0, v * 6.0, s)
+        assert scaled == EstimateReport(report.kind, params, report.p, report.n)
+        assert (scaled.ratio, scaled.notes) == (report.ratio, report.notes)
 
     def test_identity_factor_returns_same_object(self):
         report = self._report()
@@ -770,15 +791,15 @@ class TestRollingEstimate:
             assert g[3] == e[3]
 
     def test_overflowing_window_loses_only_its_records(self, caplog):
-        # mean near 1e155: r_gmv**2 overflows in to_merton, for the unbiased
-        # kind's own constants and for every kind's horizon-scaled report
+        # returns near 1e150 in the last two windows: v_gmv near 1e297, which
+        # a horizon factor of 1e11 scales beyond the float range
         rng = np.random.default_rng(0)
         values = 1e-3 * rng.standard_normal((40, 3))
-        values[20:] = 1e155 * (1.0 + 1e-3 * rng.standard_normal((20, 3)))
+        values[20:] = 1e150 * (1.0 + 0.1 * rng.standard_normal((20, 3)))
         stamps = make_panel(days=1, rows_per_day=40, p=3).timestamps
         panel = ReturnPanel(stamps, values, ("a", "b", "c"), 5.0)
-        for horizon, kept in ((5.0, ["sample", "unbiased"] * 2 + ["sample"] * 2),
-                              (60.0, ["sample", "unbiased"] * 2)):
+        for horizon, kept in ((5.0, ["sample", "unbiased"] * 4),
+                              (5e11, ["sample", "unbiased"] * 2)):
             config = RollingConfig(
                 p=3, n=10, step=10, frequency_minutes=5.0, target_horizon_minutes=horizon,
                 kinds=("sample", "unbiased"),
@@ -789,7 +810,7 @@ class TestRollingEstimate:
             assert [w.kind.value for w in windows] == kept
             skipped = [r.message for r in caplog.records if "skipped" in r.message]
             assert len(skipped) == 8 - len(kept)
-            assert all("r_gmv**2 overflows" in message for message in skipped)
+            assert all("parameters must be finite" in message for message in skipped)
 
     def test_winsorization_tames_outliers(self):
         panel = make_panel(days=8, rows_per_day=30, p=4, seed=14)
@@ -806,8 +827,7 @@ class TestRollingEstimate:
 def _record_bits(window):
     """Every field of a WindowEstimate, floats as hex so that -0.0 and 0.0 differ."""
     report, cis = window.report, window.cis
-    floats = (*(getattr(report.params, f) for f in ("r_gmv", "v_gmv", "slope")),
-              report.merton.a, report.merton.b, report.merton.c, report.ratio)
+    floats = (*(getattr(report.params, f) for f in ("r_gmv", "v_gmv", "slope")), report.ratio)
     if cis is not None:
         floats += (cis.level, *cis.ci_r, *cis.ci_v, *cis.ci_s)
     return (window.date, window.end, window.kind, report.kind, report.p, report.n,
@@ -902,7 +922,7 @@ class TestRollingBlocks:
         assert [_record_bits(w) for w in got] == [_record_bits(w) for w in want]
         assert handler.lines == want_lines
         for a, b in zip(got, want):
-            assert a.report.merton == b.report.merton and a.cis == b.cis
+            assert a.report == b.report and a.cis == b.cis
 
     def test_block_size(self):
         sizes = [_block_size(390, step) for step in (1, 3, 30, 78, 389, 390, 392)]
@@ -963,6 +983,10 @@ class TestRollingConfig:
             RollingConfig(winsor_quantiles=(0.9, 0.1))
         with pytest.raises(InvalidRange):
             RollingConfig(level=1.5)
+        for name, value in (("p", 2.5), ("n", 10.5), ("step", 1.5)):
+            with pytest.raises(InvalidParams, match=f"{name} must be an integer, got {value}"):
+                RollingConfig(**{"p": 2, "n": 10, name: value})
+        assert RollingConfig(p=np.int64(2), n=np.int64(10), step=np.int64(1)).n == 10
 
     def test_winsor_endpoints_allowed(self):
         config = RollingConfig(winsor_quantiles=(0.0, 1.0))
