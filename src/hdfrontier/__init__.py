@@ -54,7 +54,6 @@ from .estimators import (
     SampleMoments,
     estimate,
     estimate_many,
-    plugin_frontier,
     precision_ebe,
     precision_rte,
     precision_sse,
@@ -157,7 +156,6 @@ __all__ = [
     "precision_sse",
     "precision_ebe",
     "precision_rte",
-    "plugin_frontier",
     "estimate",
     "estimate_many",
     # inference

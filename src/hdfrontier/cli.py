@@ -510,18 +510,17 @@ def _transform_records(c: float, points: int, seed: int) -> list[DiagnosticRecor
     worst = 0.0
     for _ in range(points):
         # the relative residual of the defining quadratic x^2 - (1 - c + z)x + z,
-        # against the size of its terms: well conditioned for every c
+        # against the size of its terms, both divided by |x| so that no term
+        # overflows: well conditioned for every c
         z = complex(rng.uniform(-3.0, 5.0), rng.uniform(0.05, 3.0))
         x = x_of_z(StieltjesPoint(z, c))
         linear = 1.0 - c + z
-        scale = abs(x) ** 2 + abs(linear) * abs(x) + abs(z)
-        worst = max(worst, abs(x * x - linear * x + z) / scale)
-    z0 = complex(1.0 + c, 2.0 * math.sqrt(c))
-    x0 = x_of_z(StieltjesPoint(z0, c))
-    values = [
-        ("x-residual-max", worst),
-        ("x-test-point", abs(x0.imag - math.sqrt(c) * (1.0 + math.sqrt(2.0)))),
-    ]
+        scale = abs(x) + abs(linear) + abs(z) / abs(x)
+        worst = max(worst, abs(x - linear + z / x) / scale)
+    # Im x(z0) = sqrt(c)(1 + sqrt(2)), as a relative error: meaningful where 1 + c does not round
+    x0 = x_of_z(StieltjesPoint(complex(1.0 + c, 2.0 * math.sqrt(c)), c))
+    exact = math.sqrt(c) * (1.0 + math.sqrt(2.0))
+    values = [("x-residual-max", worst), ("x-test-point", abs(x0.imag - exact) / exact)]
     if c < 1.0:
         m0, _ = m_of_z(StieltjesPoint(0.0, c))
         values.append(("m-at-zero", abs(m0 - 1.0 / (1.0 - c))))

@@ -16,18 +16,17 @@ Three families live here:
    empirical-Bayes variant that adds an identity component (``ebe``), or a
    ridge-type estimator defined even when ``p >= n`` (``rte``).
 
-3. **Dispatch.**  :func:`estimate` / :func:`estimate_many` compute any subset
-   of the above from one set of sample moments.  The moments cache their
-   ``inv(S)`` quadratic forms, so all kinds that need them share a single
-   Cholesky factorization.  One table entry per kind (``_KINDS``) states
-   its shape rule, what it reads (the forms of S or of a ridged S, and the
-   extras ``mean·mean``, ``sum(mean)`` and ``tr S``), its arithmetic after
-   the forms and its correction step.  The same entry is evaluated on
-   floats for one panel and on ``(B,)`` arrays for a Monte Carlo chunk
-   (:func:`_estimate_stack`), with the same operations in the same order,
-   so a chunk gives each replication the bits of the one-panel path.  A
-   chunk slot that is not plainly valid is recomputed through the
-   one-panel path, which owns the error classes.
+3. **Dispatch.**  One table entry per kind (``_KINDS``) states its shape
+   rule, what it reads (the forms of S or of a ridged S, and the extras
+   ``mean·mean``, ``sum(mean)`` and ``tr S``), its arithmetic after the
+   forms and its correction step.  The one place that arithmetic runs is the
+   chunk core :func:`_estimate_stack`, on ``(B,)`` arrays over a stack of
+   sample moments: a Monte Carlo chunk, a rolling block, or the stack of one
+   that :func:`estimate` and :func:`estimate_many` make of one panel.  Each
+   read is made once per call, so the kinds of one call share one Cholesky
+   factorization per slot.  A slot's error comes from its shape, from the
+   read that failed for it, or from the validators of :mod:`.frontier` run
+   on its own values, so its outcome does not depend on the stack around it.
 
 All estimators report the three frontier parameters, with the panel
 dimensions behind them, in a uniform :class:`EstimateReport`.
@@ -38,6 +37,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -58,6 +58,8 @@ from .errors import (
 from .frontier import (
     FrontierParams,
     MertonConstants,
+    _cauchy_schwarz_gap,
+    _cholesky_failure,
     _quadratic_forms,
     _vertex,
     from_merton,
@@ -72,7 +74,6 @@ __all__ = [
     "precision_sse",
     "precision_ebe",
     "precision_rte",
-    "plugin_frontier",
     "estimate",
     "estimate_many",
 ]
@@ -117,14 +118,21 @@ class ReturnsMatrix:
         return self.values.shape[1]
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int`` if it is integral (NumPy integers are), else ``InvalidParams``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class SampleMoments:
     """Sample mean and covariance of a returns panel.
 
     The covariance uses divisor ``n`` (maximum-likelihood normalisation):
-    ``cov = (Y - mean) (Y - mean)' / n``.  The quadratic forms in its inverse
-    are computed on first use and cached, so every estimator kind read from
-    one instance shares one Cholesky factorization, or one failed attempt.
+    ``cov = (Y - mean) (Y - mean)' / n``.  ``p`` and ``n`` are integers,
+    ``mean`` has shape ``(p,)`` and ``cov`` shape ``(p, p)``.
     """
 
     mean: np.ndarray
@@ -132,56 +140,17 @@ class SampleMoments:
     n: int
     p: int
 
+    def __post_init__(self) -> None:
+        _integer("n", self.n)
+        _integer("p", self.p)
+        if np.shape(self.mean) != (self.p,) or np.shape(self.cov) != (self.p, self.p):
+            shapes = f"{np.shape(self.mean)} and {np.shape(self.cov)}"
+            raise DimensionMismatch(f"p={self.p} needs a mean and covariance, got shapes {shapes}")
+
     @property
     def ratio(self) -> float:
         """Concentration ratio p/n."""
         return self.p / self.n
-
-    @property
-    def forms(self) -> tuple[float, float, float]:
-        """(a, b, c) in ``inv(cov)``, factorized at most once.
-
-        Raises SingularCovariance if ``n <= p`` or ``cov`` is not positive
-        definite; a failure is cached too, and raised again on every read.
-        """
-        forms = self._forms_or_error
-        if isinstance(forms, SingularCovariance):
-            raise forms.with_traceback(None)
-        return forms
-
-    @functools.cached_property
-    def _forms_or_error(self) -> tuple[float, float, float] | SingularCovariance:
-        error = _shape_error(EstimatorKind.SAMPLE, self.p, self.n)
-        if error is not None:
-            return error
-        try:
-            return _quadratic_forms(self.mean, self.cov)
-        except CholeskyFailure as exc:  # keeps the LAPACK error as the cause
-            error = SingularCovariance(
-                f"sample covariance is not positive definite (p={self.p}, "
-                f"n={self.n}; estimators based on inv(S) require n > p): {exc.__cause__}"
-            )
-            error.__cause__ = exc.__cause__
-            return error
-
-    # what _kind_constants reads beyond ``forms``; _MomentStack reads a chunk
-
-    def _trace(self) -> float:
-        """``tr S``; raises ZeroTrace unless it is positive.
-
-        A sum beyond the float range is ``inf``, without a NumPy warning: the
-        estimator that reads it fails with its own error.
-        """
-        with np.errstate(over="ignore"):
-            trace = float(np.trace(self.cov))
-        if trace <= 0.0:
-            raise ZeroTrace(f"sample covariance trace must be positive, got {trace}")
-        return trace
-
-    def _extras(self) -> tuple[float, float, float]:
-        """``(mean·mean, sum(mean), tr S)``; a sum beyond the float range is ``inf``, unwarned."""
-        with np.errstate(over="ignore"):
-            return float(self.mean @ self.mean), float(self.mean.sum()), self._trace()
 
 
 class EstimatorKind(str, enum.Enum):
@@ -222,13 +191,13 @@ class EstimatorKind(str, enum.Enum):
         raise InvalidParams(f"unknown estimator kind {value!r}; valid: {valid}")
 
 
-# Each kind's arithmetic after its forms, written once.  These functions run
-# on Python floats (``estimate``) and on ``(B,)`` float64 arrays (the chunk
-# core, ``_estimate_stack``) with the same IEEE operations in the same order,
-# so both give the same bits.  The precision plug-ins never form their
+# Each kind's arithmetic after its forms, written once, on the ``(B,)``
+# float64 arrays of the chunk core (``_estimate_stack``); the correction step
+# also runs on one slot's floats, with the same IEEE operations in the same
+# order, after the validators.  The precision plug-ins never form their
 # matrices: sse and ebe are affine in inv(S) and I, so their constants are
 # affine in the forms and in (mean·mean, sum(mean), p); rte reads the forms
-# of its ridged matrix.  ``extras`` is (mean·mean, sum(mean), tr S), for ebe.
+# of its ridged matrix.
 
 
 def _scaled(scale, forms):
@@ -236,15 +205,16 @@ def _scaled(scale, forms):
     return scale * a, scale * b, scale * c
 
 
-def _sse_constants(forms, p, n, extras):
-    return _scaled((n - p - 2) / (n - 1), forms)
+def _sse_constants(forms, stack):
+    return _scaled((stack.n - stack.p - 2) / (stack.n - 1), forms)
 
 
-def _ebe_constants(forms, p, n, extras):
-    a, b, c = _sse_constants(forms, p, n, extras)
-    mean_sq, mean_sum, trace = extras
-    ridge = (p * p + p - 2) / ((n - 1) * trace)
-    return a + ridge * mean_sq, b + ridge * mean_sum, c + ridge * p
+def _ebe_constants(forms, stack):
+    a, b, c = _sse_constants(forms, stack)
+    means, p = stack.mean, stack.p
+    ridge = (p * p + p - 2) / ((stack.n - 1) * stack.trace)
+    mean_sq = means[:, None, :] @ means[:, :, None]  # the bits of each slot's mean @ mean
+    return a + ridge * mean_sq.ravel(), b + ridge * means.sum(axis=1), c + ridge * p
 
 
 def _unbiased(r_gmv, v_gmv, slope, p, n):
@@ -271,9 +241,10 @@ class _Rule:
     need, shape_rule : the smallest ``n - p`` the kind admits, and the rule
         that a too-small ``n > p`` shape breaks (every inv(S) kind needs
         ``n > p``; rte's ridge admits every shape)
-    constants : its Merton constants from ``(forms, p, n, extras)``
+    constants : its Merton constants from ``(forms, stack)``, a
+        :class:`_MomentStack`
     ridged : it reads the forms of ``(n - 1) S + tr(S) I``, not those of S
-    extras : it reads ``(mean·mean, sum(mean), tr S)``
+    extras : it reads ``mean·mean``, ``sum(mean)`` and ``tr S`` after its forms
     correct : maps the vertex parameters of its constants to its own, which
         may have a negative slope
     """
@@ -289,19 +260,16 @@ class _Rule:
 _SCALED_INVERSE = "scaled-inverse precision needs n >= p + 3"
 
 _KINDS = {
-    EstimatorKind.SAMPLE: _Rule(1, "", lambda forms, p, n, extras: forms),
+    EstimatorKind.SAMPLE: _Rule(1, "", lambda forms, stack: forms),
     EstimatorKind.CONSISTENT: _Rule(
-        1, "", lambda forms, p, n, extras: _scaled(1.0 - p / n, forms)
+        1, "", lambda forms, stack: _scaled(1.0 - stack.p / stack.n, forms)
     ),
     EstimatorKind.UNBIASED: _Rule(
-        2, "unbiased correction needs n >= p + 2", lambda forms, p, n, extras: forms,
-        correct=_unbiased,
+        2, "unbiased correction needs n >= p + 2", lambda forms, stack: forms, correct=_unbiased
     ),
     EstimatorKind.SSE: _Rule(3, _SCALED_INVERSE, _sse_constants),
     EstimatorKind.EBE: _Rule(3, _SCALED_INVERSE, _ebe_constants, extras=True),
-    EstimatorKind.RTE: _Rule(
-        -math.inf, "", lambda forms, p, n, extras: _scaled(p, forms), ridged=True
-    ),
+    EstimatorKind.RTE: _Rule(-math.inf, "", lambda forms, stack: _scaled(stack.p, forms), ridged=True),
 }
 
 
@@ -316,11 +284,6 @@ def _shape_error(kind: EstimatorKind, p: int, n: int) -> HDFrontierError | None:
             f"estimators based on inv(S) require n > p"
         )
     return TooFewObservations(f"{rule.shape_rule}, got n={n}, p={p}")
-
-
-def _require_shape(kind: EstimatorKind, moments: SampleMoments) -> None:
-    if moments.n - moments.p < _KINDS[kind].need:  # builds no object on success
-        raise _shape_error(kind, moments.p, moments.n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -406,6 +369,19 @@ def _moments(values: np.ndarray, work=(None, None, None)) -> tuple[np.ndarray, n
     return mean, cov
 
 
+def _checked_reads(kind: EstimatorKind, moments: SampleMoments) -> _MomentStack:
+    """``moments`` as a stack of one, once it passes what ``estimate(moments, kind)``
+    checks before its constants: the kind's shape rule, then its reads."""
+    error = _shape_error(kind, moments.p, moments.n)
+    stack = _MomentStack(moments.mean[None], moments.cov[None], moments.n)
+    if error is None:
+        with np.errstate(all="ignore"):  # the constants of a failed read are not used
+            error = _kind_constants(kind, stack)[1].get(0)
+    if error is not None:
+        raise error
+    return stack
+
+
 def precision_sse(moments: SampleMoments) -> np.ndarray:
     """Scaled inverse sample covariance, ``(n - p - 2)/(n - 1) * inv(S)``.
 
@@ -413,8 +389,7 @@ def precision_sse(moments: SampleMoments) -> np.ndarray:
     quadratic forms in this matrix track the population forms.  Requires
     ``n > p + 2`` so that the scale is positive and ``inv(S)`` exists.
     """
-    _require_shape(EstimatorKind.SSE, moments)
-    moments.forms  # fails as estimate(moments, "sse") does when S is not positive definite
+    _checked_reads(EstimatorKind.SSE, moments)
     n, p = moments.n, moments.p
     try:
         inv = scipy.linalg.inv(moments.cov, check_finite=False)
@@ -431,11 +406,10 @@ def precision_ebe(moments: SampleMoments) -> np.ndarray:
     The identity component shrinks the precision toward a multiple of I,
     which dominates the plain scaled inverse in quadratic loss.
     """
-    base = precision_sse(moments)
-    trace = moments._trace()
+    trace = float(_checked_reads(EstimatorKind.EBE, moments).trace[0])
     n, p = moments.n, moments.p
     ridge = (p * p + p - 2) / ((n - 1) * trace)
-    return base + ridge * np.eye(p)
+    return precision_sse(moments) + ridge * np.eye(p)
 
 
 def precision_rte(moments: SampleMoments) -> np.ndarray:
@@ -444,49 +418,13 @@ def precision_rte(moments: SampleMoments) -> np.ndarray:
     The trace ridge keeps the matrix to invert positive definite for any
     ``p/n``, including ``p >= n`` where ``inv(S)`` does not exist.
     """
-    ridged = _ridged(moments.cov, moments._trace(), moments.n)
+    trace = float(_checked_reads(EstimatorKind.RTE, moments).trace[0])
+    ridged = _ridged(moments.cov, trace, moments.n)
     try:
         inv = scipy.linalg.inv(ridged, check_finite=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - ridge makes this PD
         raise NotPositiveDefinite(f"ridged covariance is singular: {exc}") from exc
     return moments.p * 0.5 * (inv + inv.T)
-
-
-def plugin_frontier(precision, mean, kind: EstimatorKind, n: int) -> EstimateReport:
-    """Frontier parameters from an explicit precision-matrix estimate.
-
-    Parameters
-    ----------
-    precision : array_like, shape (p, p)
-        Symmetric positive-definite estimate of ``inv(sigma)``.
-    mean : array_like, shape (p,)
-        Mean estimate.
-    kind : EstimatorKind
-        Label recorded in the report (normally one of the precision kinds).
-    n : int
-        Sample size behind the estimates, for the report's ``p/n`` ratio.
-
-    Notes
-    -----
-    Positive definiteness of the precision guarantees, via Cauchy-Schwarz,
-    a nonnegative slope — no unvalidated constructions are needed here.
-    """
-    mean = np.asarray(mean, dtype=float)
-    if mean.ndim != 1 or mean.size < 2:
-        raise DimensionMismatch(f"mean must be a 1-D vector of length >= 2, got shape {mean.shape}")
-    precision = np.asarray(precision, dtype=float)
-    if precision.shape != (mean.size, mean.size):
-        raise DimensionMismatch(
-            f"precision shape {precision.shape} does not match mean length {mean.size}"
-        )
-    try:
-        scipy.linalg.cho_factor(precision, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"precision estimate is not positive definite: {exc}") from exc
-    ones = np.ones(mean.size)
-    pm = precision @ mean
-    merton = MertonConstants(float(mean @ pm), float(ones @ pm), float(ones @ precision @ ones))
-    return EstimateReport(kind, from_merton(merton), mean.size, int(n))
 
 
 def _ridged(cov, trace, n):
@@ -499,33 +437,63 @@ def _ridged(cov, trace, n):
         return (n - 1) * cov + np.multiply.outer(trace, np.eye(cov.shape[-1]))
 
 
-def _kind_constants(kind: EstimatorKind, source):
-    """A kind's Merton constants, from the reads its rule names.
+class _MomentStack:
+    """``(B, p)`` means and ``(B, p, p)`` covariances of ``n`` observations, and
+    the reads the kind rules share, each made once."""
 
-    ``source`` is one panel's :class:`SampleMoments`, whose reads give
-    floats and raise the kind's error, or a chunk's :class:`_MomentStack`,
-    whose reads give ``(B,)`` arrays, NaN in each slot where they fail.
+    def __init__(self, means: np.ndarray, covs: np.ndarray, n: int) -> None:
+        self.mean, self.cov, self.n, self.p = means, covs, n, means.shape[1]
+
+    @functools.cached_property
+    def forms(self):
+        """``((a, b, c), info)`` in ``inv(S)``, from :func:`frontier._quadratic_forms`."""
+        return _quadratic_forms(self.mean, self.cov)
+
+    @functools.cached_property
+    def trace(self) -> np.ndarray:
+        """``tr S`` per slot; a sum beyond the float range is ``inf``."""
+        return np.trace(self.cov, axis1=1, axis2=2)
+
+
+def _zero_traces(errors: dict, trace: np.ndarray) -> None:
+    """Give each slot without an error yet whose ``tr S`` is not positive its ZeroTrace."""
+    for slot in np.flatnonzero(trace <= 0.0).tolist():
+        message = f"sample covariance trace must be positive, got {float(trace[slot])}"
+        errors.setdefault(slot, ZeroTrace(message))
+
+
+def _kind_constants(kind: EstimatorKind, stack: _MomentStack):
+    """A kind's Merton constants over a stack, and the error of each slot whose read fails.
+
+    Returns ``((a, b, c), errors)``: ``(B,)`` arrays, meaningless in a
+    failed slot, and each failed slot's first failed read in the kind's
+    order: ``tr S > 0`` before the ridged factorization for rte, the
+    factorization of S before ``tr S > 0`` for ebe.
     """
     rule = _KINDS[kind]
+    p, n = stack.p, stack.n
+    errors = {}
     if rule.ridged:
-        forms = _quadratic_forms(source.mean, _ridged(source.cov, source._trace(), source.n))
+        _zero_traces(errors, stack.trace)
+        forms, info = _quadratic_forms(stack.mean, _ridged(stack.cov, stack.trace, n))
+        failure = (CholeskyFailure,)
     else:
-        forms = source.forms
-    extras = source._extras() if rule.extras else None
-    return rule.constants(forms, source.p, source.n, extras)
+        forms, info = stack.forms
+        failure = SingularCovariance, (
+            f"sample covariance is not positive definite (p={p}, n={n}; "
+            f"estimators based on inv(S) require n > p)"
+        )
+    for slot in np.flatnonzero(info).tolist():  # with LAPACK's error as the cause
+        errors.setdefault(slot, _cholesky_failure(int(info[slot]), *failure))
+    if rule.extras:
+        _zero_traces(errors, stack.trace)
+    return rule.constants(forms, stack), errors
 
 
 def estimate(moments: SampleMoments, kind: EstimatorKind) -> EstimateReport:
     """Compute one estimator from sample moments.  See :func:`estimate_many`."""
     kind = EstimatorKind(kind)
-    _require_shape(kind, moments)
-    p, n = moments.p, moments.n
-    params = from_merton(MertonConstants(*_kind_constants(kind, moments)))
-    correct = _KINDS[kind].correct
-    if correct is not None:
-        corrected = correct(params.r_gmv, params.v_gmv, params.slope, p, n)
-        params = FrontierParams(*corrected, validate=False)
-    return EstimateReport(kind, params, p, n)
+    return estimate_many(moments, [kind])[kind]
 
 
 def estimate_many(
@@ -533,8 +501,8 @@ def estimate_many(
 ) -> dict[EstimatorKind, EstimateReport]:
     """Compute several frontier estimators from one set of sample moments.
 
-    All kinds that need quadratic forms in ``inv(S)`` read the forms cached
-    on ``moments``, so they share a single Cholesky factorization.  A kind
+    All kinds that need quadratic forms in ``inv(S)`` share the one Cholesky
+    factorization this call makes; each call factorizes afresh.  A kind
     whose shape rule (see :func:`_shape_error`) rules out ``p x n`` fails
     before any factorization; the first failing kind, in request order,
     raises its error.
@@ -555,50 +523,20 @@ def estimate_many(
 
 
 def _estimate_each(moments: SampleMoments, kinds) -> tuple[dict, dict]:
-    """(reports, errors) in request order: one failing kind spares the rest."""
+    """(reports, errors) in request order, from a stack of one: one failing kind spares the rest."""
+    p, n = moments.p, moments.n
+    values, failed = _estimate_stack(moments.mean[None], moments.cov[None], n, kinds)
     reports, errors = {}, {}
     for kind in kinds:
+        if 0 in failed[kind]:
+            errors[kind] = failed[kind][0]
+            continue
+        params = FrontierParams(*values[kind][0].tolist(), validate=False)
         try:
-            reports[kind] = estimate(moments, kind)
+            reports[kind] = EstimateReport(kind, params, p, n)
         except HDFrontierError as exc:
             errors[kind] = exc
     return reports, errors
-
-
-class _MomentStack:
-    """A chunk's sample moments, read as the kind rules read :class:`SampleMoments`.
-
-    Each read gives ``(B,)`` arrays over the ``(B, p)`` means and
-    ``(B, p, p)`` covariances of ``n`` observations each, with the bits the
-    one-panel read gives, and NaN in each slot where that read raises: a
-    covariance that is not positive definite, or a trace that is not positive.
-    """
-
-    def __init__(self, means: np.ndarray, covs: np.ndarray, n: int) -> None:
-        self.mean, self.cov, self.n, self.p = means, covs, n, means.shape[1]
-
-    @functools.cached_property
-    def forms(self):
-        return _quadratic_forms(self.mean, self.cov)
-
-    def _trace(self) -> np.ndarray:
-        traces = np.trace(self.cov, axis1=1, axis2=2)
-        return np.where(traces > 0.0, traces, np.nan)
-
-    def _extras(self):
-        means = self.mean
-        mean_sq = means[:, None, :] @ means[:, :, None]  # the bits of each slot's mean @ mean
-        return mean_sq.ravel(), means.sum(axis=1), self._trace()
-
-
-#: the chunk core accepts a slot only if its values lie within this bound, far
-#: inside the float range: a slot near its edge is redone by the one-panel path
-_ACCEPT_BOUND = 1e300
-
-
-def _bounded(*values) -> np.ndarray:
-    """Per slot, whether every value lies within ``_ACCEPT_BOUND`` (False for NaN)."""
-    return np.logical_and.reduce([np.abs(value) <= _ACCEPT_BOUND for value in values])
 
 
 def _estimate_stack(means: np.ndarray, covs: np.ndarray, n: int, kinds) -> tuple[dict, dict]:
@@ -606,51 +544,49 @@ def _estimate_stack(means: np.ndarray, covs: np.ndarray, n: int, kinds) -> tuple
 
     Returns ``(values, errors)``: ``values[kind]`` holds one row
     ``(r_gmv, v_gmv, slope)`` per slot, the parameters of its report, and
-    NaN where the kind failed; ``errors[kind]`` maps each failed slot to its
-    exception.  Each slot gets the parameters that :func:`_estimate_each`
-    gives its own moments, bit for bit, and raises what it raises.
+    NaN where the kind failed; ``errors[kind]`` maps each failed slot, in
+    ascending order, to its exception.  A slot's outcome depends on its own
+    moments only: a stack of B slots gives what B stacks of one give.
 
-    A shape failure (:func:`_shape_error`) holds for the whole stack.  Other
-    kinds are computed for all slots at once by :func:`_kind_constants` and
-    the arithmetic that :func:`estimate` runs on floats, and a slot is
-    accepted only where its values pass every check of ``MertonConstants``,
-    ``FrontierParams`` and the slope clamp with room to spare: bounded,
-    ``c > 0``, ``v > 0``, ``a >= 0`` and a slope that needs no clamp (which
-    implies Cauchy-Schwarz), and, for a kind with a correction step,
-    corrected parameters that are bounded too.  Every other slot, a failed
-    read included, is recomputed by :func:`_estimate_each` on its own
-    moments, so the error classes and messages are stated in one place.
+    A slot's error is the first of: the kind's shape rule (for the whole
+    stack), a failed read (:func:`_kind_constants`), and what the validators
+    ``MertonConstants``, ``from_merton`` and ``FrontierParams`` raise on its
+    floats.  They run only on a slot that is not plainly valid (finite, and
+    passing their checks with a slope that needs no clamp, before and after
+    the correction step), and then give its parameters, a clamped slope too.
     """
     size, p = means.shape
     stack = _MomentStack(means, covs, n)
-    values = {kind: np.full((size, 3), np.nan) for kind in kinds}
-    errors = {kind: {} for kind in kinds}
-    accepted = {}
-    with np.errstate(all="ignore"):  # a rejected slot may divide by zero or overflow
+    values, errors = {}, {}
+    with np.errstate(all="ignore"):  # a failed slot may divide by zero or overflow
         for kind in kinds:
+            rows = values[kind] = np.full((size, 3), np.nan)
             error = _shape_error(kind, p, n)
             if error is not None:
                 errors[kind] = dict.fromkeys(range(size), error)
                 continue
-            a, b, c = _kind_constants(kind, stack)
+            (a, b, c), failed = _kind_constants(kind, stack)
             r_gmv, v_gmv, slope = _vertex(a, b, c)
-            ok = (c > 0.0) & (a >= 0.0) & (v_gmv > 0.0) & (slope >= 0.0)
-            ok &= _bounded(a, b, c, r_gmv, v_gmv, slope)
+            gap, slop = _cauchy_schwarz_gap(a, b, c)
+            ok = np.isfinite([a, b, c, r_gmv, v_gmv, slope]).all(axis=0)
+            ok &= (c > 0.0) & (a >= 0.0) & (gap >= -slop) & (v_gmv > 0.0) & (slope >= 0.0)
             correct = _KINDS[kind].correct
             if correct is not None:
                 r_gmv, v_gmv, slope = correct(r_gmv, v_gmv, slope, p, n)
-                ok &= _bounded(r_gmv, v_gmv, slope)
-            values[kind][ok] = np.column_stack([r_gmv, v_gmv, slope])[ok]
-            accepted[kind] = ok
-    pending = np.zeros(size, dtype=bool)
-    for ok in accepted.values():
-        pending |= ~ok
-    for slot in np.flatnonzero(pending).tolist():
-        moments = SampleMoments(mean=means[slot], cov=covs[slot], n=n, p=p)
-        reports, failed = _estimate_each(moments, [k for k, ok in accepted.items() if not ok[slot]])
-        for kind, report in reports.items():
-            params = report.params
-            values[kind][slot] = (params.r_gmv, params.v_gmv, params.slope)
-        for kind, exc in failed.items():
-            errors[kind][slot] = exc
+                ok &= np.isfinite([r_gmv, v_gmv, slope]).all(axis=0) & (v_gmv > 0.0)
+            ok[list(failed)] = False
+            rows[ok] = np.column_stack([r_gmv, v_gmv, slope])[ok]
+            for slot in np.flatnonzero(~ok).tolist():
+                if slot in failed:
+                    continue
+                try:  # the validators, on this slot's floats
+                    params = from_merton(MertonConstants(*(float(x[slot]) for x in (a, b, c))))
+                    if correct is not None:
+                        params = FrontierParams(
+                            *correct(params.r_gmv, params.v_gmv, params.slope, p, n), validate=False
+                        )
+                    rows[slot] = params.r_gmv, params.v_gmv, params.slope
+                except HDFrontierError as exc:
+                    failed[slot] = exc
+            errors[kind] = dict(sorted(failed.items()))
     return values, errors

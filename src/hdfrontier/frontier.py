@@ -54,6 +54,11 @@ SLOPE_CLAMP_RTOL = 1e-12
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
+def _cauchy_schwarz_gap(a, b, c):
+    """``a*c - b**2`` and the float slop it may fall below zero by; floats or ``(B,)`` arrays."""
+    return a * c - b * b, 1e-10 * np.maximum(np.maximum(a * c, b * b), 1e-300)
+
+
 @dataclass(frozen=True, slots=True)
 class MertonConstants:
     """The three scalars (a, b, c) = (mu'Σ⁻¹mu, 1'Σ⁻¹mu, 1'Σ⁻¹1).
@@ -79,9 +84,8 @@ class MertonConstants:
             raise InvalidConstants(f"c = 1'inv(sigma)1 must be positive, got {self.c}")
         if self.a < 0.0:
             raise InvalidConstants(f"a = mu'inv(sigma)mu must be nonnegative, got {self.a}")
-        # Cauchy-Schwarz up to float slop from round-tripping
-        gap = self.a * self.c - self.b * self.b
-        if gap < -1e-10 * max(self.a * self.c, self.b * self.b, 1e-300):
+        gap, slop = _cauchy_schwarz_gap(self.a, self.b, self.c)
+        if gap < -slop:
             raise InvalidConstants(
                 f"a*c - b^2 must be nonnegative (Cauchy-Schwarz), got {gap}"
             )
@@ -164,40 +168,37 @@ def _solve(sigma: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray | None, int]:
 
 
 def _quadratic_forms(mu: np.ndarray, sigma: np.ndarray):
-    """(a, b, c) in ``inv(sigma)`` through a single Cholesky factorization.
+    """(a, b, c) in ``inv(sigma)``, one Cholesky factorization per matrix.
 
     The package's one factor-and-solve for these forms, shared by the
     population constants and every estimator so that they cannot drift
-    apart.  Raises CholeskyFailure if ``sigma`` is not positive definite.
-
-    A ``(B, p)`` stack of means with a ``(B, p, p)`` stack of matrices gives
-    ``(B,)`` arrays instead, NaN in each row whose matrix is not positive
-    definite: one :func:`_solve` per slot, then the dot products as stacked
-    ``(B, 1, p) @ (B, p, 1)`` matmuls, which give each slot the bits of the
-    one-matrix products.  One matrix keeps its own path, cheaper than a
-    stack of one, since ``estimators.estimate`` makes one such call per panel.
+    apart.  ``(B, p)`` means and ``(B, p, p)`` matrices give ``((a, b, c),
+    info)``: ``(B,)`` forms, NaN where LAPACK's ``potrf`` info is positive
+    (the matrix is not positive definite) and 0 elsewhere.  One
+    :func:`_solve` per slot, then stacked ``(B, 1, p) @ (B, p, 1)`` dot
+    products: a slot's forms do not depend on the stack around it.
     """
     ones = np.ones(mu.shape[-1])
     rhs = np.empty(mu.shape + (2,))  # per slot, the columns (ones, mu)
     rhs[..., 0] = 1.0
     rhs[..., 1] = mu
-    if mu.ndim == 1:
-        sol, info = _solve(sigma, rhs)
-        if sol is None:
-            exc = scipy.linalg.LinAlgError(
-                f"{info}-th leading minor of the array is not positive definite"
-            )
-            raise CholeskyFailure(f"covariance is not positive definite: {exc}") from exc
-        with np.errstate(over="ignore"):  # a form beyond the float range is inf, which callers reject
-            return float(mu @ sol[:, 1]), float(ones @ sol[:, 1]), float(ones @ sol[:, 0])
     sols = np.full((len(mu), 2, mu.shape[1]), np.nan)  # slot i is the transposed solution
+    info = np.zeros(len(mu), dtype=int)
     for slot, matrix in enumerate(sigma):
-        sol, _ = _solve(matrix, rhs[slot])
+        sol, info[slot] = _solve(matrix, rhs[slot])
         if sol is not None:
             sols[slot] = sol.T
     solved_ones, solved_mu = sols[:, 0, :, None], sols[:, 1, :, None]
     a = mu[:, None, :] @ solved_mu
-    return a.ravel(), (ones @ solved_mu).ravel(), (ones @ solved_ones).ravel()
+    return (a.ravel(), (ones @ solved_mu).ravel(), (ones @ solved_ones).ravel()), info
+
+
+def _cholesky_failure(info: int, error=CholeskyFailure, what="covariance is not positive definite"):
+    """``error`` for a matrix whose ``potrf`` stopped at leading minor ``info``, LAPACK's as its cause."""
+    cause = scipy.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    failure = error(f"{what}: {cause}")
+    failure.__cause__ = cause
+    return failure
 
 
 def merton_constants(mu, sigma) -> MertonConstants:
@@ -221,7 +222,11 @@ def merton_constants(mu, sigma) -> MertonConstants:
     """
     mu = _as_mean(mu)
     sigma = _as_covariance(sigma, mu.size)
-    a, b, c = _quadratic_forms(mu, sigma)
+    with np.errstate(over="ignore"):  # a form beyond the float range is inf, which is rejected
+        (a, b, c), info = _quadratic_forms(mu[None], sigma[None])
+    if info[0] > 0:
+        raise _cholesky_failure(int(info[0]))
+    a, b, c = float(a[0]), float(b[0]), float(c[0])
     # float slop guard: a is a PD quadratic form, clamp a tiny negative result
     if a < 0 and a > -1e-12 * max(abs(b), 1.0):
         a = 0.0

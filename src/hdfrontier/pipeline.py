@@ -28,7 +28,6 @@ import datetime as dt
 import itertools
 import logging
 import math
-import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -48,6 +47,7 @@ from .estimators import (
     EstimateReport,
     EstimatorKind,
     _estimate_stack,
+    _integer,
     _moments,
     _shape_error,
 )
@@ -131,14 +131,6 @@ class ReturnPanel:
     @property
     def n_assets(self) -> int:
         return self.values.shape[1]
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int`` if it is integral (NumPy integers are), else ``InvalidParams``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -712,7 +704,7 @@ def rolling_estimate(panel: ReturnPanel, config: RollingConfig) -> list[WindowEs
     starts = range(0, panel.n_rows - n + 1, step)
     size = min(_block_size(n, step), len(starts))
     # the block's rows are read before the next block overwrites them:
-    # _estimate_stack returns new arrays, and its per-slot retry keeps no view
+    # _estimate_stack returns new arrays and keeps no view
     buffers = np.empty((p, n)), np.empty((size, p)), np.empty((size, p, p))
     results: list[WindowEstimate] = []
     for first in range(0, len(starts), size):

@@ -79,9 +79,22 @@ def mp_support(c: float) -> tuple[float, float]:
     return ((1.0 - root) ** 2, (1.0 + root) ** 2)
 
 
-def _discriminant(z: complex, c: float) -> complex:
-    # (1 - c + z)**2 - 4z, expanded: z**2 - 2(1+c)z + (1-c)**2
-    return z * z - 2.0 * (1.0 + c) * z + (1.0 - c) ** 2
+def _roots(z: complex, c: float) -> tuple[complex, complex]:
+    """Both roots of ``x**2 - (1 - c + z)x + z``, each to full relative precision.
+
+    The discriminant ``(1 - c + z)**2 - 4z`` is the product of
+    ``z - (1 +- sqrt(c))**2``, and its root ``w`` the product of theirs:
+    expanded, it cancels near ``z = 1 + c`` and overflows for large ``c``.
+    The first root is ``(L +- w)/2`` with the sign that adds; the second is
+    ``z`` over it, since the roots multiply to ``z``.
+    """
+    lo, hi = mp_support(c)
+    linear = 1.0 - c + z
+    w = cmath.sqrt(z - hi) * cmath.sqrt(z - lo)  # +-sqrt(D): the sign is chosen below
+    if linear.real * w.real + linear.imag * w.imag < 0.0:
+        w = -w
+    big = 0.5 * linear + 0.5 * w  # halved first: their sum may overflow
+    return big, z / big
 
 
 def _off_support(z: float, c: float) -> None:
@@ -98,12 +111,11 @@ def x_of_z(pt: StieltjesPoint) -> complex:
     """The root of ``x**2 - (1 - c + z)x + z = 0`` mapping C+ to C+.
 
     For ``Im z > 0`` the two roots have imaginary parts of opposite sign
-    and the one with ``Im x > 0`` is returned (the principal square root
-    gets an explicit sign correction when needed).  Real ``z`` off the
-    support yields the real limit ``(1 - c + z + sqrt(D))/2`` with the
-    nonnegative square root; in particular ``x -> 1 - c`` as ``z -> 0+``
-    for ``c < 1``.  Lower half-plane points go through the conjugate
-    symmetry ``x(conj z) = conj(x(z))``.
+    and the one with ``Im x > 0`` is returned.  Real ``z`` off the
+    support yields the real limit ``(1 - c + z + sqrt(D))/2``, the larger
+    root; in particular ``x -> 1 - c`` as ``z -> 0+`` for ``c < 1``.  Lower
+    half-plane points go through the conjugate symmetry
+    ``x(conj z) = conj(x(z))``.
 
     Raises
     ------
@@ -114,17 +126,14 @@ def x_of_z(pt: StieltjesPoint) -> complex:
     z, c = pt.z, pt.c
     if z.imag < 0.0:
         return x_of_z(StieltjesPoint(z.conjugate(), c)).conjugate()
-    disc = _discriminant(z, c)
     if z.imag == 0.0:
         _off_support(z.real, c)
-        return complex(0.5 * (1.0 - c + z.real + math.sqrt(disc.real)))
-    w = cmath.sqrt(disc)
-    x = 0.5 * (1.0 - c + z + w)
-    if x.imag <= 0.0:
-        x = 0.5 * (1.0 - c + z - w)
-    if x.imag <= 0.0:  # pragma: no cover - roots straddle the real axis off the cut
-        raise BranchAmbiguity(f"no root with positive imaginary part at z = {z}")
-    return x
+        return complex(max(root.real for root in _roots(z, c)))
+    for x in _roots(z, c):
+        if x.imag > 0.0:
+            return x
+    # roots straddle the real axis off the cut
+    raise BranchAmbiguity(f"no root with positive imaginary part at z = {z}")  # pragma: no cover
 
 
 def m_of_z(pt: StieltjesPoint) -> tuple[complex, complex | None]:

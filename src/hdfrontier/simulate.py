@@ -45,12 +45,13 @@ from .estimators import (
     ReturnsMatrix,
     _estimate_each,
     _estimate_stack,
+    _integer,
     _moments,
     sample_moments,
 )
 from .frontier import FrontierParams, _upper_branch, frontier_params
 from .inference import asymptotic_variances
-from .pipeline import _integer, _write_csv
+from .pipeline import _write_csv
 
 __all__ = [
     "Scenario",

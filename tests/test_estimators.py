@@ -9,7 +9,10 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from hdfrontier import (
+    DimensionMismatch,
+    EstimateReport,
     EstimatorKind,
+    FrontierParams,
     HDFrontierError,
     InvalidParams,
     RatioOutOfRange,
@@ -22,7 +25,6 @@ from hdfrontier import (
     estimate,
     estimate_many,
     frontier_params,
-    plugin_frontier,
     precision_ebe,
     precision_rte,
     precision_sse,
@@ -103,6 +105,18 @@ class TestSampleMoments:
     def test_too_few_observations(self):
         with pytest.raises(TooFewObservations):
             sample_moments(np.array([[1.0], [2.0]]))
+
+    def test_checks_what_it_is_given(self):
+        mean, cov = np.zeros(5), np.eye(5)
+        with pytest.raises(DimensionMismatch):  # estimates at the wrong p/n, before the check
+            SampleMoments(mean=mean, cov=cov, n=20, p=4)
+        with pytest.raises(DimensionMismatch):  # a LAPACK ValueError, before the check
+            SampleMoments(mean=mean, cov=np.eye(4), n=20, p=5)
+        with pytest.raises(InvalidParams, match="n must be an integer"):
+            SampleMoments(mean=mean, cov=cov, n=20.5, p=5)
+        with pytest.raises(InvalidParams, match="p must be an integer"):
+            SampleMoments(mean=mean, cov=cov, n=20, p=5.0)
+        assert SampleMoments(mean=mean, cov=cov, n=np.int64(20), p=5).ratio == 0.25
 
     def test_accepts_returns_matrix(self):
         y = np.arange(12.0).reshape(3, 4)
@@ -290,44 +304,32 @@ class TestPrecisionEstimators:
             assert got.slope == pytest.approx(a - b * b / c, rel=1e-10)
 
 
-class TestPluginFrontier:
-    def test_matches_report_pipeline(self):
-        m = _random_moments(p=5, n=24, seed=10)
-        omega = precision_sse(m)
-        direct = plugin_frontier(omega, m.mean, EstimatorKind.SSE, n=m.n)
-        via_estimate = estimate(m, EstimatorKind.SSE)
-        assert direct.params.v_gmv == pytest.approx(via_estimate.params.v_gmv, rel=1e-12)
-        assert direct.params.slope == pytest.approx(via_estimate.params.slope, rel=1e-10)
-
-    def test_rejects_non_pd_precision(self):
-        from hdfrontier import NotPositiveDefinite
-
-        with pytest.raises(NotPositiveDefinite):
-            plugin_frontier(-np.eye(3), np.zeros(3), EstimatorKind.SSE, n=10)
-
+class TestEstimateReport:
     def test_ratio_bounds_by_kind(self):
+        params = FrontierParams(0.1, 0.25, 0.0)
         with pytest.raises(RatioOutOfRange):
-            plugin_frontier(np.eye(4), np.full(4, 0.1), EstimatorKind.SAMPLE, n=4)
-        report = plugin_frontier(np.eye(4), np.full(4, 0.1), EstimatorKind.RTE, n=4)
-        assert report.ratio == 1.0
+            EstimateReport(EstimatorKind.SAMPLE, params, 4, 4)
+        assert EstimateReport(EstimatorKind.RTE, params, 4, 4).ratio == 1.0
 
 
 class TestEstimateMany:
     def test_one_factorization_per_moments(self, monkeypatch):
+        # one estimate_many call factorizes S once for all its kinds
         calls = _count_factorizations(monkeypatch)
         m = _random_moments(p=6, n=30, seed=13)
-        for kind in ("sample", "consistent", "unbiased", "sse", "ebe"):
-            estimate(m, kind)
+        estimate_many(m, ("sample", "consistent", "unbiased", "sse", "ebe"))
         assert len(calls) == 1
-        assert calls[0][0] is m.cov
+        assert np.shares_memory(calls[0][0], m.cov)
 
-    def test_failed_factorization_is_cached(self, monkeypatch):
+    def test_failed_factorization_is_shared(self, monkeypatch):
         returns = np.random.default_rng(3).standard_normal((6, 40))
         returns[2] = 0.5  # a constant asset makes S singular
         calls = _count_factorizations(monkeypatch)
-        reports, errors = _estimate_each(sample_moments(returns), ALL_KINDS)
+        with pytest.raises(SingularCovariance):
+            estimate_many(sample_moments(returns), ALL_KINDS)
         # one failed attempt for the five inv(S) kinds, one for rte's ridged matrix
         assert len(calls) == 2
+        reports, errors = _estimate_each(sample_moments(returns), ALL_KINDS)
         assert set(reports) == {EstimatorKind.RTE}
         for kind in ALL_KINDS[:-1]:
             with pytest.raises(SingularCovariance) as fresh:
@@ -559,7 +561,7 @@ class TestExtremeMoments:
 
 
 class TestEstimateStack:
-    """The chunk core against one ``_estimate_each`` call per slot."""
+    """The chunk core: a stack of B slots against B stacks of one."""
 
     @given(
         p=st.integers(2, 7),
@@ -569,40 +571,27 @@ class TestEstimateStack:
     )
     @settings(derandomize=True, max_examples=150, deadline=None)
     def test_matches_each_slot(self, p, excess, cases, seed):
+        # what makes a chunk's CSV rows the same bytes for any --jobs
         rng = np.random.default_rng(seed)
         slots = [_slot(case, p, rng) for case in cases]
         means = np.array([mean for mean, _ in slots])
         covs = np.array([cov for _, cov in slots])
         n = p + excess
-        each = [
-            _estimate_each(SampleMoments(mean=means[slot], cov=covs[slot], n=n, p=p), ALL_KINDS)
-            for slot in range(len(cases))
-        ]
+        each = [_estimate_stack(mean[None], cov[None], n, ALL_KINDS) for mean, cov in slots]
         values, errors = _estimate_stack(means, covs, n, ALL_KINDS)
-        for row, (reports, failed) in enumerate(each):
+        for row, (one_values, one_errors) in enumerate(each):
             for kind in ALL_KINDS:
-                if kind in reports:
-                    params = reports[kind].params
-                    want = [params.r_gmv, params.v_gmv, params.slope]
-                    assert row not in errors[kind]
+                if 0 in one_errors[kind]:
+                    got, want = errors[kind][row], one_errors[kind][0]
+                    assert (type(got), str(got)) == (type(want), str(want))
                 else:
-                    want = [np.nan] * 3
-                    got = errors[kind][row]
-                    assert (type(got), str(got)) == (type(failed[kind]), str(failed[kind]))
-                # as hex, so that -0.0 and 0.0 differ
+                    assert row not in errors[kind]
+                # as hex, so that -0.0 and 0.0 differ, and NaN where the kind failed
                 bits = [float(x).hex() for x in values[kind][row]]
-                assert bits == [float(x).hex() for x in want], (kind, cases[row])
+                assert bits == [float(x).hex() for x in one_values[kind][0]], (kind, cases[row])
 
-    def test_covers_every_path(self, monkeypatch):
-        """The hand-built cases reach the accepted rows, the clamp, and each failure."""
-        redone = []  # kinds that a slot's scalar rerun estimated
-
-        def spy(moments, kinds, _each=estimators._estimate_each):
-            reports, failed = _each(moments, kinds)
-            redone.extend(reports)
-            return reports, failed
-
-        monkeypatch.setattr(estimators, "_estimate_each", spy)
+    def test_covers_every_path(self):
+        """The hand-built cases reach the plainly valid rows, the clamp, and each failure."""
         rng = np.random.default_rng(1)
         p, n = 5, 7  # n = p + 2: the unbiased kind runs, sse and ebe fail by shape
         cases = SLOT_CASES[:-1]  # all but huge_mean, drawn on its own below
@@ -618,12 +607,14 @@ class TestEstimateStack:
         assert len(errors[EstimatorKind.SSE]) == len(cases)
         # r_gmv near 1e200, whose square overflows: both kinds accept the slot
         mean, cov = _slot("huge_mean", p, rng)
-        redone.clear()
         unbiased = EstimatorKind.UNBIASED
         values, errors = _estimate_stack(mean[None], cov[None], n, [sample, unbiased])
-        assert redone == [] and errors == {sample: {}, unbiased: {}}
+        assert errors == {sample: {}, unbiased: {}}
         assert np.all(np.isfinite(values[unbiased])) and values[unbiased][0, 0] > 1e154
-        # this equal-mean slot's slope is -1.4e-17: redone, and clamped to zero
+        # this equal-mean slot's unclamped slope is -1.4e-17: clamped to +0.0
         mean, cov = _slot("equal_mean", p, np.random.default_rng(0))
+        stack = estimators._MomentStack(mean[None], cov[None], n)
+        (a, b, c), _ = estimators._kind_constants(sample, stack)
+        assert frontier._vertex(a, b, c)[2][0] < 0.0
         clamped, _ = _estimate_stack(mean[None], cov[None], n, [sample])
-        assert redone[-1:] == [sample] and clamped[sample][0, 2] == 0.0
+        assert float(clamped[sample][0, 2]).hex() == "0x0.0p+0"

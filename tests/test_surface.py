@@ -29,6 +29,7 @@ REMOVED = (
     "garch_state",
     "InvalidSpectrum",
     "StationarityViolation",
+    "plugin_frontier",
 )
 
 
