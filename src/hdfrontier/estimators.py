@@ -19,14 +19,13 @@ Three families live here:
 3. **Dispatch.**  One table entry per kind (``_KINDS``) states its shape
    rule, what it reads (the forms of S or of a ridged S, and the extras
    ``mean·mean``, ``sum(mean)`` and ``tr S``), its arithmetic after the
-   forms and its correction step.  The one place that arithmetic runs is the
-   chunk core :func:`_estimate_stack`, on ``(B,)`` arrays over a stack of
-   sample moments: a Monte Carlo chunk, a rolling block, or the stack of one
-   that :func:`estimate` and :func:`estimate_many` make of one panel.  Each
-   read is made once per call, so the kinds of one call share one Cholesky
-   factorization per slot.  A slot's error comes from its shape, from the
-   read that failed for it, or from the validators of :mod:`.frontier` run
-   on its own values, so its outcome does not depend on the stack around it.
+   forms and its correction step.  That arithmetic runs in one place,
+   :func:`_stack_constants`, on ``(B,)`` arrays over a stack of sample
+   moments: a Monte Carlo chunk or a rolling block (:func:`_estimate_stack`),
+   or the stack of one :func:`estimate_many` makes of one panel.  Each read is
+   made once per call, so the kinds of one call share one factorization per
+   slot.  A slot's error comes from its shape, from the read that failed for
+   it, or from the validators of :mod:`.frontier` run on its own values.
 
 All estimators report the three frontier parameters, with the panel
 dimensions behind them, in a uniform :class:`EstimateReport`.
@@ -191,13 +190,10 @@ class EstimatorKind(str, enum.Enum):
         raise InvalidParams(f"unknown estimator kind {value!r}; valid: {valid}")
 
 
-# Each kind's arithmetic after its forms, written once, on the ``(B,)``
-# float64 arrays of the chunk core (``_estimate_stack``); the correction step
-# also runs on one slot's floats, with the same IEEE operations in the same
-# order, after the validators.  The precision plug-ins never form their
-# matrices: sse and ebe are affine in inv(S) and I, so their constants are
-# affine in the forms and in (mean·mean, sum(mean), p); rte reads the forms
-# of its ridged matrix.
+# Each kind's arithmetic after its forms, written once, on the ``(B,)`` arrays
+# of ``_estimate_stack``.  The precision plug-ins never form their matrices: sse
+# and ebe are affine in inv(S) and I, so their constants are affine in the forms
+# and in (mean·mean, sum(mean), p); rte reads the forms of its ridged matrix.
 
 
 def _scaled(scale, forms):
@@ -372,11 +368,9 @@ def _moments(values: np.ndarray, work=(None, None, None)) -> tuple[np.ndarray, n
 def _checked_reads(kind: EstimatorKind, moments: SampleMoments) -> _MomentStack:
     """``moments`` as a stack of one, once it passes what ``estimate(moments, kind)``
     checks before its constants: the kind's shape rule, then its reads."""
-    error = _shape_error(kind, moments.p, moments.n)
     stack = _MomentStack(moments.mean[None], moments.cov[None], moments.n)
-    if error is None:
-        with np.errstate(all="ignore"):  # the constants of a failed read are not used
-            error = _kind_constants(kind, stack)[1].get(0)
+    with np.errstate(all="ignore"):  # a read beyond the float range fails, without a warning
+        error = _shape_error(kind, moments.p, moments.n) or _kind_reads(kind, stack)[1].get(0)
     if error is not None:
         raise error
     return stack
@@ -390,6 +384,10 @@ def precision_sse(moments: SampleMoments) -> np.ndarray:
     ``n > p + 2`` so that the scale is positive and ``inv(S)`` exists.
     """
     _checked_reads(EstimatorKind.SSE, moments)
+    return _scaled_inverse(moments)
+
+
+def _scaled_inverse(moments: SampleMoments) -> np.ndarray:
     n, p = moments.n, moments.p
     try:
         inv = scipy.linalg.inv(moments.cov, check_finite=False)
@@ -409,7 +407,7 @@ def precision_ebe(moments: SampleMoments) -> np.ndarray:
     trace = float(_checked_reads(EstimatorKind.EBE, moments).trace[0])
     n, p = moments.n, moments.p
     ridge = (p * p + p - 2) / ((n - 1) * trace)
-    return precision_sse(moments) + ridge * np.eye(p)
+    return _scaled_inverse(moments) + ridge * np.eye(p)
 
 
 def precision_rte(moments: SampleMoments) -> np.ndarray:
@@ -446,7 +444,7 @@ class _MomentStack:
 
     @functools.cached_property
     def forms(self):
-        """``((a, b, c), info)`` in ``inv(S)``, from :func:`frontier._quadratic_forms`."""
+        """``((a, b, c), failures)`` in ``inv(S)``, from :func:`frontier._quadratic_forms`."""
         return _quadratic_forms(self.mean, self.cov)
 
     @functools.cached_property
@@ -462,32 +460,28 @@ def _zero_traces(errors: dict, trace: np.ndarray) -> None:
         errors.setdefault(slot, ZeroTrace(message))
 
 
-def _kind_constants(kind: EstimatorKind, stack: _MomentStack):
-    """A kind's Merton constants over a stack, and the error of each slot whose read fails.
-
-    Returns ``((a, b, c), errors)``: ``(B,)`` arrays, meaningless in a
-    failed slot, and each failed slot's first failed read in the kind's
-    order: ``tr S > 0`` before the ridged factorization for rte, the
-    factorization of S before ``tr S > 0`` for ebe.
-    """
+def _kind_reads(kind: EstimatorKind, stack: _MomentStack):
+    """``((a, b, c), errors)``: a kind's ``(B,)`` forms (of rte's ridged matrix
+    for rte), meaningless in a failed slot, and each failed slot's first failed
+    read in the kind's order: ``tr S > 0`` before the ridged factorization for
+    rte, the factorization of S before ``tr S > 0`` for ebe."""
     rule = _KINDS[kind]
-    p, n = stack.p, stack.n
     errors = {}
     if rule.ridged:
         _zero_traces(errors, stack.trace)
-        forms, info = _quadratic_forms(stack.mean, _ridged(stack.cov, stack.trace, n))
+        forms, failures = _quadratic_forms(stack.mean, _ridged(stack.cov, stack.trace, stack.n))
         failure = (CholeskyFailure,)
     else:
-        forms, info = stack.forms
+        forms, failures = stack.forms
         failure = SingularCovariance, (
-            f"sample covariance is not positive definite (p={p}, n={n}; "
+            f"sample covariance is not positive definite (p={stack.p}, n={stack.n}; "
             f"estimators based on inv(S) require n > p)"
         )
-    for slot in np.flatnonzero(info).tolist():  # with LAPACK's error as the cause
-        errors.setdefault(slot, _cholesky_failure(int(info[slot]), *failure))
+    for slot, info in failures.items():  # with LAPACK's error as the cause
+        errors.setdefault(slot, _cholesky_failure(info, *failure))
     if rule.extras:
         _zero_traces(errors, stack.trace)
-    return rule.constants(forms, stack), errors
+    return forms, errors
 
 
 def estimate(moments: SampleMoments, kind: EstimatorKind) -> EstimateReport:
@@ -496,9 +490,7 @@ def estimate(moments: SampleMoments, kind: EstimatorKind) -> EstimateReport:
     return estimate_many(moments, [kind])[kind]
 
 
-def estimate_many(
-    moments: SampleMoments, kinds
-) -> dict[EstimatorKind, EstimateReport]:
+def estimate_many(moments: SampleMoments, kinds) -> dict[EstimatorKind, EstimateReport]:
     """Compute several frontier estimators from one set of sample moments.
 
     All kinds that need quadratic forms in ``inv(S)`` share the one Cholesky
@@ -523,20 +515,49 @@ def estimate_many(
 
 
 def _estimate_each(moments: SampleMoments, kinds) -> tuple[dict, dict]:
-    """(reports, errors) in request order, from a stack of one: one failing kind spares the rest."""
+    """(reports, errors) in request order, from a stack of one: one failing kind spares the rest.
+
+    Its constants go straight to :func:`_validated`: on one slot, the filter of
+    :func:`_estimate_stack` would cost more than it saves."""
     p, n = moments.p, moments.n
-    values, failed = _estimate_stack(moments.mean[None], moments.cov[None], n, kinds)
-    reports, errors = {}, {}
+    stack = _MomentStack(moments.mean[None], moments.cov[None], n)
+    with np.errstate(all="ignore"):  # a failed read may divide by zero or overflow
+        constants, failed = _stack_constants(stack, kinds)
+    reports, errors = {}, {kind: failed[kind][0] for kind in kinds if failed[kind]}
     for kind in kinds:
-        if 0 in failed[kind]:
-            errors[kind] = failed[kind][0]
+        if kind not in errors:
+            try:
+                params = _validated(kind, constants[kind], 0, p, n)
+                reports[kind] = EstimateReport(kind, params, p, n)
+            except HDFrontierError as exc:
+                errors[kind] = exc
+    return reports, {kind: errors[kind] for kind in kinds if kind in errors}
+
+
+def _stack_constants(stack: _MomentStack, kinds) -> tuple[dict, dict]:
+    """``(constants, errors)``: each kind's ``(B,)`` Merton constants over a stack,
+    and its failed slots so far: every slot where its shape rule fails, else
+    each slot whose read fails (:func:`_kind_reads`)."""
+    constants, errors = {}, {}
+    for kind in kinds:
+        error = _shape_error(kind, stack.p, stack.n)
+        if error is not None:
+            errors[kind] = dict.fromkeys(range(len(stack.mean)), error)
             continue
-        params = FrontierParams(*values[kind][0].tolist(), validate=False)
-        try:
-            reports[kind] = EstimateReport(kind, params, p, n)
-        except HDFrontierError as exc:
-            errors[kind] = exc
-    return reports, errors
+        forms, errors[kind] = _kind_reads(kind, stack)
+        constants[kind] = _KINDS[kind].constants(forms, stack)
+    return constants, errors
+
+
+def _validated(kind, constants, slot: int, p: int, n: int) -> FrontierParams:
+    """One slot's parameters for a kind, from its constants as floats, through the validators
+    of :mod:`.frontier` (a clamped slope too) and the correction step; or their error."""
+    a, b, c = constants
+    params = from_merton(MertonConstants(float(a[slot]), float(b[slot]), float(c[slot])))
+    correct = _KINDS[kind].correct
+    if correct is None:
+        return params
+    return FrontierParams(*correct(params.r_gmv, params.v_gmv, params.slope, p, n), validate=False)
 
 
 def _estimate_stack(means: np.ndarray, covs: np.ndarray, n: int, kinds) -> tuple[dict, dict]:
@@ -546,26 +567,20 @@ def _estimate_stack(means: np.ndarray, covs: np.ndarray, n: int, kinds) -> tuple
     ``(r_gmv, v_gmv, slope)`` per slot, the parameters of its report, and
     NaN where the kind failed; ``errors[kind]`` maps each failed slot, in
     ascending order, to its exception.  A slot's outcome depends on its own
-    moments only: a stack of B slots gives what B stacks of one give.
+    moments only: a stack of B slots gives what B stacks of one give, and
+    what :func:`_estimate_each` gives each slot's moments.
 
     A slot's error is the first of: the kind's shape rule (for the whole
-    stack), a failed read (:func:`_kind_constants`), and what the validators
-    ``MertonConstants``, ``from_merton`` and ``FrontierParams`` raise on its
-    floats.  They run only on a slot that is not plainly valid (finite, and
-    passing their checks with a slope that needs no clamp, before and after
-    the correction step), and then give its parameters, a clamped slope too.
+    stack), a failed read, and what :func:`_validated` raises on its floats,
+    run only where a value is not finite or fails a validator's check or
+    needs a clamp, before or after the correction step.
     """
     size, p = means.shape
-    stack = _MomentStack(means, covs, n)
-    values, errors = {}, {}
+    values = dict(zip(kinds, np.full((len(kinds), size, 3), np.nan)))
     with np.errstate(all="ignore"):  # a failed slot may divide by zero or overflow
-        for kind in kinds:
-            rows = values[kind] = np.full((size, 3), np.nan)
-            error = _shape_error(kind, p, n)
-            if error is not None:
-                errors[kind] = dict.fromkeys(range(size), error)
-                continue
-            (a, b, c), failed = _kind_constants(kind, stack)
+        constants, errors = _stack_constants(_MomentStack(means, covs, n), kinds)
+        for kind, (a, b, c) in constants.items():
+            rows, failed = values[kind], errors[kind]
             r_gmv, v_gmv, slope = _vertex(a, b, c)
             gap, slop = _cauchy_schwarz_gap(a, b, c)
             ok = np.isfinite([a, b, c, r_gmv, v_gmv, slope]).all(axis=0)
@@ -576,17 +591,10 @@ def _estimate_stack(means: np.ndarray, covs: np.ndarray, n: int, kinds) -> tuple
                 ok &= np.isfinite([r_gmv, v_gmv, slope]).all(axis=0) & (v_gmv > 0.0)
             ok[list(failed)] = False
             rows[ok] = np.column_stack([r_gmv, v_gmv, slope])[ok]
-            for slot in np.flatnonzero(~ok).tolist():
-                if slot in failed:
-                    continue
+            for slot in sorted(set(np.flatnonzero(~ok).tolist()) - failed.keys()):
                 try:  # the validators, on this slot's floats
-                    params = from_merton(MertonConstants(*(float(x[slot]) for x in (a, b, c))))
-                    if correct is not None:
-                        params = FrontierParams(
-                            *correct(params.r_gmv, params.v_gmv, params.slope, p, n), validate=False
-                        )
+                    params = _validated(kind, (a, b, c), slot, p, n)
                     rows[slot] = params.r_gmv, params.v_gmv, params.slope
                 except HDFrontierError as exc:
                     failed[slot] = exc
-            errors[kind] = dict(sorted(failed.items()))
-    return values, errors
+    return values, {kind: dict(sorted(failed.items())) for kind, failed in errors.items()}

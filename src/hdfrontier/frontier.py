@@ -56,7 +56,8 @@ _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 def _cauchy_schwarz_gap(a, b, c):
     """``a*c - b**2`` and the float slop it may fall below zero by; floats or ``(B,)`` arrays."""
-    return a * c - b * b, 1e-10 * np.maximum(np.maximum(a * c, b * b), 1e-300)
+    maximum = max if isinstance(a, float) else np.maximum  # equal on finite floats, 10x cheaper
+    return a * c - b * b, 1e-10 * maximum(maximum(a * c, b * b), 1e-300)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,9 +87,7 @@ class MertonConstants:
             raise InvalidConstants(f"a = mu'inv(sigma)mu must be nonnegative, got {self.a}")
         gap, slop = _cauchy_schwarz_gap(self.a, self.b, self.c)
         if gap < -slop:
-            raise InvalidConstants(
-                f"a*c - b^2 must be nonnegative (Cauchy-Schwarz), got {gap}"
-            )
+            raise InvalidConstants(f"a*c - b^2 must be nonnegative (Cauchy-Schwarz), got {gap}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,40 +156,33 @@ def _as_covariance(sigma, p: int) -> np.ndarray:
 _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
-def _solve(sigma: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """``(inv(sigma) @ rhs, 0)`` through potrf and potrs, or ``(None, info)``
-    with LAPACK's positive ``info`` when ``sigma`` is not positive definite."""
-    # a negative info flags an illegal argument, which these calls never pass
-    factor, info = _potrf(sigma, lower=True, clean=False)
-    if info > 0:
-        return None, info
-    return _potrs(factor, rhs, lower=True)[0], 0
-
-
 def _quadratic_forms(mu: np.ndarray, sigma: np.ndarray):
     """(a, b, c) in ``inv(sigma)``, one Cholesky factorization per matrix.
 
     The package's one factor-and-solve for these forms, shared by the
     population constants and every estimator so that they cannot drift
     apart.  ``(B, p)`` means and ``(B, p, p)`` matrices give ``((a, b, c),
-    info)``: ``(B,)`` forms, NaN where LAPACK's ``potrf`` info is positive
-    (the matrix is not positive definite) and 0 elsewhere.  One
-    :func:`_solve` per slot, then stacked ``(B, 1, p) @ (B, p, 1)`` dot
+    failures)``: ``(B,)`` forms, NaN in each slot whose matrix is not positive
+    definite, and ``failures`` mapping that slot to LAPACK's ``potrf`` info.
+    One potrf and potrs per slot, then stacked ``(B, 1, p) @ (B, p, 1)`` dot
     products: a slot's forms do not depend on the stack around it.
     """
     ones = np.ones(mu.shape[-1])
     rhs = np.empty(mu.shape + (2,))  # per slot, the columns (ones, mu)
     rhs[..., 0] = 1.0
     rhs[..., 1] = mu
-    sols = np.full((len(mu), 2, mu.shape[1]), np.nan)  # slot i is the transposed solution
-    info = np.zeros(len(mu), dtype=int)
+    sols = np.empty((len(mu), 2, mu.shape[1]))  # slot i is the transposed solution
+    failures = {}
     for slot, matrix in enumerate(sigma):
-        sol, info[slot] = _solve(matrix, rhs[slot])
-        if sol is not None:
-            sols[slot] = sol.T
+        # a negative info flags an illegal argument, which these calls never pass
+        factor, info = _potrf(matrix, lower=True, clean=False)
+        if info > 0:
+            sols[slot], failures[slot] = np.nan, info
+        else:
+            sols[slot] = _potrs(factor, rhs[slot], lower=True)[0].T
     solved_ones, solved_mu = sols[:, 0, :, None], sols[:, 1, :, None]
     a = mu[:, None, :] @ solved_mu
-    return (a.ravel(), (ones @ solved_mu).ravel(), (ones @ solved_ones).ravel()), info
+    return (a.ravel(), (ones @ solved_mu).ravel(), (ones @ solved_ones).ravel()), failures
 
 
 def _cholesky_failure(info: int, error=CholeskyFailure, what="covariance is not positive definite"):
@@ -223,9 +215,9 @@ def merton_constants(mu, sigma) -> MertonConstants:
     mu = _as_mean(mu)
     sigma = _as_covariance(sigma, mu.size)
     with np.errstate(over="ignore"):  # a form beyond the float range is inf, which is rejected
-        (a, b, c), info = _quadratic_forms(mu[None], sigma[None])
-    if info[0] > 0:
-        raise _cholesky_failure(int(info[0]))
+        (a, b, c), failures = _quadratic_forms(mu[None], sigma[None])
+    if failures:
+        raise _cholesky_failure(failures[0])
     a, b, c = float(a[0]), float(b[0]), float(c[0])
     # float slop guard: a is a PD quadratic form, clamp a tiny negative result
     if a < 0 and a > -1e-12 * max(abs(b), 1.0):

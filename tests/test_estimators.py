@@ -580,12 +580,21 @@ class TestEstimateStack:
         each = [_estimate_stack(mean[None], cov[None], n, ALL_KINDS) for mean, cov in slots]
         values, errors = _estimate_stack(means, covs, n, ALL_KINDS)
         for row, (one_values, one_errors) in enumerate(each):
+            # the one-panel path, which skips the stack's filter, gives the same
+            reports, panel_errors = _estimate_each(
+                SampleMoments(mean=means[row], cov=covs[row], n=n, p=p), ALL_KINDS
+            )
             for kind in ALL_KINDS:
                 if 0 in one_errors[kind]:
                     got, want = errors[kind][row], one_errors[kind][0]
                     assert (type(got), str(got)) == (type(want), str(want))
+                    other = panel_errors[kind]
+                    assert (type(other), str(other)) == (type(want), str(want))
                 else:
-                    assert row not in errors[kind]
+                    assert row not in errors[kind] and kind in reports
+                    params = reports[kind].params
+                    panel_bits = [x.hex() for x in (params.r_gmv, params.v_gmv, params.slope)]
+                    assert panel_bits == [float(x).hex() for x in values[kind][row]]
                 # as hex, so that -0.0 and 0.0 differ, and NaN where the kind failed
                 bits = [float(x).hex() for x in values[kind][row]]
                 assert bits == [float(x).hex() for x in one_values[kind][0]], (kind, cases[row])
@@ -614,7 +623,7 @@ class TestEstimateStack:
         # this equal-mean slot's unclamped slope is -1.4e-17: clamped to +0.0
         mean, cov = _slot("equal_mean", p, np.random.default_rng(0))
         stack = estimators._MomentStack(mean[None], cov[None], n)
-        (a, b, c), _ = estimators._kind_constants(sample, stack)
+        (a, b, c), _ = estimators._kind_reads(sample, stack)  # the sample constants are the forms
         assert frontier._vertex(a, b, c)[2][0] < 0.0
         clamped, _ = _estimate_stack(mean[None], cov[None], n, [sample])
         assert float(clamped[sample][0, 2]).hex() == "0x0.0p+0"
