@@ -517,10 +517,11 @@ def _transform_records(c: float, points: int, seed: int) -> list[DiagnosticRecor
         linear = 1.0 - c + z
         scale = abs(x) + abs(linear) + abs(z) / abs(x)
         worst = max(worst, abs(x - linear + z / x) / scale)
-    # Im x(z0) = sqrt(c)(1 + sqrt(2)), as a relative error: meaningful where 1 + c does not round
-    x0 = x_of_z(StieltjesPoint(complex(1.0 + c, 2.0 * math.sqrt(c)), c))
-    exact = math.sqrt(c) * (1.0 + math.sqrt(2.0))
-    values = [("x-residual-max", worst), ("x-test-point", abs(x0.imag - exact) / exact)]
+    # the root 1 + is, s = 1 + c, solves the quadratic at z0 = 1 + c + i(s - c/s); rounding
+    # z0 moves it by at most |dz0|, a few ulps of s, so Im x(z0) = s holds at every c
+    s = 1.0 + c
+    x0 = x_of_z(StieltjesPoint(complex(s, s - c / s), c))
+    values = [("x-residual-max", worst), ("x-test-point", abs(x0.imag - s) / s)]
     if c < 1.0:
         m0, _ = m_of_z(StieltjesPoint(0.0, c))
         values.append(("m-at-zero", abs(m0 - 1.0 / (1.0 - c))))

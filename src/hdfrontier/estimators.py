@@ -41,14 +41,12 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CholeskyFailure,
     DimensionMismatch,
     HDFrontierError,
     InvalidParams,
-    NotPositiveDefinite,
     RatioOutOfRange,
     SingularCovariance,
     TooFewObservations,
@@ -59,6 +57,7 @@ from .frontier import (
     MertonConstants,
     _cauchy_schwarz_gap,
     _cholesky_failure,
+    _inverses,
     _quadratic_forms,
     _vertex,
     from_merton,
@@ -344,36 +343,39 @@ def sample_moments(returns) -> SampleMoments:
     return SampleMoments(mean=mean, cov=cov, n=returns.n, p=returns.p)
 
 
-def _moments(values: np.ndarray, work=(None, None, None)) -> tuple[np.ndarray, np.ndarray]:
+def _moments(values: np.ndarray, work=(None, None)) -> tuple[np.ndarray, np.ndarray]:
     """Mean and divisor-``n`` covariance of each ``(p, n)`` panel in a ``(..., p, n)`` stack.
 
     Stacked panels give the same bits as one panel at a time: the mean and
     the elementwise steps act slice by slice, and ``matmul`` runs the same
-    BLAS product on each slice.  ``work`` may name ``(centered, product,
-    cov)`` buffers of the shapes of the values, the product and the
-    covariance, which the steps then write into, with the same bits;
-    ``centered`` may be ``values`` itself, which centres it in place.
+    BLAS product on each slice, which is symmetric to the bit (``syrk`` forms
+    one triangle and NumPy mirrors it), so the covariance needs one buffer.
+    ``work`` may name ``(centered, cov)`` buffers of those shapes, which the
+    steps then write into, with the same bits; ``centered`` may be ``values``
+    itself, which centres it in place.
     """
-    centered, product, cov = work
+    centered, cov = work
     mean = np.add.reduce(values, axis=-1)  # what ``values.mean(axis=-1)`` computes
     mean /= values.shape[-1]
     centered = np.subtract(values, mean[..., None], out=centered)
-    product = np.matmul(centered, centered.mT, out=product)
-    product /= values.shape[-1]
-    cov = np.add(product, product.mT, out=cov)
-    cov *= 0.5
+    cov = np.matmul(centered, centered.mT, out=cov)
+    cov /= values.shape[-1]
     return mean, cov
 
 
-def _checked_reads(kind: EstimatorKind, moments: SampleMoments) -> _MomentStack:
-    """``moments`` as a stack of one, once it passes what ``estimate(moments, kind)``
-    checks before its constants: the kind's shape rule, then its reads."""
-    stack = _MomentStack(moments.mean[None], moments.cov[None], moments.n)
+def _checked_inverse(kind: EstimatorKind, moments: SampleMoments) -> tuple[np.ndarray, float]:
+    """``(inverse, tr S)``: the inverse of the matrix ``kind`` reads (S, or rte's ridged S),
+    once ``moments`` pass what ``estimate(moments, kind)`` checks before its constants: the
+    shape rule, then the reads, with one factorization for both (:func:`frontier._inverses`)."""
+    stack = _MomentStack(moments.mean[None], moments.cov[None], moments.n, read=_inverses)
     with np.errstate(all="ignore"):  # a read beyond the float range fails, without a warning
-        error = _shape_error(kind, moments.p, moments.n) or _kind_reads(kind, stack)[1].get(0)
+        error = _shape_error(kind, moments.p, moments.n)
+        if error is None:
+            inverses, errors = _kind_reads(kind, stack)
+            error = errors.get(0)
     if error is not None:
         raise error
-    return stack
+    return inverses[0], float(stack.trace[0])
 
 
 def precision_sse(moments: SampleMoments) -> np.ndarray:
@@ -383,17 +385,8 @@ def precision_sse(moments: SampleMoments) -> np.ndarray:
     quadratic forms in this matrix track the population forms.  Requires
     ``n > p + 2`` so that the scale is positive and ``inv(S)`` exists.
     """
-    _checked_reads(EstimatorKind.SSE, moments)
-    return _scaled_inverse(moments)
-
-
-def _scaled_inverse(moments: SampleMoments) -> np.ndarray:
-    n, p = moments.n, moments.p
-    try:
-        inv = scipy.linalg.inv(moments.cov, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"sample covariance is singular: {exc}") from exc
-    return (n - p - 2) / (n - 1) * 0.5 * (inv + inv.T)
+    inverse, _ = _checked_inverse(EstimatorKind.SSE, moments)
+    return (moments.n - moments.p - 2) / (moments.n - 1) * inverse
 
 
 def precision_ebe(moments: SampleMoments) -> np.ndarray:
@@ -404,10 +397,10 @@ def precision_ebe(moments: SampleMoments) -> np.ndarray:
     The identity component shrinks the precision toward a multiple of I,
     which dominates the plain scaled inverse in quadratic loss.
     """
-    trace = float(_checked_reads(EstimatorKind.EBE, moments).trace[0])
+    inverse, trace = _checked_inverse(EstimatorKind.EBE, moments)
     n, p = moments.n, moments.p
     ridge = (p * p + p - 2) / ((n - 1) * trace)
-    return _scaled_inverse(moments) + ridge * np.eye(p)
+    return (n - p - 2) / (n - 1) * inverse + ridge * np.eye(p)
 
 
 def precision_rte(moments: SampleMoments) -> np.ndarray:
@@ -416,36 +409,41 @@ def precision_rte(moments: SampleMoments) -> np.ndarray:
     The trace ridge keeps the matrix to invert positive definite for any
     ``p/n``, including ``p >= n`` where ``inv(S)`` does not exist.
     """
-    trace = float(_checked_reads(EstimatorKind.RTE, moments).trace[0])
-    ridged = _ridged(moments.cov, trace, moments.n)
-    try:
-        inv = scipy.linalg.inv(ridged, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - ridge makes this PD
-        raise NotPositiveDefinite(f"ridged covariance is singular: {exc}") from exc
-    return moments.p * 0.5 * (inv + inv.T)
+    inverse, _ = _checked_inverse(EstimatorKind.RTE, moments)
+    return moments.p * inverse
 
 
 def _ridged(cov, trace, n):
-    """``(n - 1) S + tr(S) I``, for one matrix or a ``(B, p, p)`` stack with ``(B,)`` traces.
+    """``(n - 1) S + tr(S) I`` for a ``(B, p, p)`` stack with ``(B,)`` traces.
 
-    Entries beyond the float range become ``inf`` or NaN without a NumPy
-    warning; the factorization then fails with the estimator's own error.
+    One buffer, with the bits of ``(n - 1) * S + tr(S) * I``: the off-diagonal
+    entries add ``tr(S) * 0.0``, which keeps a ``-0.0`` and is NaN for a
+    non-finite trace.  Entries beyond the float range become ``inf`` or NaN
+    without a NumPy warning; the factorization then fails with the kind's error.
     """
+    size, p = cov.shape[:2]
     with np.errstate(over="ignore", invalid="ignore"):
-        return (n - 1) * cov + np.multiply.outer(trace, np.eye(cov.shape[-1]))
+        ridged = np.multiply(cov, n - 1)
+        diagonal = ridged.reshape(size, p * p)[:, :: p + 1]
+        sums = diagonal + trace[:, None]
+        ridged += (trace * 0.0)[:, None, None]
+        diagonal[...] = sums
+    return ridged
 
 
 class _MomentStack:
     """``(B, p)`` means and ``(B, p, p)`` covariances of ``n`` observations, and
     the reads the kind rules share, each made once."""
 
-    def __init__(self, means: np.ndarray, covs: np.ndarray, n: int) -> None:
+    def __init__(self, means: np.ndarray, covs: np.ndarray, n: int, read=None) -> None:
         self.mean, self.cov, self.n, self.p = means, covs, n, means.shape[1]
+        # what a kind reads of each slot's matrix, and its failed factorizations
+        self.read = read or functools.partial(_quadratic_forms, means)
 
     @functools.cached_property
     def forms(self):
-        """``((a, b, c), failures)`` in ``inv(S)``, from :func:`frontier._quadratic_forms`."""
-        return _quadratic_forms(self.mean, self.cov)
+        """``(reads, failures)`` of S: its forms (:func:`frontier._quadratic_forms`) by default."""
+        return self.read(self.cov)
 
     @functools.cached_property
     def trace(self) -> np.ndarray:
@@ -461,15 +459,15 @@ def _zero_traces(errors: dict, trace: np.ndarray) -> None:
 
 
 def _kind_reads(kind: EstimatorKind, stack: _MomentStack):
-    """``((a, b, c), errors)``: a kind's ``(B,)`` forms (of rte's ridged matrix
-    for rte), meaningless in a failed slot, and each failed slot's first failed
-    read in the kind's order: ``tr S > 0`` before the ridged factorization for
-    rte, the factorization of S before ``tr S > 0`` for ebe."""
+    """``(reads, errors)``: ``stack.read`` of a kind's matrix (S, or rte's ridged
+    S), meaningless in a failed slot, and each failed slot's first failed read
+    in the kind's order: ``tr S > 0`` before the ridged factorization for rte,
+    the factorization of S before ``tr S > 0`` for ebe."""
     rule = _KINDS[kind]
     errors = {}
     if rule.ridged:
         _zero_traces(errors, stack.trace)
-        forms, failures = _quadratic_forms(stack.mean, _ridged(stack.cov, stack.trace, stack.n))
+        forms, failures = stack.read(_ridged(stack.cov, stack.trace, stack.n))
         failure = (CholeskyFailure,)
     else:
         forms, failures = stack.forms

@@ -153,7 +153,7 @@ def _as_covariance(sigma, p: int) -> np.ndarray:
 
 #: the LAPACK routines behind scipy.linalg.cho_factor and cho_solve, called
 #: directly: the wrappers' checks cost more than the factorization at small p
-_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+_potrf, _potrs, _potri = scipy.linalg.get_lapack_funcs(("potrf", "potrs", "potri"), dtype=np.float64)
 
 
 def _quadratic_forms(mu: np.ndarray, sigma: np.ndarray):
@@ -183,6 +183,20 @@ def _quadratic_forms(mu: np.ndarray, sigma: np.ndarray):
     solved_ones, solved_mu = sols[:, 0, :, None], sols[:, 1, :, None]
     a = mu[:, None, :] @ solved_mu
     return (a.ravel(), (ones @ solved_mu).ravel(), (ones @ solved_ones).ravel()), failures
+
+
+def _inverses(sigma: np.ndarray):
+    """``(inverses, failures)`` of a ``(B, p, p)`` stack, each from one ``potrf`` and
+    ``potri`` with its lower triangle mirrored; NaN and failures as in :func:`_quadratic_forms`."""
+    inverses, failures = np.empty_like(sigma), {}
+    for slot, matrix in enumerate(sigma):
+        factor, info = _potrf(matrix, lower=True, clean=False)
+        if info > 0:
+            inverses[slot], failures[slot] = np.nan, info
+        else:
+            inverses[slot] = _potri(factor, lower=True, overwrite_c=True)[0]
+    np.copyto(inverses, inverses.mT, where=~np.tri(sigma.shape[-1], dtype=bool))
+    return inverses, failures
 
 
 def _cholesky_failure(info: int, error=CholeskyFailure, what="covariance is not positive definite"):

@@ -629,7 +629,7 @@ def _block_moments(columns: np.ndarray, starts, n: int, quantiles, clipped, mean
             window = np.minimum(clipped, upper[:, j, None], out=clipped)
         elif ranks is not None:
             window = _winsorized(window.T, quantiles).T
-        means[j] = _moments(window, (clipped, None, covs[j]))[0]
+        means[j] = _moments(window, (clipped, covs[j]))[0]
     return means, covs
 
 

@@ -296,6 +296,7 @@ def _draw_t3(rng: np.random.Generator, out: np.ndarray) -> None:
 #: steps of CCC-GARCH shocks each replication draws at a time: consecutive
 #: blocks give the same stream as one draw, and the buffers stay small
 _GARCH_BLOCK = 50
+assert _BURN_IN % _GARCH_BLOCK == 0, "a shock block is all burn-in or all kept"
 
 
 def _sampler(spec: ScenarioSpec, mu, sigma):
@@ -325,7 +326,8 @@ def _sampler(spec: ScenarioSpec, mu, sigma):
     in the same order as a one-slot recursion, so each panel is bit for bit
     the one its generator gives alone.  Each slot draws its shocks in blocks
     of ``_GARCH_BLOCK`` steps, step ``t``'s ``p`` normals after step
-    ``t - 1``'s.
+    ``t - 1``'s, and each kept block is written into ``x`` as it ends: the
+    fill holds three blocks of ``B * p`` lanes besides ``x``.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -359,25 +361,23 @@ def _sampler(spec: ScenarioSpec, mu, sigma):
     beta1 = coefficients.uniform(*_BETA1_RANGE, size=spec.p)
     alpha0 = variances * (1.0 - alpha1 - beta1)
     factor = np.sqrt(variances / (scale * scale))
-    n, burn_in = spec.n, _BURN_IN
-    total = burn_in + n
+    total = _BURN_IN + spec.n
 
     def fill(x: np.ndarray, rngs) -> None:
         rngs = list(rngs)
         size = len(x)
         a0, a1, b1, h = (np.tile(v, size) for v in (alpha0, alpha1, beta1, variances))
         work = np.empty(size * p)
-        burned = np.empty(size * p)  # the centered returns of a burn-in step
-        kept = np.empty((n, size * p))  # time-major: row t is step burn_in + t of every slot
         draws = np.empty((size, _GARCH_BLOCK, p))
         shocks = np.empty((_GARCH_BLOCK, size, p))  # row i is every slot's eps of one step
+        # the centered returns of one block, time-major: row i is step start + i of every slot
+        kept = np.empty((_GARCH_BLOCK, size * p))
         for start in range(0, total, _GARCH_BLOCK):
             steps = min(_GARCH_BLOCK, total - start)
             for block, rng in zip(draws, rngs):
                 rng.standard_normal(out=block[:steps])
             np.multiply(draws[:, :steps].transpose(1, 0, 2), factor, out=shocks[:steps])
-            for t, eps in enumerate(shocks[:steps].reshape(steps, size * p), start):
-                centered = kept[t - burn_in] if t >= burn_in else burned
+            for eps, centered in zip(shocks[:steps].reshape(steps, size * p), kept):
                 # positional outputs: the ufuncs' fastest calling path
                 np.sqrt(h, work)
                 np.multiply(work, eps, centered)
@@ -387,7 +387,9 @@ def _sampler(spec: ScenarioSpec, mu, sigma):
                 np.add(a0, work, work)
                 np.multiply(b1, h, h)
                 np.add(work, h, h)
-        np.add(kept.reshape(n, size, p).transpose(1, 2, 0), mu[:, None], out=x)
+            if start >= _BURN_IN:  # a kept block, as the burn-in ends on a block edge
+                kept_steps = kept[:steps].reshape(steps, size, p).transpose(1, 2, 0)
+                np.add(kept_steps, mu[:, None], out=x[:, :, start - _BURN_IN : start - _BURN_IN + steps])
 
     return fill
 
@@ -466,15 +468,24 @@ class MonteCarloResult:
         return np.nanquantile(losses, (0.05, 0.95), axis=0)
 
 
-#: byte cap on one chunk's draws and covariances: 218 replications at
-#: p=10, n=50, 4 at p=100, n=200 (so the CCC-GARCH recursion advances
-#: several at once) and one at p=500, n=1000
+#: byte cap on one chunk's panels and covariances, a floor for CCC-GARCH:
+#: 218 replications at p=10, n=50, 4 at p=100, n=200, one at p=500, n=1000
 _CHUNK_BYTES = 1 << 20
 
+#: a CCC-GARCH chunk steps at least this many lanes (slots times assets) at
+#: once, so that its 7 ufunc calls per step cost less than the normal draws,
+#: up to its own byte cap: 21 replications at p=100, n=200, 2 at p=400, n=800
+_GARCH_LANES = 2048
+_GARCH_CHUNK_BYTES = 8 << 20
 
-def _chunk_size(p: int, n: int) -> int:
-    """Replications per chunk; it depends on ``(p, n)`` only, so never on ``jobs``."""
-    return max(1, _CHUNK_BYTES // (8 * p * (n + p)))
+
+def _chunk_size(scenario: Scenario, p: int, n: int) -> int:
+    """Replications per chunk; it depends on ``(scenario, p, n)`` only, so never on ``jobs``."""
+    per_rep = 8 * p * (n + p)  # a panel and its covariance
+    size = _CHUNK_BYTES // per_rep
+    if scenario is Scenario.CCC_GARCH:
+        size = max(size, min(-(-_GARCH_LANES // p), _GARCH_CHUNK_BYTES // per_rep))
+    return max(1, size)
 
 
 def _replicate_span(spec, kinds, fill, estimates, stopping, start, stop) -> dict:
@@ -490,12 +501,12 @@ def _replicate_span(spec, kinds, fill, estimates, stopping, start, stop) -> dict
     at a time.  A failed kind leaves its row NaN.  No chunk starts once
     ``stopping`` is set.  Returns each kind's failures by class name.
     """
-    size = min(_chunk_size(spec.p, spec.n), stop - start)
+    size = min(_chunk_size(spec.scenario, spec.p, spec.n), stop - start)
     reasons = {kind: Counter() for kind in kinds}
     buffer = np.empty((size, spec.p, spec.n))
-    # each chunk is centred in place, and its product and covariance reuse
-    # two buffers: the estimators keep no view of the covariances
-    products, covariances = np.empty((2, size, spec.p, spec.p))
+    # each chunk is centred in place and its covariances written into one
+    # reused buffer: the estimators keep no view of the covariances
+    covariances = np.empty((size, spec.p, spec.p))
     words = _seed_words(spec.seed, _DOMAIN_REPLICATION, start, stop)
     # the CCC-GARCH fill interleaves its slots' draws, so each slot needs a
     # generator of its own; the other fills draw one slot after another
@@ -506,7 +517,7 @@ def _replicate_span(spec, kinds, fill, estimates, stopping, start, stop) -> dict
             break
         x = buffer[: min(size, stop - first)]
         fill(x, _reset_streams(generators, words[first - start : first - start + len(x)].tolist()))
-        means, covs = _moments(x, (x, products[: len(x)], covariances[: len(x)]))
+        means, covs = _moments(x, (x, covariances[: len(x)]))
         values, errors = _estimate_stack(means, covs, spec.n, kinds)
         for kind in kinds:
             estimates[kind][first : first + len(x)] = values[kind]
@@ -539,16 +550,17 @@ def run_monte_carlo(
     jobs : int
         Most worker threads (>= 1); results are identical for any value
         because each replication's generator stream depends only on
-        (seed, index), and the chunks only on (p, n).
+        (seed, index), and the chunks only on (scenario, p, n).
 
     Notes
     -----
     The replications run in fixed-size chunks of consecutive indices (see
-    :func:`_replicate_span`), split into ``min(jobs, chunks)`` contiguous
-    spans, one per thread; a span that raises, or an interrupt, stops the
-    others before their next chunk.  Estimator failures in a replication
-    (e.g. a singular sample covariance) are recorded as NaN rows and counted
-    per kind and per exception class, not raised.
+    :func:`_chunk_size` and :func:`_replicate_span`), split into
+    ``min(jobs, chunks)`` contiguous spans, one per thread; a span that
+    raises, or an interrupt, stops the others before their next chunk.  One
+    span runs in the calling thread, and no pool starts.  Estimator failures
+    in a replication (e.g. a singular sample covariance) are recorded as NaN
+    rows and counted per kind and per exception class, not raised.
     """
     _check_reps(reps)
     if (jobs := _integer("jobs", jobs)) < 1:
@@ -558,7 +570,7 @@ def run_monte_carlo(
         raise InvalidParams("need at least one estimator kind")
     mu, sigma = build_population(spec)
     truth = frontier_params(mu, sigma)
-    size = _chunk_size(spec.p, spec.n)
+    size = _chunk_size(spec.scenario, spec.p, spec.n)
     chunks = -(-reps // size)
     tasks = min(jobs, chunks)
     bounds = [min(reps, size * (chunks * task // tasks)) for task in range(tasks + 1)]
@@ -566,13 +578,17 @@ def run_monte_carlo(
     estimates = {kind: np.full((reps, 3), np.nan) for kind in kinds}
     stopping = threading.Event()
     run_span = functools.partial(_replicate_span, spec, kinds, fill, estimates, stopping)
-    with concurrent.futures.ThreadPoolExecutor(tasks) as pool:
-        spans = [pool.submit(run_span, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        try:  # until every span ends, one raises, or this thread is interrupted
-            concurrent.futures.wait(spans, return_when=concurrent.futures.FIRST_EXCEPTION)
-        finally:  # the spans still running stop; result() raises a failed one's error
-            stopping.set()
-    failure_reasons = {kind: sum((span.result()[kind] for span in spans), Counter()) for kind in kinds}
+    if tasks == 1:  # a worker thread's allocator arena would keep the chunk's memory
+        spans = [run_span(0, reps)]
+    else:
+        with concurrent.futures.ThreadPoolExecutor(tasks) as pool:
+            futures = [pool.submit(run_span, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            try:  # until every span ends, one raises, or this thread is interrupted
+                concurrent.futures.wait(futures, return_when=concurrent.futures.FIRST_EXCEPTION)
+            finally:  # the spans still running stop; result() raises a failed one's error
+                stopping.set()
+        spans = [future.result() for future in futures]
+    failure_reasons = {kind: sum((span[kind] for span in spans), Counter()) for kind in kinds}
     return MonteCarloResult(
         spec=spec,
         truth=truth,

@@ -1,6 +1,7 @@
 """Sample moments and the estimator family."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -122,16 +123,34 @@ class TestSampleMoments:
         y = np.arange(12.0).reshape(3, 4)
         assert np.allclose(sample_moments(ReturnsMatrix(y)).mean, y.mean(axis=1))
 
-    @pytest.mark.parametrize("shape", [(1, 5, 9), (3, 8, 30), (2, 50, 390)])
+    @pytest.mark.parametrize("shape", [(1, 5, 9), (3, 8, 30), (2, 50, 390), (21, 100, 200)])
     def test_work_buffers_give_the_same_bits(self, shape):
-        # centred in place in the values' own buffer, the product and the
-        # covariance written into given buffers: the bits of fresh arrays
+        # centred in place in the values' own buffer and the covariance
+        # written into a given buffer: the bits of fresh arrays, and no
+        # other buffer than the means and NumPy's iteration buffers
         x = np.random.default_rng(4).standard_normal(shape) * 1e-3 + 1e-4
         mean, cov = _moments(x)
-        product, into = np.empty((2, *shape[:-1], shape[1]))
-        got_mean, got_cov = _moments(x, (x, product, into))
+        into = np.empty((*shape[:-1], shape[1]))
+        tracemalloc.start()
+        try:
+            got_mean, got_cov = _moments(x, (x, into))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= mean.nbytes + (128 << 10)
         assert got_cov is into
         assert got_mean.tobytes() == mean.tobytes() and into.tobytes() == cov.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 9), (40, 60), (1, 5, 9), (3, 8, 30), (21, 100, 200)])
+    def test_covariance_is_symmetric_to_the_bit(self, shape):
+        # the one-buffer covariance needs no (P + P')/2 pass: matmul of a panel
+        # with its own transpose mirrors one triangle
+        x = np.random.default_rng(6).standard_normal(shape) * 0.02 + 0.01
+        _, cov = _moments(x)
+        assert cov.tobytes() == cov.mT.tobytes()
+        centered = x - x.mean(axis=-1, keepdims=True)
+        product = centered @ centered.mT / shape[-1]
+        assert (0.5 * (product + product.mT)).tobytes() == cov.tobytes()
 
 
 class TestSampleAndConsistent:
@@ -286,6 +305,31 @@ class TestPrecisionEstimators:
         m = SampleMoments(mean=np.zeros(3), cov=np.zeros((3, 3)), n=10, p=3)
         with pytest.raises(ZeroTrace):
             precision_rte(m)
+
+    def test_ridged_matches_the_three_buffer_formula(self):
+        # (n - 1) S + tr(S) I in one buffer, with the bits of the formula that
+        # builds it from three: -0.0 entries, and zero, negative and non-finite traces
+        rng = np.random.default_rng(8)
+        traces = np.array([2.5, 0.0, -0.0, -3.0, np.inf, -np.inf, np.nan, 1e308])
+        covs = rng.standard_normal((len(traces), 4, 4))
+        covs[:, 0, 1] = covs[:, 1, 0] = -0.0
+        covs[:, 2, 2] = -0.0
+        covs[-1] *= 1e308  # entries that overflow
+        with np.errstate(all="ignore"):
+            old = 39 * covs + np.multiply.outer(traces, np.eye(4))
+        assert estimators._ridged(covs, traces, 40).tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sse", "ebe", "rte"])
+    def test_one_factorization_per_precision(self, monkeypatch, kind):
+        # the read's Cholesky factor is the one the inverse comes from: no LU inverse
+        precision = PRECISION_FUNCTIONS[EstimatorKind(kind)]
+        m = _random_moments(p=7, n=40, seed=9)
+        expected = precision(m)
+        calls = _count_factorizations(monkeypatch)
+        monkeypatch.setattr(scipy.linalg, "inv", None)
+        omega = precision(m)
+        assert len(calls) == 1
+        assert omega.tobytes() == expected.tobytes() == omega.T.tobytes()
 
     def test_dense_agreement_all_kinds(self):
         """Solve-based reports match explicit-inverse plug-in arithmetic."""

@@ -11,6 +11,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -452,17 +453,27 @@ class TestChunkedEngine:
     def spec(self, scenario, seed=21, n=None):
         return ScenarioSpec(scenario=scenario, p=self.P, n=n or self.N, seed=seed)
 
-    def test_chunk_size_depends_on_shape_only(self):
-        assert _chunk_size(self.P, self.N) == self.SIZE == 81
-        assert _chunk_size(10, 50) == 218
-        assert _chunk_size(100, 200) == 4
-        assert _chunk_size(500, 1000) == 1
+    def test_chunk_size_depends_on_scenario_and_shape_only(self):
+        for scenario in ("normal", "t3"):
+            scenario = Scenario(scenario)
+            assert _chunk_size(scenario, self.P, self.N) == self.SIZE == 81
+            assert _chunk_size(scenario, 10, 50) == 218
+            assert _chunk_size(scenario, 100, 200) == 4
+            assert _chunk_size(scenario, 500, 1000) == 1
+        # CCC-GARCH: at least 2048 lanes per recursion step, up to 8 MB of
+        # panels and covariances, and never fewer than the byte rule gives
+        garch = Scenario.CCC_GARCH
+        assert _chunk_size(garch, self.P, self.N) == 103
+        assert _chunk_size(garch, 10, 50) == 218
+        assert _chunk_size(garch, 100, 200) == 21
+        assert _chunk_size(garch, 400, 800) == 2
+        assert _chunk_size(garch, 500, 1000) == 1
 
     @pytest.mark.parametrize("scenario", ["normal", "t3", "ccc-garch"])
     @pytest.mark.parametrize("offset", [-1, 1])
     def test_matches_reference_across_chunk_edge(self, scenario, offset):
         spec = self.spec(scenario)
-        reps = _chunk_size(spec.p, spec.n) + offset
+        reps = _chunk_size(spec.scenario, spec.p, spec.n) + offset
         result = run_monte_carlo(spec, reps, ALL_KINDS)
         estimates, reasons = _reference_run(spec, reps, ALL_KINDS)
         for kind in ALL_KINDS:
@@ -470,10 +481,38 @@ class TestChunkedEngine:
             assert np.all(np.isfinite(result.estimates[kind]))
         assert result.failure_reasons == reasons
 
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_garch_matches_reference_across_its_chunk_edge(self, offset):
+        # the benchmark's CCC-GARCH shape: 21 replications, 2,100 lanes, per chunk
+        spec = ScenarioSpec(scenario="ccc-garch", p=100, n=200, seed=3)
+        reps = _chunk_size(spec.scenario, spec.p, spec.n) + offset
+        result = run_monte_carlo(spec, reps, ALL_KINDS)
+        estimates, reasons = _reference_run(spec, reps, ALL_KINDS)
+        for kind in ALL_KINDS:
+            assert np.array_equal(result.estimates[kind], estimates[kind], equal_nan=True)
+        assert result.failure_reasons == reasons
+
+    def test_garch_chunk_holds_its_buffers_once(self):
+        # the peak of a run is one chunk's panels and covariances, the
+        # recursion's three blocks of shocks and centred returns, and a
+        # slack of 512 KiB for the rest (lane state, generators, estimates)
+        spec = ScenarioSpec(scenario="ccc-garch", p=100, n=200, seed=3)
+        size = _chunk_size(spec.scenario, spec.p, spec.n)
+        floats = size * spec.p * (spec.n + spec.p) + 3 * simulate._GARCH_BLOCK * size * spec.p
+        run_monte_carlo(spec, 1, ALL_KINDS)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            result = run_monte_carlo(spec, 2 * size, ALL_KINDS, jobs=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.failures == dict.fromkeys(ALL_KINDS, 0)
+        assert peak <= 8 * floats + (512 << 10)
+
     def test_failures_match_reference(self):
         # n = p + 1: unbiased, sse and ebe fail in every replication, by class
         spec = self.spec("normal", n=self.P + 1)
-        reps = _chunk_size(spec.p, spec.n) + 1
+        reps = _chunk_size(spec.scenario, spec.p, spec.n) + 1
         result = run_monte_carlo(spec, reps, ALL_KINDS)
         estimates, reasons = _reference_run(spec, reps, ALL_KINDS)
         for kind in ALL_KINDS:
@@ -483,7 +522,7 @@ class TestChunkedEngine:
 
     def test_leading_rows_of_longer_run(self):
         spec = self.spec("normal")
-        size = _chunk_size(spec.p, spec.n)
+        size = _chunk_size(spec.scenario, spec.p, spec.n)
         short = run_monte_carlo(spec, size + 3, ALL_KINDS)
         long = run_monte_carlo(spec, 3 * size + 1, ALL_KINDS)
         for kind in ALL_KINDS:
@@ -491,7 +530,7 @@ class TestChunkedEngine:
 
     def test_jobs_with_several_chunks(self):
         spec = self.spec("t3")
-        reps = 3 * _chunk_size(spec.p, spec.n) + 7
+        reps = 3 * _chunk_size(spec.scenario, spec.p, spec.n) + 7
         serial = run_monte_carlo(spec, reps, ALL_KINDS, jobs=1)
         parallel = run_monte_carlo(spec, reps, ALL_KINDS, jobs=2)
         for kind in ALL_KINDS:
@@ -504,7 +543,7 @@ class TestChunkedEngine:
         # written to the wrong place, or a lost failure count (unbiased, sse
         # and ebe fail in every replication at n = p + 1), would show
         spec = self.spec(scenario, n=n)
-        reps = 8 * _chunk_size(spec.p, spec.n) + 5
+        reps = 8 * _chunk_size(spec.scenario, spec.p, spec.n) + 5
         serial = run_monte_carlo(spec, reps, ALL_KINDS, jobs=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -516,13 +555,15 @@ class TestChunkedEngine:
             assert np.array_equal(threaded.estimates[kind], serial.estimates[kind], equal_nan=True)
         assert threaded.failure_reasons == serial.failure_reasons
 
-    # 6, 3, 1 and 3 chunks; no worker starts when jobs is invalid
+    # 6, 3, 1 and 3 chunks; no worker starts when jobs is invalid, and no
+    # pool when there is one task: its span runs in the calling thread
     @pytest.mark.parametrize(
         ("jobs", "reps", "workers"),
         [(2, 5 * SIZE + 1, 2), (8, 2 * SIZE + 1, 3), (4, SIZE, 1), (0, 2 * SIZE + 1, 0)],
     )
     def test_pool_never_exceeds_jobs(self, monkeypatch, jobs, reps, workers):
         started = []
+        spans = []
 
         class Recording(concurrent.futures.Executor):
             """An in-thread stand-in for ThreadPoolExecutor that records its set-up."""
@@ -531,13 +572,17 @@ class TestChunkedEngine:
                 started.append(max_workers)
 
             def submit(self, fn, *args):
-                spans.append(args[-2:])  # (start, stop)
                 future = concurrent.futures.Future()
                 future.set_result(fn(*args))
                 return future
 
-        spans = []
+        def recording_span(*args):
+            spans.append((args[-2:], threading.current_thread()))  # (start, stop)
+            return original_span(*args)
+
+        original_span = simulate._replicate_span
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(simulate, "_replicate_span", recording_span)
         spec = self.spec("normal")
         if not workers:
             with pytest.raises(InvalidParams, match="need jobs >= 1"):
@@ -545,12 +590,14 @@ class TestChunkedEngine:
             assert started == spans == []
             return
         result = run_monte_carlo(spec, reps, ["consistent"], jobs=jobs)
-        assert started == [workers]
+        assert started == ([] if workers == 1 else [workers])
         # one contiguous run of whole chunks per task, covering every replication
-        size = _chunk_size(spec.p, spec.n)
+        size = _chunk_size(spec.scenario, spec.p, spec.n)
         assert len(spans) == workers
-        assert spans[0][0] == 0 and spans[-1][1] == reps
-        assert all(a[1] == b[0] and a[1] % size == 0 for a, b in zip(spans, spans[1:]))
+        assert all(thread is threading.current_thread() for _, thread in spans)
+        bounds = [span for span, _ in spans]
+        assert bounds[0][0] == 0 and bounds[-1][1] == reps
+        assert all(a[1] == b[0] and a[1] % size == 0 for a, b in zip(bounds, bounds[1:]))
         monkeypatch.undo()
         serial = run_monte_carlo(spec, reps, ["consistent"])
         kind = EstimatorKind.CONSISTENT
@@ -560,7 +607,7 @@ class TestChunkedEngine:
     def test_garch_population_state_drawn_once(self, monkeypatch, reps):
         # the coefficients are per run, not per replication or per span: one
         # draw whatever the number of chunks and threads (at p=20, n=60: 1,
-        # 1 and 3 chunks)
+        # 1 and 2 chunks)
         calls = []
         original = simulate._rng_for
 
@@ -634,7 +681,7 @@ class TestChunkedEngine:
             """,
         )
         out, _ = process.communicate(timeout=120)
-        assert _chunk_size(10, 50) < 500 / 2  # 3 chunks, so 2 threads
+        assert _chunk_size(Scenario.NORMAL, 10, 50) < 500 / 2  # 3 chunks, so 2 threads
         assert (process.returncode, out) == (0, "0\n")
 
     def test_interrupt_reaches_the_caller(self, tmp_path):
@@ -744,8 +791,8 @@ class TestStreamSeeding:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_engine_matches_reference_at_a_huge_seed(self, scenario, jobs):
         spec = ScenarioSpec(scenario=scenario, p=self.P, n=self.N, seed=18446744073709551616000)
-        reps = _chunk_size(spec.p, spec.n) + 1
-        assert reps == 17
+        reps = _chunk_size(spec.scenario, spec.p, spec.n) + 1
+        assert reps == (36 if spec.scenario is Scenario.CCC_GARCH else 17)
         result = run_monte_carlo(spec, reps, ALL_KINDS, jobs=jobs)
         estimates, reasons = _reference_run(spec, reps, ALL_KINDS)
         for kind in ALL_KINDS:
