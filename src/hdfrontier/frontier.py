@@ -152,7 +152,9 @@ def _as_covariance(sigma, p: int) -> np.ndarray:
 
 
 #: the LAPACK routines behind scipy.linalg.cho_factor and cho_solve, called
-#: directly: the wrappers' checks cost more than the factorization at small p
+#: directly: the wrappers' checks cost more than the factorization at small p.
+#: Their flags go by position, which spares f2py's keyword parsing:
+#: potrf(a, lower, clean), potrs(c, b, lower) and potri(c, lower, overwrite_c).
 _potrf, _potrs, _potri = scipy.linalg.get_lapack_funcs(("potrf", "potrs", "potri"), dtype=np.float64)
 
 
@@ -175,11 +177,11 @@ def _quadratic_forms(mu: np.ndarray, sigma: np.ndarray):
     failures = {}
     for slot, matrix in enumerate(sigma):
         # a negative info flags an illegal argument, which these calls never pass
-        factor, info = _potrf(matrix, lower=True, clean=False)
+        factor, info = _potrf(matrix, True, False)
         if info > 0:
             sols[slot], failures[slot] = np.nan, info
         else:
-            sols[slot] = _potrs(factor, rhs[slot], lower=True)[0].T
+            sols[slot] = _potrs(factor, rhs[slot], True)[0].T
     solved_ones, solved_mu = sols[:, 0, :, None], sols[:, 1, :, None]
     a = mu[:, None, :] @ solved_mu
     return (a.ravel(), (ones @ solved_mu).ravel(), (ones @ solved_ones).ravel()), failures
@@ -190,11 +192,11 @@ def _inverses(sigma: np.ndarray):
     ``potri`` with its lower triangle mirrored; NaN and failures as in :func:`_quadratic_forms`."""
     inverses, failures = np.empty_like(sigma), {}
     for slot, matrix in enumerate(sigma):
-        factor, info = _potrf(matrix, lower=True, clean=False)
+        factor, info = _potrf(matrix, True, False)
         if info > 0:
             inverses[slot], failures[slot] = np.nan, info
         else:
-            inverses[slot] = _potri(factor, lower=True, overwrite_c=True)[0]
+            inverses[slot] = _potri(factor, True, True)[0]
     np.copyto(inverses, inverses.mT, where=~np.tri(sigma.shape[-1], dtype=bool))
     return inverses, failures
 

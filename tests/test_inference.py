@@ -1,8 +1,14 @@
 """Plug-in asymptotic variances, intervals, and coverage."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import hdfrontier
 from hdfrontier import (
     EstimatorKind,
     FrontierParams,
@@ -69,9 +75,43 @@ class TestNormalQuantile:
         assert normal_quantile(0.25) == -normal_quantile(0.75)
 
     def test_bounds(self):
-        for beta in (0.0, 1.0, -0.5):
+        for beta in (0.0, 1.0, -0.5, float("nan")):
             with pytest.raises(InvalidLevel):
                 normal_quantile(beta)
+
+    def test_bits_of_scipy_ndtri(self):
+        # checked against SciPy 1.17's x86-64 build, whose ndtri evaluates the
+        # same Cephes rational approximations in the same operation order; a
+        # build that fuses multiply-adds could differ in the last bit
+        import scipy.special
+
+        exp_m2 = 0.1353352832366127  # the central branch's edge, exp(-2)
+        exp_m32 = math.exp(-32.0)  # sqrt(-2 log y) = 8: the two tail branches meet
+        edges = [exp_m2, 1 - exp_m2, 5e-324, 1 - 2**-53, 0.975, 0.5]
+        edges += [math.nextafter(exp_m2, 0.0), math.nextafter(exp_m2, 1.0)]
+        # from a few ulps below to a few above the switch, in each tail
+        edges += [exp_m32 * (1 + k * 1e-15) for k in range(-8, 9)]
+        edges += [1 - exp_m32 * (1 + k * 1e-2) for k in range(-8, 9)]
+        rng = np.random.default_rng(23)
+        grid = rng.random(2000).tolist() + (10.0 ** rng.uniform(-320, -1, 1000)).tolist()
+        grid += (1 - 10.0 ** rng.uniform(-16, -1, 1000)).tolist()
+        for beta in edges + grid:
+            assert normal_quantile(beta).hex() == float(scipy.special.ndtri(beta)).hex(), beta
+
+    def test_importing_the_package_leaves_scipy_special_unloaded(self):
+        # in a fresh process: other test modules load scipy.special through scipy.stats
+        src = os.path.dirname(os.path.dirname(hdfrontier.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for module in ("hdfrontier", "hdfrontier.cli"):
+            code = f"import sys, {module}; print('scipy.special' in sys.modules)"
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            assert (done.returncode, done.stdout) == (0, "False\n"), (module, done.stderr)
 
 
 class TestConfidenceIntervals:
