@@ -47,7 +47,6 @@ from .errors import (
     WindowTooShort,
     ZeroTrace,
 )
-# frontier first: a fresh import ran 2-7% faster with scipy.linalg first imported from there
 from .frontier import (
     FrontierParams,
     MertonConstants,

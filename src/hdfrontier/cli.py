@@ -39,12 +39,12 @@ import os
 import platform
 import sys
 from dataclasses import dataclass, field
-from importlib.metadata import PackageNotFoundError, version
 from typing import Callable
 
 import numpy as np
 import scipy
 
+from . import __version__
 from .errors import EmptyPanel, HDFrontierError, ParseError
 from .estimators import EstimatorKind, ReturnsMatrix, _estimate_each, sample_moments
 from .frontier import _MAX_POINTS, frontier_curve, from_merton, merton_constants
@@ -73,11 +73,6 @@ from .simulate import (
 )
 
 __all__ = ["main", "RunManifest"]
-
-try:  # installed distribution metadata, if available
-    _VERSION = version("hdfrontier")
-except PackageNotFoundError:  # pragma: no cover - source tree use
-    _VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -121,7 +116,7 @@ class RunManifest:
     config: dict
     seed: int
     jobs: int
-    version: str = _VERSION
+    version: str = __version__
     started: str = ""
     finished: str | None = None
     outputs: list = field(default_factory=list)
@@ -757,7 +752,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hdfrontier",
         description="Efficient-frontier estimation for high-dimensional portfolios.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {_VERSION}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)

@@ -20,11 +20,15 @@ Cholesky factorization and triangular solves.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import (
     AsymmetricMatrix,
@@ -151,11 +155,33 @@ def _as_covariance(sigma, p: int) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
+def _load_flapack():
+    """SciPy's compiled LAPACK module, without running ``scipy.linalg``'s package init.
+
+    That init loads ``scipy._lib._array_api``, whose NumPy clone reads every
+    lazy NumPy submodule (``numpy.f2py``, ``numpy.testing``, ...): about half
+    of a fresh ``import hdfrontier``.  ``import scipy`` above still applies
+    the wheel's shared-library set-up.  The module is registered under its
+    own name, so a later ``import scipy.linalg`` reuses it.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:  # else scipy.linalg, imported first, loaded it
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+        if spec is None:
+            raise ImportError(f"SciPy {scipy.__version__} at {scipy.__path__[0]} has no {name}", name=name)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
 #: the LAPACK routines behind scipy.linalg.cho_factor and cho_solve, called
 #: directly: the wrappers' checks cost more than the factorization at small p.
+#: They are the objects scipy.linalg.get_lapack_funcs(("potrf", "potrs",
+#: "potri"), dtype=np.float64) returns, taken from _flapack itself.
 #: Their flags go by position, which spares f2py's keyword parsing:
 #: potrf(a, lower, clean), potrs(c, b, lower) and potri(c, lower, overwrite_c).
-_potrf, _potrs, _potri = scipy.linalg.get_lapack_funcs(("potrf", "potrs", "potri"), dtype=np.float64)
+_flapack = _load_flapack()
+_potrf, _potrs, _potri = _flapack.dpotrf, _flapack.dpotrs, _flapack.dpotri
 
 
 def _quadratic_forms(mu: np.ndarray, sigma: np.ndarray):
@@ -202,8 +228,11 @@ def _inverses(sigma: np.ndarray):
 
 
 def _cholesky_failure(info: int, error=CholeskyFailure, what="covariance is not positive definite"):
-    """``error`` for a matrix whose ``potrf`` stopped at leading minor ``info``, LAPACK's as its cause."""
-    cause = scipy.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    """``error`` for a matrix whose ``potrf`` stopped at leading minor ``info``, LAPACK's as its cause.
+
+    The cause is ``np.linalg.LinAlgError``, the class ``scipy.linalg.LinAlgError`` names.
+    """
+    cause = np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     failure = error(f"{what}: {cause}")
     failure.__cause__ = cause
     return failure

@@ -30,6 +30,7 @@ from __future__ import annotations
 import concurrent.futures
 import enum
 import functools
+import importlib
 import logging
 import math
 import operator
@@ -38,6 +39,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import Generator, SeedSequence, default_rng
 
 from .errors import DimensionMismatch, InvalidParams, InvalidRange, TooFewReps
 from .estimators import (
@@ -52,6 +54,10 @@ from .estimators import (
 from .frontier import FrontierParams, _upper_branch, frontier_params
 from .inference import asymptotic_variances
 from .pipeline import _write_csv
+
+# np.nanquantile (MonteCarloResult.loss_quantiles) reaches numpy.ma through
+# np.unique; load it with the package, not in the first run's report
+importlib.import_module("numpy.ma")
 
 __all__ = [
     "Scenario",
@@ -155,9 +161,9 @@ class ScenarioSpec:
         return self.p / self.n
 
 
-def _rng_for(seed: int, *key: int) -> np.random.Generator:
+def _rng_for(seed: int, *key: int) -> Generator:
     """Independent generator for a (domain, index...) slot under one seed."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return default_rng(SeedSequence(seed, spawn_key=key))
 
 
 # NumPy's SeedSequence (O'Neill's seed_seq hash over a 4-word uint32 pool)
@@ -235,7 +241,7 @@ def _seed_words(seed: int, domain: int, start: int, stop: int) -> np.ndarray:
         words = np.vstack(
             [words]
             + [
-                np.random.SeedSequence(seed, spawn_key=(domain, i)).generate_state(4, np.uint64)
+                SeedSequence(seed, spawn_key=(domain, i)).generate_state(4, np.uint64)
                 for i in range(split, stop)
             ]
         )
@@ -281,7 +287,7 @@ def build_population(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     return mu, np.diag(_eigenvalues(spec.p))
 
 
-def _draw_normal(rng: np.random.Generator, out: np.ndarray) -> None:
+def _draw_normal(rng: Generator, out: np.ndarray) -> None:
     rng.standard_normal(out=out)
 
 
@@ -289,7 +295,7 @@ def _draw_normal(rng: np.random.Generator, out: np.ndarray) -> None:
 _T3_SCALE = math.sqrt(1.0 / 3.0)
 
 
-def _draw_t3(rng: np.random.Generator, out: np.ndarray) -> None:
+def _draw_t3(rng: Generator, out: np.ndarray) -> None:
     np.multiply(rng.standard_t(3, size=out.shape), _T3_SCALE, out=out)
 
 
@@ -511,7 +517,7 @@ def _replicate_span(spec, kinds, fill, estimates, stopping, start, stop) -> dict
     # the CCC-GARCH fill interleaves its slots' draws, so each slot needs a
     # generator of its own; the other fills draw one slot after another
     shared = spec.scenario is not Scenario.CCC_GARCH
-    generators = [np.random.default_rng(0) for _ in range(1 if shared else len(buffer))]
+    generators = [default_rng(0) for _ in range(1 if shared else len(buffer))]
     for first in range(start, stop, size):
         if stopping.is_set():
             break

@@ -595,6 +595,16 @@ class TestParserAndManifest:
             "started", "finished", "outputs", "exit_code",
         }
 
+    def test_version_is_the_package_s(self, tmp_path, capsys):
+        assert run_cli(["--version"]) == 0
+        assert capsys.readouterr().out == "hdfrontier 0.1.0\n"
+        assert run_cli(
+            ["frontier", "--mu", "[0.0, 0.3]", "--sigma", "[1.0, 2.0]",
+             "--outdir", tmp_path]
+        ) == 0
+        manifest = json.loads((only_run_dir(tmp_path, "frontier") / "manifest.json").read_text())
+        assert manifest["version"] == "0.1.0"
+
     def test_usage_error_leaves_no_run_dir(self, tmp_path):
         assert run_cli(["frontier", "--outdir", tmp_path]) == 2
         assert not (tmp_path / "frontier").exists()

@@ -1,8 +1,13 @@
 """Population frontier geometry."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import hdfrontier
 from hdfrontier import (
     AsymmetricMatrix,
     CholeskyFailure,
@@ -224,3 +229,31 @@ class TestCurve:
         # more points than an (n_points, 2) array can address
         with pytest.raises(InvalidRange, match="n_points must be at most"):
             frontier_curve(params, v_max=2.0, n_points=10**20)
+
+
+class TestLapackRoutines:
+    @pytest.mark.parametrize("first", ["hdfrontier", "scipy.linalg"])
+    def test_routines_are_scipy_linalg_s(self, first):
+        # frontier loads scipy.linalg._flapack itself; in a fresh process, so
+        # that either import may come first
+        code = f"""
+import sys, numpy as np
+import {first}
+import hdfrontier.frontier as frontier, scipy.linalg
+ours = (frontier._potrf, frontier._potrs, frontier._potri)
+theirs = scipy.linalg.get_lapack_funcs(("potrf", "potrs", "potri"), dtype=np.float64)
+flapack = sys.modules["scipy.linalg._flapack"]
+print(all(a is b for a, b in zip(ours, theirs)),
+      all(a is b for a, b in zip(ours, (flapack.dpotrf, flapack.dpotrs, flapack.dpotri))),
+      scipy.linalg.LinAlgError is np.linalg.LinAlgError)
+"""
+        src = os.path.dirname(os.path.dirname(hdfrontier.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (done.returncode, done.stdout) == (0, "True True True\n"), done.stderr

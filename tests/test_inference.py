@@ -113,6 +113,26 @@ class TestNormalQuantile:
             )
             assert (done.returncode, done.stdout) == (0, "False\n"), (module, done.stderr)
 
+    def test_importing_the_package_skips_scipy_linalg_init(self):
+        # scipy.linalg's package init clones NumPy through scipy._lib._array_api,
+        # which reads every lazy NumPy submodule; the package's own calls need
+        # only numpy.random (seeding) and numpy.ma (np.nanquantile's np.unique)
+        absent = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+        present = ("numpy.random", "numpy.ma")
+        src = os.path.dirname(os.path.dirname(hdfrontier.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for module in ("hdfrontier", "hdfrontier.cli"):
+            code = f"import sys, {module}; print(*(name in sys.modules for name in {absent + present}))"
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            expected = " ".join(["False"] * len(absent) + ["True"] * len(present)) + "\n"
+            assert (done.returncode, done.stdout) == (0, expected), (module, done.stderr)
+
 
 class TestConfidenceIntervals:
     def test_centres_and_symmetry(self):

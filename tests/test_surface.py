@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,11 @@ def test_every_exported_name_resolves(module):
     imported = importlib.import_module(module)
     missing = [name for name in getattr(imported, "__all__", ()) if not hasattr(imported, name)]
     assert not missing
+
+
+def test_version_is_pyproject_s():
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    assert hdfrontier.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
 
 
 @pytest.mark.parametrize("name", REMOVED)
